@@ -160,6 +160,8 @@ def cmd_eval(args) -> int:
     net, _ = loaded
     try:
         points, _ = _read_points(args.infile)
+        if any(len(p) != net.input_dim for p in points):
+            raise DimensionError("point dimension does not match the network")
     except (ValueError, OSError) as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_INVALID_INPUT
@@ -167,7 +169,12 @@ def cmd_eval(args) -> int:
         if args.precision == "exact":
             out = eval_exact(net, list(p))[0]
             got = out if isinstance(out, Fraction) else out.as_fraction()
-            _emit({"event": "eval", "index": idx, "output": str(got)})
+            try:
+                text = str(got)
+            except ValueError as exc:  # past the interpreter's int-to-decimal limit
+                _diag(f"output {idx} cannot be printed: {exc}")
+                return EXIT_INVALID_INPUT
+            _emit({"event": "eval", "index": idx, "output": text})
         else:
             out = eval_float(net, [float(c) for c in p])[0]
             _emit({"event": "eval", "index": idx, "output": out})
@@ -344,3 +351,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

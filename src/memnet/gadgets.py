@@ -126,6 +126,16 @@ def extractor_track_inputs(x: int, n: int, i: int) -> tuple[DyadicRational, Dyad
     return triangle_iterate(base_p, i - 1), triangle_iterate(base_q, i - 1)
 
 
+def _track_table(x: int, n: int) -> list:
+    """extractor_track_inputs(x, n, k + 1) for k = 0..n, one triangle step apart."""
+    p, q = extractor_track_inputs(x, n, 1)
+    table = [(p, q)]
+    for _ in range(n):
+        p, q = triangle_value(p), triangle_value(q)
+        table.append((p, q))
+    return table
+
+
 def bin_bit_formula(x: int, n: int, i: int) -> int:
     """Bit i of x (width-n, MSB-first) via the iterated-triangle identity.
 
@@ -282,13 +292,13 @@ def oracle_bits(n_max: int = 10, builder=None, formula=None) -> dict:
                 if got != want:
                     witnesses.append({"suite": "bits", "kind": "formula", "n": n,
                                       "i": i, "x": x, "got": got, "want": want})
+        tracks = [_track_table(x, n) for x in range(1 << n)]
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 net = build(n, i, j)
                 for x in range(1 << n):
-                    p, q = extractor_track_inputs(x, n, i)
-                    out = eval_exact(net, [p, q])
-                    want_tracks = extractor_track_inputs(x, n, j + 1)
+                    out = eval_exact(net, tracks[x][i - 1])
+                    want_tracks = tracks[x][j]
                     want_bits = bin_range(x, i, j, n)
                     checks += 1
                     ok = (out[2] == want_bits and out[0] == want_tracks[0]

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .exactnum import DyadicRational, ZERO
+from .exactnum import DyadicRational, ONE, ZERO
 
 __all__ = [
     "DimensionError",
@@ -28,7 +29,6 @@ __all__ = [
     "eval_float",
     "compose_serial",
     "stack_parallel",
-    "extend_identity",
     "serialize_net",
     "deserialize_net",
     "save_net",
@@ -71,18 +71,22 @@ class AffineLayer:
             for row in rows
         )
         biases = tuple(_as_dyadic(b) for b in biases)
+        passthrough = tuple(passthrough)
         if len(rows) != out_dim or len(biases) != out_dim:
             raise DimensionError("row/bias count does not match out_dim")
         for row in rows:
             for i, _ in row:
                 if not 0 <= i < in_dim:
                     raise DimensionError(f"column {i} out of range for in_dim {in_dim}")
+        for u in passthrough:
+            if not 0 <= u < out_dim:
+                raise DimensionError(f"passthrough unit {u} out of range for out_dim {out_dim}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.rows = rows
         self.biases = biases
         self.relu = bool(relu)
-        self.passthrough = tuple(passthrough)
+        self.passthrough = passthrough
 
     def nonzero_params(self) -> int:
         return sum(len(r) for r in self.rows) + sum(1 for b in self.biases if b.sign)
@@ -98,7 +102,7 @@ class LayeredNet:
     """
 
     __slots__ = ("input_dim", "layers", "provenance", "output_nonneg",
-                 "_fast", "_frac", "_flt")
+                 "_prog", "_flt")
 
     def __init__(self, input_dim, layers, provenance="", output_nonneg=False):
         layers = tuple(layers)
@@ -115,8 +119,7 @@ class LayeredNet:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "output_nonneg", bool(output_nonneg))
-        object.__setattr__(self, "_fast", None)
-        object.__setattr__(self, "_frac", None)
+        object.__setattr__(self, "_prog", None)
         object.__setattr__(self, "_flt", None)
 
     def __setattr__(self, name, value):
@@ -185,39 +188,6 @@ def effective_bits(net: LayeredNet) -> int:
 # evaluation
 
 
-def _fast_layers(net: LayeredNet):
-    if net._fast is None:
-        compiled = []
-        for layer in net.layers:
-            rows = tuple(
-                (
-                    layer.biases[k].sign * layer.biases[k].mantissa,
-                    layer.biases[k].exponent,
-                    tuple((i, w.sign * w.mantissa, w.exponent) for i, w in layer.rows[k]),
-                )
-                for k in range(layer.out_dim)
-            )
-            compiled.append((rows, layer.relu, layer.passthrough))
-        object.__setattr__(net, "_fast", tuple(compiled))
-    return net._fast
-
-
-def _frac_layers(net: LayeredNet):
-    if net._frac is None:
-        compiled = []
-        for layer in net.layers:
-            rows = tuple(
-                (
-                    layer.biases[k].as_fraction(),
-                    tuple((i, w.as_fraction()) for i, w in layer.rows[k]),
-                )
-                for k in range(layer.out_dim)
-            )
-            compiled.append((rows, layer.relu, layer.passthrough))
-        object.__setattr__(net, "_frac", tuple(compiled))
-    return net._frac
-
-
 def _float_layers(net: LayeredNet):
     if net._flt is None:
         compiled = []
@@ -234,70 +204,107 @@ def _float_layers(net: LayeredNet):
     return net._flt
 
 
+def _compile(net: LayeredNet, e0: int) -> tuple:
+    """The net as an integer program for inputs scaled to exponent e0.
+
+    Register values are integers v standing for v * 2**E / D, where D is
+    the odd part of the point's common input denominator and E is a static
+    exponent: e0 for inputs, and for a computed row the smallest exponent
+    among its terms and bias, so weights and biases fold into integer
+    coefficients.  An identity row (weight 1, bias 0) is an alias of its
+    source register when ReLU cannot clip it: the source is a ReLU output
+    or the row applies no ReLU.  Physical registers are reused once their
+    last reader has run, so a pass holds about one layer of values.
+    """
+    exps = [e0] * net.input_dim  # static exponent per virtual register
+    chan = list(range(net.input_dim))  # virtual register of each channel
+    ops = []
+    nonneg = False  # the channels in `chan` are ReLU outputs
+    for layer in net.layers:
+        guarded = frozenset(layer.passthrough)
+        regs = []
+        for k, (row, bias) in enumerate(zip(layer.rows, layer.biases)):
+            if (not bias and len(row) == 1 and row[0][1] == ONE
+                    and (nonneg or not layer.relu)):
+                regs.append(chan[row[0][0]])
+                continue
+            terms = [(chan[i], w, w.exponent + exps[chan[i]]) for i, w in row]
+            e = min([t for _, _, t in terms] + ([bias.exponent] if bias else []),
+                    default=0)
+            ops.append((bias.numerator << (bias.exponent - e) if bias else 0,
+                        [(r, w.numerator << (t - e)) for r, w, t in terms],
+                        layer.relu, k if layer.relu and k in guarded else None))
+            regs.append(len(exps))
+            exps.append(e)
+        chan = regs
+        nonneg = layer.relu
+    last = {}  # virtual register -> index of its last reader
+    for t, (_, terms, _, _) in enumerate(ops):
+        for r, _ in terms:
+            last[r] = t
+    last.update((r, len(ops)) for r in chan)  # outputs live to the end
+    slot, free, size = list(range(net.input_dim)), [], net.input_dim
+    for t, (bias, terms, relu, unit) in enumerate(ops):
+        free.extend({slot[r] for r, _ in terms if last[r] == t})
+        if not free:
+            free.append(size)
+            size += 1
+        slot.append(free.pop())
+        if net.input_dim + t not in last:  # never read: reuse at once
+            free.append(slot[-1])
+        ops[t] = (bias, tuple((slot[r], c) for r, c in terms), relu, unit, slot[-1])
+    prog = (e0, tuple(ops), size, tuple((slot[r], exps[r]) for r in chan))
+    object.__setattr__(net, "_prog", prog)
+    return prog
+
+
+def _scaled(x) -> tuple[int, int, int]:
+    """(n, e, d) with x == n * 2**e / d and d odd."""
+    if isinstance(x, Fraction):
+        den = x.denominator
+        twos = (den & -den).bit_length() - 1
+        return x.numerator, -twos, den >> twos
+    if isinstance(x, int):
+        return x, 0, 1
+    d = _as_dyadic(x)
+    return d.numerator, d.exponent, 1
+
+
 def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
     """Exact forward pass; no rounding anywhere.
 
-    Accepts DyadicRational/int inputs (dyadic fast path, dyadic outputs) or
-    Fraction inputs (exact rational path, Fraction outputs).  Fractions
-    whose denominator is a power of two ride the fast path.  With
-    debug=True, pass-through channels are checked to stay nonnegative.
+    Inputs are int, DyadicRational or Fraction.  A point is written as
+    integers over one denominator 2**-e0 * D (D odd) and run through the
+    net's integer program, compiled on first use and recompiled only for a
+    point that needs a lower e0.  Outputs are DyadicRational when every
+    input is dyadic (D == 1), otherwise Fraction.  With debug=True a
+    pass-through unit of a ReLU layer that goes negative raises
+    ContractViolation.
     """
     if len(xs) != net.input_dim:
         raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
-    vals = []
-    for x in xs:
-        if isinstance(x, Fraction):
-            den = x.denominator
-            if den & (den - 1):
-                return _eval_fraction(net, xs, debug)
-            vals.append((x.numerator, -(den.bit_length() - 1)))
-        else:
-            d = _as_dyadic(x)
-            vals.append((d.sign * d.mantissa, d.exponent))
-    for rows, relu, passthrough in _fast_layers(net):
-        out = []
-        guard = frozenset(passthrough) if debug else ()
-        for k, (bias_n, bias_e, terms) in enumerate(rows):
-            acc_n, acc_e = bias_n, bias_e
-            for i, w_n, w_e in terms:
-                x_n, x_e = vals[i]
-                if not x_n:
-                    continue
-                t_n = w_n * x_n
-                t_e = w_e + x_e
-                if not acc_n:
-                    acc_n, acc_e = t_n, t_e
-                elif acc_e >= t_e:
-                    acc_n = (acc_n << (acc_e - t_e)) + t_n
-                    acc_e = t_e
-                else:
-                    acc_n += t_n << (t_e - acc_e)
-            if relu and acc_n < 0:
-                if k in guard:
-                    raise ContractViolation(f"pass-through unit {k} went negative")
-                acc_n, acc_e = 0, 0
-            out.append((acc_n, acc_e))
-        vals = out
-    return [DyadicRational(n, e) for n, e in vals]
-
-
-def _eval_fraction(net: LayeredNet, xs: Sequence, debug: bool) -> list:
-    vals = [x if isinstance(x, Fraction) else _as_dyadic(x).as_fraction() for x in xs]
-    zero = Fraction(0)
-    for rows, relu, passthrough in _frac_layers(net):
-        out = []
-        guard = frozenset(passthrough) if debug else ()
-        for k, (bias, terms) in enumerate(rows):
-            acc = bias
-            for i, w in terms:
-                acc += w * vals[i]
-            if relu and acc < 0:
-                if k in guard:
-                    raise ContractViolation(f"pass-through unit {k} went negative")
-                acc = zero
-            out.append(acc)
-        vals = out
-    return vals
+    parts = [_scaled(x) for x in xs]
+    den = lcm(*[d for _, _, d in parts])
+    e0 = min([e for n, e, _ in parts if n] + [0])
+    prog = net._prog
+    if prog is None or e0 < prog[0]:
+        prog = _compile(net, e0)
+    e0, ops, size, outputs = prog
+    regs = [n * (den // d) << (e - e0) for n, e, d in parts]
+    regs += [0] * (size - len(regs))
+    for bias, terms, relu, unit, dest in ops:
+        acc = bias * den
+        for r, c in terms:
+            acc += c * regs[r]
+        if relu and acc < 0:
+            if debug and unit is not None:
+                raise ContractViolation(f"pass-through unit {unit} went negative")
+            acc = 0
+        regs[dest] = acc
+    if den == 1:
+        return [DyadicRational(regs[r], e) for r, e in outputs]
+    return [Fraction(regs[r] << e, den) if e >= 0 else Fraction(regs[r], den << -e)
+            for r, e in outputs]
 
 
 def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
@@ -443,56 +450,14 @@ def stack_parallel(nets: Sequence[LayeredNet], provenance: str = "") -> LayeredN
     )
 
 
-def extend_identity(net: LayeredNet, extra_channels: int, side: str = "append") -> LayeredNet:
-    """Thread extra pass-through channels alongside every layer of net.
-
-    The new channels must carry nonnegative values (sigma acts as the
-    identity on them); debug evaluation enforces this.  One weight per
-    channel per layer is added.
-    """
-    if extra_channels < 0:
-        raise ValueError("extra_channels must be nonnegative")
-    if extra_channels == 0:
-        return net
-    if side not in ("prepend", "append"):
-        raise ValueError("side must be 'prepend' or 'append'")
-    new_layers = []
-    for layer in net.layers:
-        if side == "append":
-            shift = 0
-            carry_src = layer.in_dim
-            rows = [row for row in layer.rows]
-            biases = list(layer.biases)
-            passthrough = list(layer.passthrough)
-            for c in range(extra_channels):
-                rows.append(((carry_src + c, 1),))
-                biases.append(0)
-                passthrough.append(layer.out_dim + c)
-        else:
-            shift = extra_channels
-            rows = [((c, 1),) for c in range(extra_channels)]
-            biases = [0] * extra_channels
-            passthrough = list(range(extra_channels))
-            rows += [tuple((i + shift, w) for i, w in row) for row in layer.rows]
-            biases += list(layer.biases)
-            passthrough += [u + extra_channels for u in layer.passthrough]
-        if side == "append":
-            rows = [tuple((i, w) for i, w in row) for row in rows]
-        new_layers.append(
-            AffineLayer(layer.in_dim + extra_channels, layer.out_dim + extra_channels,
-                        rows, biases, layer.relu, passthrough))
-    return LayeredNet(
-        net.input_dim + extra_channels,
-        new_layers,
-        f"{net.provenance}+{extra_channels}ch",
-        output_nonneg=net.output_nonneg,
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization (bit-exact; no floats in the file)
 
 _DENSE_WIDTH_LIMIT = 16
+# Load-time caps on every serialized weight and bias (docs/FORMATS.md): the
+# evaluator turns exponents into shifts, so a crafted exponent is refused.
+MAX_EXPONENT = 1 << 14
+MAX_MANTISSA_BITS = 1 << 16
 
 
 def serialize_net(net: LayeredNet, builder: dict | None = None) -> dict:
@@ -532,30 +497,38 @@ def serialize_net(net: LayeredNet, builder: dict | None = None) -> dict:
     return out
 
 
+def _capped(obj) -> DyadicRational:
+    v = DyadicRational.from_json(obj)
+    if abs(v.exponent) > MAX_EXPONENT or v.mantissa.bit_length() > MAX_MANTISSA_BITS:
+        raise ValueError(f"weight {v!r} exceeds the caps |e| <= {MAX_EXPONENT}, "
+                         f"mantissa <= {MAX_MANTISSA_BITS} bits")
+    return v
+
+
 def deserialize_net(obj: dict) -> LayeredNet:
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported network format: {obj.get('format_version')!r}")
-    layers = []
-    for spec in obj["layers"]:
-        biases = [DyadicRational.from_json(b) for b in spec["b"]]
-        w = spec["w"]
-        if isinstance(w, dict):
-            in_dim = int(w["in_dim"])
-            rows = [
-                tuple((int(i), DyadicRational.from_json(wt)) for i, wt in row)
-                for row in w["sparse"]
-            ]
-        else:
-            in_dim = len(w[0]) if w else 0
-            rows = [
-                tuple((i, DyadicRational.from_json(wt)) for i, wt in enumerate(row)
-                      if wt["s"] != 0)
-                for row in w
-            ]
-        layers.append(AffineLayer(in_dim, len(biases), rows, biases,
-                                  spec["relu"], tuple(spec.get("passthrough", ()))))
-    return LayeredNet(obj["input_dim"], layers, obj.get("provenance", ""),
-                      obj.get("output_nonneg", False))
+    """The net of a parsed network file; ValueError on any malformed content."""
+    try:
+        if obj.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported network format: {obj.get('format_version')!r}")
+        if not isinstance(obj["input_dim"], int):
+            raise ValueError("input_dim must be an integer")
+        layers = []
+        for spec in obj["layers"]:
+            biases = [_capped(b) for b in spec["b"]]
+            w = spec["w"]
+            if isinstance(w, dict):
+                in_dim = int(w["in_dim"])
+                rows = [tuple((int(i), _capped(wt)) for i, wt in row) for row in w["sparse"]]
+            else:
+                in_dim = len(w[0]) if w else 0
+                rows = [tuple((i, _capped(wt)) for i, wt in enumerate(row) if wt["s"] != 0)
+                        for row in w]
+            layers.append(AffineLayer(in_dim, len(biases), rows, biases,
+                                      spec["relu"], tuple(spec.get("passthrough", ()))))
+        return LayeredNet(obj["input_dim"], layers, obj.get("provenance", ""),
+                          obj.get("output_nonneg", False))
+    except (TypeError, AttributeError, KeyError, OverflowError) as exc:
+        raise ValueError(f"malformed network file: {type(exc).__name__}: {exc}") from exc
 
 
 def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
@@ -571,7 +544,11 @@ def save_net(net: LayeredNet, path, builder: dict | None = None) -> None:
 
 def load_net(path) -> tuple[LayeredNet, dict | None]:
     with open(path, "rb") as fh:
-        obj = json.loads(fh.read())
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("network file nests too deeply to parse") from None
     return deserialize_net(obj), obj.get("builder")
 
 

@@ -19,8 +19,7 @@ from .netir import (AffineLayer, LayeredNet, TapeBuilder, compose_serial,
                     stack_parallel)
 from .pipeline import (BuildInfo, Dataset, PipelineConfig, build_stage2,
                        build_stage3, craft_codes, default_bucket_count,
-                       project_to_line, projected_values, verify_exact,
-                       MemorizationError)
+                       verify_exact, MemorizationError, _sorted_projection)
 
 __all__ = [
     "VariantConfig",
@@ -64,13 +63,6 @@ def _subset_codes(ds: Dataset, z_sorted, labels_sorted, subset_size: int,
                                  min(m, size), ds.num_classes,
                                  sentinel_base=global_max_floor))
     return codes
-
-
-def _sorted_projection(ds: Dataset, config: PipelineConfig):
-    proj, net1 = project_to_line(ds, config.seed, config.retry_budget)
-    zs = projected_values(proj, ds)
-    order = sorted(range(ds.n), key=lambda i: zs[i])
-    return proj, net1, [zs[i] for i in order], [ds.labels[i] for i in order]
 
 
 def _with_zero_outputs(net: LayeredNet, extra: int) -> LayeredNet:

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from memnet import cli
 from memnet.datagen import random_dataset, random_regression_labels, \
     random_separated_points, write_csv
-from memnet.netir import load_net, save_net
+from memnet.netir import MAX_EXPONENT, MAX_MANTISSA_BITS, load_net, save_net
 
 
 @pytest.fixture()
@@ -202,3 +209,124 @@ class TestSweepAndRegression:
         assert run(["build", "--mode", "sqrt", "--in", str(data),
                     "--out", str(net)]) == 0
         assert run(["verify", "--net", str(net), "--in", str(data)]) == 0
+
+
+class TestHostileInput:
+    """Crafted network files and points: exit codes 0-3, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hostile")
+        data = root / "data.csv"
+        ds = random_dataset(6, 2, 2, seed=4)
+        write_csv(data, ds.points, ds.labels)
+        net = root / "net.json"
+        assert run(["build", "--in", str(data), "--out", str(net)]) == 0
+        return root, str(data), json.loads(net.read_text())
+
+    @staticmethod
+    def _commands(root, data, obj):
+        path = root / "crafted.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["verify", "--net", str(path), "--in", data],
+                     ["eval", "--net", str(path), "--in", data]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                rc = run(argv)
+            for line in out.getvalue().splitlines():
+                json.loads(line)
+            yield rc
+
+    @pytest.mark.parametrize("craft", [
+        lambda obj: obj["layers"].clear() or obj,
+        lambda obj: obj.update(layers=None) or obj,
+        lambda obj: obj["layers"][0].update(w=5) or obj,
+        lambda obj: [obj],
+        lambda obj: obj.update(input_dim=2.0) or obj,
+        lambda obj: obj["layers"][0]["b"][0].update(e=float("inf")) or obj,
+        lambda obj: obj["layers"][0].update(passthrough=[len(obj["layers"][0]["b"])]) or obj,
+        lambda obj: obj["layers"][0]["b"].__setitem__(
+            0, {"s": 1, "m": "1", "e": MAX_EXPONENT + 1}) or obj,
+        lambda obj: obj["layers"][0]["b"].__setitem__(
+            0, {"s": -1, "m": "3", "e": -MAX_EXPONENT - 1}) or obj,
+        lambda obj: obj["layers"][0]["b"].__setitem__(
+            0, {"s": 1, "m": "1" + "0" * (MAX_MANTISSA_BITS // 4 - 1) + "1", "e": 0}) or obj,
+    ], ids=["no-layers", "layers-null", "w-int", "top-level-list", "float-input-dim",
+            "infinite-exponent",
+            "passthrough-past-out-dim", "exponent-past-cap", "negative-exponent-past-cap",
+            "mantissa-past-cap"])
+    def test_crafted_net_exit_2(self, saved, craft):
+        root, data, obj = saved
+        assert list(self._commands(root, data, craft(copy.deepcopy(obj)))) == [2, 2]
+
+    def test_deeply_nested_file_exit_2(self, saved, tmp_path):
+        _, data, _ = saved
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert run(["verify", "--net", str(path), "--in", data]) == 2
+
+    def test_values_at_the_caps_load(self, saved):
+        root, data, obj = saved
+        obj = copy.deepcopy(obj)
+        obj["layers"][-1]["b"][0] = {"s": 1, "m": "1", "e": -MAX_EXPONENT}
+        verify_rc, eval_rc = self._commands(root, data, obj)
+        assert verify_rc == 1  # loaded, and the label is now off by 2^-MAX_EXPONENT
+        assert eval_rc in (0, 2)  # 2 where int-to-decimal conversion is limited
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_net_exit_codes(self, saved, data):
+        root, csv_path, obj = saved
+        obj = copy.deepcopy(obj)
+        paths = list(_json_paths(obj))
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(st.sampled_from(_HOSTILE_VALUES))
+        if not path:
+            obj = value
+        else:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        for rc in self._commands(root, csv_path, obj):
+            assert rc in (0, 1, 2, 3)
+
+    def test_eval_wrong_dimension_exit_2(self, saved, tmp_path):
+        root, _, obj = saved
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        points = tmp_path / "points.csv"
+        points.write_text("x1,x2,x3\n1,2,3\n")
+        assert run(["eval", "--net", str(net), "--in", str(points)]) == 2
+
+    def test_module_help(self):
+        import memnet
+        src = os.path.dirname(os.path.dirname(memnet.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "memnet.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: memnet")
+
+
+_HOSTILE_VALUES = [None, True, 5, -1, 2.5, float("inf"), "x", "zz", [], {}, [[]], [5],
+                   {"s": 1},
+                   {"s": 1, "m": "1", "e": MAX_EXPONENT},
+                   {"s": 1, "m": "1", "e": MAX_EXPONENT + 1},
+                   MAX_EXPONENT + 1, -MAX_EXPONENT - 1,
+                   "1" + "0" * (MAX_MANTISSA_BITS // 4 - 1) + "1"]
+
+
+def _json_paths(node, path=()):
+    """Every path (a tuple of keys and indices) into a parsed JSON document."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _json_paths(value, path + (index,))

@@ -10,8 +10,19 @@ from memnet.gadgets import build_triangle, build_indicator, triangle_iterate
 from memnet.netir import (AffineLayer, ContractViolation, DimensionError,
                           LayeredNet, TapeBuilder, compose_serial,
                           deserialize_net, effective_bits, eval_exact,
-                          eval_float, extend_identity, metrics, serialize_net,
+                          eval_float, metrics, serialize_net,
                           stack_parallel)
+
+
+def passthrough_net():
+    """Hand-built net on (x, v): output 0 carries x through pass-through
+    units in every layer, output 1 is sigma(2v - 1) + 1."""
+    layers = [
+        AffineLayer(2, 2, [((0, 1),), ((1, 2),)], [0, -1], relu=True, passthrough=[0]),
+        AffineLayer(2, 2, [((0, 1),), ((1, 1),)], [0, 0], relu=True, passthrough=[0, 1]),
+        AffineLayer(2, 2, [((0, 1),), ((1, 1),)], [0, 1], relu=False),
+    ]
+    return LayeredNet(2, layers, "passthrough")
 
 
 def identity_net(dim=1):
@@ -51,6 +62,24 @@ class TestEval:
             t.layer([("y", 0, dict(items))], relu=False)
             results.append(eval_exact(t.build("sum"), xs)[0])
         assert all(r == results[0] for r in results)
+
+    def test_passthrough_values(self):
+        net = passthrough_net()
+        out = eval_exact(net, [DyadicRational(7, -1), 3])
+        assert out == [DyadicRational(7, -1), 6]
+        assert all(isinstance(v, DyadicRational) for v in out)
+        out = eval_exact(net, [Fraction(7, 3), 3])
+        assert out == [Fraction(7, 3), 6]
+        assert all(isinstance(v, Fraction) for v in out)
+
+    def test_negative_passthrough_trips_debug(self):
+        net = passthrough_net()
+        for x in (-1, Fraction(-1), Fraction(-1, 3), DyadicRational(-1, -4)):
+            with pytest.raises(ContractViolation):
+                eval_exact(net, [x, 3], debug=True)
+            assert eval_exact(net, [x, 3]) == [0, 6]
+        # a negative non-pass-through unit is clipped, not a violation
+        assert eval_exact(net, [1, -5], debug=True) == [1, 1]
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
@@ -154,28 +183,6 @@ class TestStack:
     def test_input_dim_must_match(self):
         with pytest.raises(DimensionError):
             stack_parallel([identity_net(1), identity_net(2)])
-
-
-class TestExtendIdentity:
-    def test_passthrough_values(self):
-        net = extend_identity(build_indicator(2, 5), 1, side="append")
-        out = eval_exact(net, [3, DyadicRational(7, -1)])
-        assert out == [1, DyadicRational(7, -1)]
-        net_pre = extend_identity(build_indicator(2, 5), 1, side="prepend")
-        out = eval_exact(net_pre, [DyadicRational(7, -1), 3])
-        assert out == [DyadicRational(7, -1), 1]
-
-    def test_one_weight_per_channel_per_layer(self):
-        base = build_indicator(2, 5)
-        net = extend_identity(base, 2, side="append")
-        assert metrics(net).params == metrics(base).params + 2 * base.depth
-
-    def test_negative_passthrough_trips_debug(self):
-        net = extend_identity(build_indicator(2, 5), 1, side="append")
-        with pytest.raises(ContractViolation):
-            eval_exact(net, [3, -1], debug=True)
-        with pytest.raises(ContractViolation):
-            eval_exact(net, [3, Fraction(-1)], debug=True)
 
 
 class TestMetricsAndSerialization:
