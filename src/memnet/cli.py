@@ -39,6 +39,14 @@ def _write_report(report, path) -> None:
         fh.write("\n")
 
 
+def _exact(value) -> Fraction:
+    """A coordinate or label as an exact Fraction; ValueError when invalid."""
+    try:
+        return Fraction(value)
+    except (ArithmeticError, TypeError) as exc:
+        raise ValueError(f"{value!r} is not an exact number: {exc}") from None
+
+
 def _read_points(path):
     """Rows as exact Fractions, tolerating a trailing label column."""
     import csv
@@ -48,7 +56,7 @@ def _read_points(path):
 
         with open(path) as fh:
             obj = _json.load(fh)
-        points = [tuple(Fraction(c) for c in p) for p in obj["points"]]
+        points = [tuple(_exact(c) for c in p) for p in obj["points"]]
         labels = [str(y) for y in obj["labels"]] if "labels" in obj else None
         return points, labels
     with open(path, newline="") as fh:
@@ -57,7 +65,7 @@ def _read_points(path):
         has_label = header and header[-1].strip().lower() == "label"
         rows = [row for row in reader if row]
     cut = -1 if has_label else None
-    points = [tuple(Fraction(c.strip()) for c in row[:cut]) for row in rows]
+    points = [tuple(_exact(c.strip()) for c in row[:cut]) for row in rows]
     labels = [row[-1].strip() for row in rows] if has_label else None
     return points, labels
 
@@ -69,8 +77,7 @@ def cmd_build(args) -> int:
             points, labels = pipeline.load_dataset(args.infile, regression=True)
             if args.epsilon is None:
                 raise ValueError("--epsilon is required for --mode regression")
-            net, report = pipeline.regression_wrap(points, labels,
-                                                   Fraction(args.epsilon), config)
+            net, report = pipeline.regression_wrap(points, labels, args.epsilon, config)
         else:
             ds = pipeline.load_dataset(args.infile)
             if args.mode == "sqrt":
@@ -125,7 +132,7 @@ def cmd_verify(args) -> int:
         points, labels = _read_points(args.infile)
         if labels is None:
             raise ValueError("verify needs a label column")
-        targets = [Fraction(v) for v in labels]
+        targets = [_exact(v) for v in labels]
         if any(len(p) != net.input_dim for p in points):
             raise DimensionError("point dimension does not match the network")
     except (ValueError, OSError, DimensionError) as exc:

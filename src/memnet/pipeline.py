@@ -77,8 +77,8 @@ class Dataset:
     """N exact rational points with integer labels in 1..C.
 
     delta_sq is the exact minimum pairwise squared distance (None when
-    N == 1), r_sq the exact maximum squared norm; both are recomputed by
-    exhaustive sweep at load time.
+    N == 1), r_sq the exact maximum squared norm; both are recomputed
+    exactly at load time (see load_and_validate).
     """
 
     points: tuple
@@ -111,12 +111,23 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, DyadicRational):
         return value.as_fraction()
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} divides by zero") from None
     raise TypeError(f"coordinates must be exact (int/str/Fraction), got {type(value)!r}")
 
 
 def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) -> Dataset:
-    """Parse, then verify separation and norms by exhaustive exact sweep."""
+    """Parse, reject duplicate points, and compute delta_sq and r_sq exactly.
+
+    Duplicates are found by hashing the exact coordinate tuples; the error
+    names the first coinciding pair (i, j) in row-major pair order.  The
+    minimum squared distance comes from a sort-and-sweep closest-pair
+    search (Shamos & Hoey): points are sorted along the coordinate with the
+    widest spread, and each point is compared with earlier ones only while
+    the gap along that coordinate could still beat the best distance.
+    """
     points = tuple(tuple(_to_fraction(c) for c in p) for p in raw_points)
     if not points:
         raise ValueError("dataset is empty")
@@ -135,18 +146,39 @@ def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) ->
         if not 1 <= y <= c:
             raise LabelRangeError(f"label {y} outside 1..{c}")
     r_sq = max(sum(x * x for x in p) for p in points)
-    delta_sq = None
-    n = len(points)
-    for i in range(n):
-        pi = points[i]
-        for j in range(i + 1, n):
-            pj = points[j]
-            dist = sum((a - b) * (a - b) for a, b in zip(pi, pj))
-            if dist == 0:
-                raise DuplicatePointError(f"points {i} and {j} coincide")
-            if delta_sq is None or dist < delta_sq:
-                delta_sq = dist
-    return Dataset(points, tuple(labels), c, delta_sq, r_sq)
+    _reject_duplicates(points)
+    return Dataset(points, tuple(labels), c, _min_sq_distance(points), r_sq)
+
+
+def _reject_duplicates(points) -> None:
+    first = {}
+    dup = None
+    for j, p in enumerate(points):
+        i = first.setdefault(p, j)
+        # only a point's second occurrence can lower dup[0]
+        if i != j and (dup is None or i < dup[0]):
+            dup = (i, j)
+    if dup is not None:
+        raise DuplicatePointError(f"points {dup[0]} and {dup[1]} coincide")
+
+
+def _min_sq_distance(points) -> Fraction | None:
+    """Exact closest-pair squared distance of distinct points (None if N == 1)."""
+    d = len(points[0])
+    axis = max(range(d), key=lambda k: max(p[k] for p in points) - min(p[k] for p in points))
+    ordered = sorted(points, key=lambda p: p[axis])
+    best = None
+    for pos, p in enumerate(ordered):
+        x = p[axis]
+        for back in range(pos - 1, -1, -1):
+            q = ordered[back]
+            dx = x - q[axis]
+            if best is not None and dx * dx >= best:
+                break
+            dist = sum((a - b) * (a - b) for a, b in zip(p, q))
+            if best is None or dist < best:
+                best = dist
+    return best
 
 
 def dataset_from_csv(path, num_classes: int | None = None,
@@ -171,7 +203,8 @@ def dataset_from_csv(path, num_classes: int | None = None,
             points.append([cell.strip() for cell in row[:-1]])
             labels.append(row[-1].strip())
     if regression:
-        return [tuple(Fraction(c) for c in p) for p in points], [Fraction(v) for v in labels]
+        return ([tuple(_to_fraction(c) for c in p) for p in points],
+                [_to_fraction(v) for v in labels])
     return load_and_validate(points, [int(v) for v in labels], num_classes)
 
 
@@ -576,22 +609,54 @@ class BuildInfo:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BuildInfo":
-        def fr(key):
-            v = obj.get(key)
-            return None if v is None else Fraction(v)
+        """Parse a saved builder record; ValueError on a missing or mistyped field."""
+        if not isinstance(obj, dict):
+            raise ValueError("builder record must be a JSON object")
 
+        def integer(key, low=None, default=None):
+            v = obj.get(key, default)
+            if isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low):
+                floor = "" if low is None else f" >= {low}"
+                raise ValueError(f"builder field {key!r} must be an integer{floor}, got {v!r}")
+            return v
+
+        def optional_integer(key):
+            return None if obj.get(key) is None else integer(key, low=1)
+
+        def rational(key, positive=False):
+            v = obj.get(key)
+            if v is None:
+                return None
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ValueError(f"builder field {key!r} must be an exact number, got {v!r}")
+            v = _to_fraction(v)
+            if positive and v <= 0:
+                raise ValueError(f"builder field {key!r} must be positive, got {v}")
+            return v
+
+        theorem = obj.get("theorem")
+        if not isinstance(theorem, str):
+            raise ValueError(f"builder field 'theorem' must be a string, got {theorem!r}")
+        required = {"bounded_depth": ("L", "subnet_count"), "bounded_bits": ("B",),
+                    "regression": ("epsilon", "label_lo")}.get(theorem, ())
+        missing = [k for k in required if obj.get(k) is None]
+        if missing:
+            raise ValueError(f"builder record for {theorem!r} lacks {', '.join(missing)}")
         known = {"theorem", "N", "d", "C", "seed", "rho", "c", "bucket_count",
                  "bucket_size", "R_realized", "delta_sq", "r_sq", "L", "B",
                  "subnet_count", "epsilon", "label_lo"}
         return cls(
-            theorem=obj["theorem"], n=obj["N"], dim=obj["d"], num_classes=obj["C"],
-            seed=obj.get("seed", 0), rho=obj.get("rho", 0), c=obj.get("c", 0),
-            bucket_count=obj.get("bucket_count", 0),
-            bucket_size=obj.get("bucket_size", 0),
-            R_realized=fr("R_realized") or Fraction(0),
-            delta_sq=fr("delta_sq"), r_sq=fr("r_sq") or Fraction(0),
-            L=obj.get("L"), B=obj.get("B"), subnet_count=obj.get("subnet_count"),
-            epsilon=fr("epsilon"), label_lo=fr("label_lo"),
+            theorem=theorem, n=integer("N", 1), dim=integer("d", 1),
+            num_classes=integer("C", 1), seed=integer("seed", default=0),
+            rho=integer("rho", 0, 0), c=integer("c", 0, 0),
+            bucket_count=integer("bucket_count", 0, 0),
+            bucket_size=integer("bucket_size", 0, 0),
+            R_realized=rational("R_realized") or Fraction(0),
+            delta_sq=rational("delta_sq", positive=True),
+            r_sq=rational("r_sq") or Fraction(0),
+            L=optional_integer("L"), B=optional_integer("B"),
+            subnet_count=optional_integer("subnet_count"),
+            epsilon=rational("epsilon", positive=True), label_lo=rational("label_lo"),
             extra={k: v for k, v in obj.items() if k not in known},
         )
 

@@ -303,6 +303,125 @@ class TestHostileInput:
         points.write_text("x1,x2,x3\n1,2,3\n")
         assert run(["eval", "--net", str(net), "--in", str(points)]) == 2
 
+    @pytest.fixture(scope="class")
+    def regression_saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hostile-regression")
+        data = root / "reg.csv"
+        write_csv(data, random_separated_points(6, 2, seed=5),
+                  random_regression_labels(6, seed=5))
+        net = root / "reg.net.json"
+        assert run(["build", "--mode", "regression", "--epsilon", "1/4",
+                    "--in", str(data), "--out", str(net)]) == 0
+        return str(net)
+
+    @staticmethod
+    def _one_error_line(argv):
+        """Exit code of a command that must print nothing and one stderr line."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        return rc
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize("command", ["build", "verify", "eval", "audit"])
+    def test_coordinate_dividing_by_zero_exit_2(self, saved, tmp_path, command, suffix):
+        _, _, obj = saved
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        data = tmp_path / f"points{suffix}"
+        if suffix == ".csv":
+            data.write_text("x1,x2,label\n1/0,2,1\n")
+        else:
+            data.write_text(json.dumps({"points": [["1/0", "2"]], "labels": [1]}))
+        argv = [command, "--in", str(data)]
+        if command != "build":
+            argv += ["--net", str(net)]
+        assert self._one_error_line(argv) == 2
+
+    @pytest.mark.parametrize("command", ["build", "verify", "audit"])
+    def test_regression_label_dividing_by_zero_exit_2(self, regression_saved, tmp_path,
+                                                       command):
+        data = tmp_path / "reg.csv"
+        data.write_text("x1,x2,label\n1,2,1/0\n3,4,1/2\n")
+        if command == "build":
+            argv = ["build", "--mode", "regression", "--epsilon", "1/4"]
+        else:
+            argv = [command, "--net", regression_saved]
+        assert self._one_error_line(argv + ["--in", str(data)]) == 2
+
+    def test_epsilon_dividing_by_zero_exit_2(self, tmp_path):
+        data = tmp_path / "reg.csv"
+        data.write_text("x1,label\n1,1/2\n3,1/4\n")
+        assert self._one_error_line(["build", "--mode", "regression", "--epsilon", "1/0",
+                                     "--in", str(data)]) == 2
+
+    @staticmethod
+    def _audit(root, data, obj):
+        path = root / "crafted-builder.json"
+        path.write_text(json.dumps(obj))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(["audit", "--net", str(path), "--in", data])
+        for line in out.getvalue().splitlines():
+            json.loads(line)
+        return rc
+
+    @pytest.mark.parametrize("field, value", [
+        (key, value)
+        for key in ("N", "d", "C", "seed", "rho", "c", "bucket_count", "bucket_size")
+        for value in ("x", 2.5, None, [3], True)
+    ] + [
+        (key, value)
+        for key in ("R_realized", "delta_sq", "r_sq")
+        for value in ("x", "1/0", "", 2.5, [1], {"s": 1})
+    ] + [("rho", -1), ("N", 0), ("delta_sq", "0"), ("delta_sq", "-4"),
+         ("theorem", 5), ("theorem", None)])
+    def test_crafted_builder_record_exit_2(self, saved, field, value):
+        root, data, obj = saved
+        obj = copy.deepcopy(obj)
+        obj["builder"][field] = value
+        assert self._audit(root, data, obj) == 2
+
+    @pytest.mark.parametrize("theorem, missing", [
+        ("bounded_depth", "L"), ("bounded_depth", "subnet_count"),
+        ("bounded_bits", "B"), ("regression", "epsilon"), ("regression", "label_lo"),
+    ])
+    def test_builder_record_lacking_a_mode_field_exit_2(self, saved, theorem, missing):
+        root, data, obj = saved
+        obj = copy.deepcopy(obj)
+        obj["builder"].update(theorem=theorem, L=2, B=2, subnet_count=1,
+                              epsilon="1/4", label_lo="0")
+        obj["builder"][missing] = None
+        assert self._audit(root, data, obj) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", "x"), ("epsilon", "0"), ("epsilon", "-1/4"), ("epsilon", "1/0"),
+        ("label_lo", "x"), ("label_lo", 2.5),
+    ])
+    def test_crafted_regression_record_exit_2(self, regression_saved, tmp_path,
+                                              field, value):
+        obj = json.loads(open(regression_saved).read())
+        obj["builder"][field] = value
+        data = tmp_path / "reg.csv"
+        write_csv(data, random_separated_points(6, 2, seed=5),
+                  random_regression_labels(6, seed=5))
+        assert self._audit(tmp_path, str(data), obj) == 2
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_builder_record_exit_codes(self, saved, data):
+        root, csv_path, obj = saved
+        obj = copy.deepcopy(obj)
+        key = data.draw(st.sampled_from(sorted(obj["builder"])))
+        if data.draw(st.booleans()):
+            del obj["builder"][key]
+        else:
+            obj["builder"][key] = data.draw(st.sampled_from(_HOSTILE_VALUES))
+        assert self._audit(root, csv_path, obj) in (0, 1, 2, 3)
+
     def test_module_help(self):
         import memnet
         src = os.path.dirname(os.path.dirname(memnet.__file__))
