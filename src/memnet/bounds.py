@@ -65,25 +65,38 @@ def lower_bound_params(n: int, mode: str, L: int | None = None) -> int:
     raise ValueError(f"unknown lower-bound mode {mode!r}")
 
 
-def _lg(x: float) -> float:
-    return max(1.0, math.log2(max(2.0, float(x))))
+def _lg(x) -> float:
+    try:
+        x = float(x)
+    except OverflowError:  # an exact Fraction past the float range
+        return math.log2(x.numerator) - math.log2(x.denominator)
+    return max(1.0, math.log2(max(2.0, x)))
 
 
-def _normalized_radius(info) -> float:
-    r = math.sqrt(float(info.r_sq)) if info.r_sq else 0.0
-    return max(1.0, r)
+def _float(q) -> float:
+    """float(q) for an exact q >= 0, inf past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
 
 
-def _normalized_separation(info) -> float:
-    if info.delta_sq is None:
-        return 1.0
-    return min(1.0, math.sqrt(float(info.delta_sq)))
+def _sqrt(q) -> float:
+    """sqrt(q) for an exact q >= 0, also where float(q) would overflow or
+    round to 0: then q is scaled by 4**-k and the root by 2**k."""
+    f = _float(q)
+    if q and f in (0.0, math.inf):
+        k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+        return math.sqrt(float(q / Fraction(4) ** k)) * _float(Fraction(2) ** k)
+    return math.sqrt(f)
 
 
 def projection_ceiling(info) -> float:
     """10 * r * N^2 * sqrt(pi d) / delta with r >= 1 and delta <= 1."""
-    return (10.0 * _normalized_radius(info) * info.n * info.n
-            * math.sqrt(math.pi * info.dim) / _normalized_separation(info))
+    r = max(1.0, _sqrt(info.r_sq))
+    delta = 1.0 if info.delta_sq is None else min(1.0, _sqrt(info.delta_sq))
+    return (10.0 * r * info.n * info.n * math.sqrt(math.pi * info.dim) / delta
+            if delta else math.inf)  # delta is 0.0 below the float range
 
 
 def construction_depth(info) -> int:
@@ -167,7 +180,7 @@ def audit(net: LayeredNet, ds: "Dataset", theorem: str, info: "BuildInfo",
     memorized = _verify_outputs(net, ds.points, expected)
 
     n, d = info.n, info.dim
-    log_r = _lg(float(Fraction(info.R_realized)) if info.R_realized else 2.0)
+    log_r = _lg(Fraction(info.R_realized) if info.R_realized else 2.0)
     log_c = _lg(info.num_classes)
     log_n = _lg(n)
     ceilings: dict = {}
@@ -185,7 +198,7 @@ def audit(net: LayeredNet, ds: "Dataset", theorem: str, info: "BuildInfo",
         ceilings["depth_construction"] = construction_depth(info)
         passes["depth_construction"] = real.depth == ceilings["depth_construction"]
         ceilings["projection_range"] = projection_ceiling(info)
-        passes["projection_range"] = float(Fraction(info.R_realized)) <= ceilings["projection_range"]
+        passes["projection_range"] = _float(Fraction(info.R_realized)) <= ceilings["projection_range"]
         ratio("depth", real.depth,
               math.sqrt(n * log_n) + math.sqrt(n / log_n) * max(log_r, log_c))
         ratio("params", real.params,

@@ -39,24 +39,13 @@ def _write_report(report, path) -> None:
         fh.write("\n")
 
 
-def _exact(value) -> Fraction:
-    """A coordinate or label as an exact Fraction; ValueError when invalid."""
-    try:
-        return Fraction(value)
-    except (ArithmeticError, TypeError) as exc:
-        raise ValueError(f"{value!r} is not an exact number: {exc}") from None
-
-
 def _read_points(path):
     """Rows as exact Fractions, tolerating a trailing label column."""
     import csv
 
     if str(path).endswith(".json"):
-        import json as _json
-
-        with open(path) as fh:
-            obj = _json.load(fh)
-        points = [tuple(_exact(c) for c in p) for p in obj["points"]]
+        obj = pipeline.read_json(path)
+        points = [tuple(pipeline._to_fraction(c) for c in p) for p in obj["points"]]
         labels = [str(y) for y in obj["labels"]] if "labels" in obj else None
         return points, labels
     with open(path, newline="") as fh:
@@ -65,7 +54,7 @@ def _read_points(path):
         has_label = header and header[-1].strip().lower() == "label"
         rows = [row for row in reader if row]
     cut = -1 if has_label else None
-    points = [tuple(_exact(c.strip()) for c in row[:cut]) for row in rows]
+    points = [tuple(pipeline._to_fraction(c.strip()) for c in row[:cut]) for row in rows]
     labels = [row[-1].strip() for row in rows] if has_label else None
     return points, labels
 
@@ -132,7 +121,7 @@ def cmd_verify(args) -> int:
         points, labels = _read_points(args.infile)
         if labels is None:
             raise ValueError("verify needs a label column")
-        targets = [_exact(v) for v in labels]
+        targets = [pipeline._to_fraction(v) for v in labels]
         if any(len(p) != net.input_dim for p in points):
             raise DimensionError("point dimension does not match the network")
     except (ValueError, OSError, DimensionError) as exc:

@@ -127,10 +127,6 @@ class DyadicRational:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int) -> "DyadicRational":
-        return cls(n, 0)
-
-    @classmethod
     def pow2(cls, k: int) -> "DyadicRational":
         return cls(1, k)
 
@@ -154,11 +150,8 @@ class DyadicRational:
             return Fraction(n << self.exponent, 1)
         return Fraction(n, 1 << -self.exponent)
 
-    def is_integer(self) -> bool:
-        return self.sign == 0 or self.exponent >= 0
-
     def as_int(self) -> int:
-        if not self.is_integer():
+        if self.sign and self.exponent < 0:
             raise ValueError(f"{self!r} is not an integer")
         return self.sign * (self.mantissa << self.exponent)
 

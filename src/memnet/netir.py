@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exactnum import DyadicRational, ONE, ZERO
+from .exactnum import DyadicRational, ZERO
 
 __all__ = [
     "DimensionError",
@@ -66,10 +66,8 @@ class AffineLayer:
     __slots__ = ("in_dim", "out_dim", "rows", "biases", "relu", "passthrough")
 
     def __init__(self, in_dim, out_dim, rows, biases, relu, passthrough=()):
-        rows = tuple(
-            tuple((int(i), _as_dyadic(w)) for i, w in row if _as_dyadic(w).sign != 0)
-            for row in rows
-        )
+        rows = tuple(tuple((int(i), d) for i, w in row if (d := _as_dyadic(w)).sign)
+                     for row in rows)
         biases = tuple(_as_dyadic(b) for b in biases)
         passthrough = tuple(passthrough)
         if len(rows) != out_dim or len(biases) != out_dim:
@@ -102,7 +100,7 @@ class LayeredNet:
     """
 
     __slots__ = ("input_dim", "layers", "provenance", "output_nonneg",
-                 "_prog", "_flt")
+                 "_plan", "_prog", "_flt")
 
     def __init__(self, input_dim, layers, provenance="", output_nonneg=False):
         layers = tuple(layers)
@@ -119,8 +117,8 @@ class LayeredNet:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "output_nonneg", bool(output_nonneg))
-        object.__setattr__(self, "_prog", None)
-        object.__setattr__(self, "_flt", None)
+        for cache in ("_plan", "_prog", "_flt"):
+            object.__setattr__(self, cache, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LayeredNet is immutable")
@@ -152,20 +150,19 @@ class NetMetrics:
         }
 
 
+def _stored_values(net: LayeredNet):
+    """Every stored weight and every nonzero bias of the net."""
+    for layer in net.layers:
+        yield from (w for row in layer.rows for _, w in row)
+        yield from (b for b in layer.biases if b.sign)
+
+
 def metrics(net: LayeredNet) -> NetMetrics:
     width = max((l.out_dim for l in net.layers[:-1]), default=0)
     params = sum(l.nonzero_params() for l in net.layers)
-    bits = 0
-    erange = 0
-    for layer in net.layers:
-        for row in layer.rows:
-            for _, w in row:
-                bits = max(bits, w.mantissa.bit_length())
-                erange = max(erange, abs(w.exponent))
-        for b in layer.biases:
-            if b.sign:
-                bits = max(bits, b.mantissa.bit_length())
-                erange = max(erange, abs(b.exponent))
+    values = list(_stored_values(net))
+    bits = max((w.mantissa.bit_length() for w in values), default=0)
+    erange = max((abs(w.exponent) for w in values), default=0)
     return NetMetrics(width, len(net.layers), params, bits, erange)
 
 
@@ -175,48 +172,26 @@ def effective_bits(net: LayeredNet) -> int:
     For an integer weight this equals its plain bit length; for a scale
     2**-k it is k+1.  Used by the audit's bit-complexity comparisons.
     """
-    worst = 0
-    for layer in net.layers:
-        values = [w for row in layer.rows for _, w in row]
-        values.extend(b for b in layer.biases if b.sign)
-        for w in values:
-            worst = max(worst, w.mantissa.bit_length() + abs(w.exponent))
-    return worst
+    return max((w.mantissa.bit_length() + abs(w.exponent) for w in _stored_values(net)),
+               default=0)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def _float_layers(net: LayeredNet):
-    if net._flt is None:
-        compiled = []
-        for layer in net.layers:
-            rows = tuple(
-                (
-                    layer.biases[k].to_float(),
-                    tuple((i, w.to_float()) for i, w in layer.rows[k]),
-                )
-                for k in range(layer.out_dim)
-            )
-            compiled.append((rows, layer.relu))
-        object.__setattr__(net, "_flt", tuple(compiled))
-    return net._flt
+def _plan(net: LayeredNet) -> tuple:
+    """The net's register plan, cached; the exact and float programs fill it in.
 
-
-def _compile(net: LayeredNet, e0: int) -> tuple:
-    """The net as an integer program for inputs scaled to exponent e0.
-
-    Register values are integers v standing for v * 2**E / D, where D is
-    the odd part of the point's common input denominator and E is a static
-    exponent: e0 for inputs, and for a computed row the smallest exponent
-    among its terms and bias, so weights and biases fold into integer
-    coefficients.  An identity row (weight 1, bias 0) is an alias of its
-    source register when ReLU cannot clip it: the source is a ReLU output
-    or the row applies no ReLU.  Physical registers are reused once their
-    last reader has run, so a pass holds about one layer of values.
+    Op t writes virtual register input_dim + t.  An identity row (weight 1,
+    bias 0) aliases its source register when ReLU cannot clip it: the source
+    is a ReLU output or the row applies no ReLU.  A slot is reused once its
+    register's last reader has run, so a pass holds about one layer of
+    values.  Ops: (bias, source slots, weights, relu, guarded unit or None,
+    destination slot); outputs: slots.
     """
-    exps = [e0] * net.input_dim  # static exponent per virtual register
+    if net._plan is not None:
+        return net._plan
     chan = list(range(net.input_dim))  # virtual register of each channel
     ops = []
     nonneg = False  # the channels in `chan` are ReLU outputs
@@ -224,36 +199,51 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
         guarded = frozenset(layer.passthrough)
         regs = []
         for k, (row, bias) in enumerate(zip(layer.rows, layer.biases)):
-            if (not bias and len(row) == 1 and row[0][1] == ONE
-                    and (nonneg or not layer.relu)):
+            if (len(row) == 1 and not bias.sign and (nonneg or not layer.relu)
+                    and row[0][1].exponent == 0 and row[0][1].numerator == 1):
                 regs.append(chan[row[0][0]])
                 continue
-            terms = [(chan[i], w, w.exponent + exps[chan[i]]) for i, w in row]
-            e = min([t for _, _, t in terms] + ([bias.exponent] if bias else []),
-                    default=0)
-            ops.append((bias.numerator << (bias.exponent - e) if bias else 0,
-                        [(r, w.numerator << (t - e)) for r, w, t in terms],
+            ops.append((bias, [chan[i] for i, _ in row], tuple([w for _, w in row]),
                         layer.relu, k if layer.relu and k in guarded else None))
-            regs.append(len(exps))
-            exps.append(e)
+            regs.append(net.input_dim + len(ops) - 1)
         chan = regs
         nonneg = layer.relu
-    last = {}  # virtual register -> index of its last reader
-    for t, (_, terms, _, _) in enumerate(ops):
-        for r, _ in terms:
-            last[r] = t
-    last.update((r, len(ops)) for r in chan)  # outputs live to the end
+    # virtual register -> index of its last reader; outputs live to the end
+    last = {r: t for t, op in enumerate(ops) for r in op[1]}
+    last.update((r, len(ops)) for r in chan)
     slot, free, size = list(range(net.input_dim)), [], net.input_dim
-    for t, (bias, terms, relu, unit) in enumerate(ops):
-        free.extend({slot[r] for r, _ in terms if last[r] == t})
-        if not free:
-            free.append(size)
-            size += 1
-        slot.append(free.pop())
+    for t, (bias, srcs, weights, relu, unit) in enumerate(ops):
+        free.extend({slot[r] for r in srcs if last[r] == t})
+        slot.append(free.pop() if free else size)
+        size = max(size, slot[-1] + 1)
         if net.input_dim + t not in last:  # never read: reuse at once
             free.append(slot[-1])
-        ops[t] = (bias, tuple((slot[r], c) for r, c in terms), relu, unit, slot[-1])
-    prog = (e0, tuple(ops), size, tuple((slot[r], exps[r]) for r in chan))
+        ops[t] = (bias, tuple([slot[r] for r in srcs]), weights, relu, unit, slot[-1])
+    object.__setattr__(net, "_plan", (tuple(ops), size, tuple([slot[r] for r in chan])))
+    return net._plan
+
+
+def _compile(net: LayeredNet, e0: int) -> tuple:
+    """The plan as an integer program for inputs scaled to exponent e0.
+
+    Register values are integers v standing for v * 2**E / D, where D is
+    the odd part of the point's common input denominator and E is a static
+    exponent: e0 for inputs, and for a computed row the smallest exponent
+    among its terms and bias, so weights and biases fold into integer
+    coefficients.  A slot holds one register from its write to its last
+    read, so exponents are kept per slot.
+    """
+    plan, size, outputs = _plan(net)
+    exps = [e0] * size  # static exponent of the register each slot holds
+    ops = []
+    for bias, slots, weights, relu, unit, dest in plan:
+        ts = [w.exponent + exps[s] for s, w in zip(slots, weights)]
+        e = min([*ts, bias.exponent] if bias.sign else ts, default=0)
+        ops.append((bias.numerator << (bias.exponent - e) if bias.sign else 0,
+                    tuple([(s, w.numerator << (t - e)) for s, w, t in zip(slots, weights, ts)]),
+                    relu, unit, dest))
+        exps[dest] = e
+    prog = (e0, tuple(ops), size, tuple([(s, exps[s]) for s in outputs]))
     object.__setattr__(net, "_prog", prog)
     return prog
 
@@ -308,21 +298,30 @@ def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
 
 
 def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
-    """Same recursion under IEEE float64 rounding; NaN/Inf propagate."""
+    """Same recursion under IEEE float64 rounding; NaN/Inf propagate.
+
+    Runs the register plan with float weights.  A row adds its bias, then
+    its terms in stored order, left to right (sum() and math.fsum round
+    differently), so the bits equal a walk over every row of every layer.
+    Inputs are float(x) + 0.0: an aliased identity row then gives +0.0 for
+    -0.0, as the row 0.0 + 1.0 * x does.
+    """
     if len(xs) != net.input_dim:
         raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
-    vals = [float(x) for x in xs]
-    for rows, relu in _float_layers(net):
-        out = []
-        for bias, terms in rows:
-            acc = bias
-            for i, w in terms:
-                acc += w * vals[i]
-            if relu and not acc > 0.0:
-                acc = 0.0 if acc == acc else acc  # keep NaN
-            out.append(acc)
-        vals = out
-    return vals
+    if net._flt is None:
+        plan, size, outputs = _plan(net)
+        object.__setattr__(net, "_flt", (tuple(
+            (bias.to_float(), tuple(zip(slots, [w.to_float() for w in weights])), relu, dest)
+            for bias, slots, weights, relu, _, dest in plan), size, outputs))
+    ops, size, outputs = net._flt
+    regs = [float(x) + 0.0 for x in xs] + [0.0] * (size - len(xs))
+    for acc, terms, relu, dest in ops:  # acc starts at the row's bias
+        for r, w in terms:
+            acc += w * regs[r]
+        if relu and not acc > 0.0:
+            acc = 0.0 if acc == acc else acc  # keep NaN
+        regs[dest] = acc
+    return [regs[s] for s in outputs]
 
 
 # ---------------------------------------------------------------------------

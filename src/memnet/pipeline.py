@@ -15,6 +15,7 @@ returned after every training point evaluates to its label exactly.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -104,6 +105,7 @@ class Dataset:
 
 
 def _to_fraction(value) -> Fraction:
+    """An exact number read from outside the program; ValueError if it is not one."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -115,7 +117,7 @@ def _to_fraction(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"{value!r} divides by zero") from None
-    raise TypeError(f"coordinates must be exact (int/str/Fraction), got {type(value)!r}")
+    raise ValueError(f"{value!r} is not an exact number (int/str/Fraction)")
 
 
 def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) -> Dataset:
@@ -213,14 +215,17 @@ def dataset_from_json(obj, num_classes: int | None = None) -> Dataset:
                              num_classes if num_classes is not None else obj.get("C"))
 
 
+def read_json(path):
+    """A JSON file with every number exact (0.1 is 1/10); NaN/Infinity raise ValueError."""
+    with open(path) as fh:
+        return json.load(fh, parse_float=Fraction, parse_constant=Fraction)
+
+
 def load_dataset(path, num_classes: int | None = None,
                  regression: bool = False):
     """Dispatch on extension: .json dataset files, CSV otherwise."""
     if str(path).endswith(".json"):
-        import json
-
-        with open(path) as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
         if regression:
             points = [tuple(_to_fraction(c) for c in p) for p in obj["points"]]
             return points, [_to_fraction(y) for y in obj["labels"]]

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from memnet.bounds import (ProvenanceError, audit, lower_bound_params,
-                           vc_upper_bits)
+                           projection_ceiling, vc_upper_bits)
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.netir import AffineLayer, LayeredNet
@@ -42,6 +44,28 @@ class TestLowerBounds:
             lower_bound_params(16, "unknown")
         with pytest.raises(ValueError):
             lower_bound_params(16, "bartlett_depth")
+
+
+class TestFloatRange:
+    """Exact dataset quantities past float64 range still give a ceiling."""
+
+    @staticmethod
+    def _ceiling(r_sq, delta_sq):
+        return projection_ceiling(SimpleNamespace(r_sq=r_sq, delta_sq=delta_sq, n=2, dim=1))
+
+    def test_in_range_matches_plain_float(self):
+        for r_sq, delta_sq in ((Fraction(10**300), Fraction(1, 3)),
+                               (Fraction(7, 2), Fraction(1, 10**300)), (Fraction(0), None)):
+            r = max(1.0, math.sqrt(float(r_sq)))
+            delta = 1.0 if delta_sq is None else min(1.0, math.sqrt(float(delta_sq)))
+            assert self._ceiling(r_sq, delta_sq) == 10.0 * r * 4 * math.sqrt(math.pi) / delta
+
+    def test_past_the_range(self):
+        root = 10.0 * 4 * math.sqrt(math.pi)
+        assert self._ceiling(Fraction(9 * 10**400), Fraction(1)) == pytest.approx(3e200 * root)
+        assert self._ceiling(Fraction(1), Fraction(1, 4 * 10**400)) == pytest.approx(2e200 * root)
+        assert self._ceiling(Fraction(10**800), Fraction(1)) == math.inf
+        assert self._ceiling(Fraction(1), Fraction(1, 10**800)) == math.inf
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,6 +14,7 @@ from memnet import cli
 from memnet.datagen import random_dataset, random_regression_labels, \
     random_separated_points, write_csv
 from memnet.netir import MAX_EXPONENT, MAX_MANTISSA_BITS, load_net, save_net
+from memnet.pipeline import load_dataset
 
 
 @pytest.fixture()
@@ -356,6 +358,44 @@ class TestHostileInput:
         data.write_text("x1,label\n1,1/2\n3,1/4\n")
         assert self._one_error_line(["build", "--mode", "regression", "--epsilon", "1/0",
                                      "--in", str(data)]) == 2
+
+    @pytest.mark.parametrize("rows", [["1e200,1", "3e200,2"], ["0,1", "1e-200,2"]],
+                             ids=["r-past-float-range", "delta-below-float-range"])
+    def test_dataset_past_the_float_range(self, tmp_path, rows):
+        """Exact r_sq overflows float64, or delta_sq underflows it to 0."""
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n" + "\n".join(rows) + "\n")
+        net = tmp_path / "net.json"
+        assert run(["build", "--in", str(data), "--out", str(net)]) == 0
+        assert run(["audit", "--net", str(net), "--in", str(data)]) == 0
+
+    def test_json_numbers_are_exact_decimals(self, tmp_path):
+        data = tmp_path / "data.json"
+        data.write_text('{"points": [[0.5, 1], [0.1, 3]], "labels": [1, 2]}')
+        net = tmp_path / "net.json"
+        for argv in (["build", "--out", str(net)], ["verify", "--net", str(net)],
+                     ["eval", "--net", str(net)], ["audit", "--net", str(net)]):
+            assert run(argv + ["--in", str(data)]) == 0
+        assert load_dataset(str(data)).points[1] == (Fraction(1, 10), 3)
+        assert cli._read_points(str(data))[0][1] == (Fraction(1, 10), 3)
+        reg = tmp_path / "reg.json"
+        reg.write_text('{"points": [[0.5, 1], [0.1, 3]], "labels": [0.5, 0.25]}')
+        for argv in (["build", "--mode", "regression", "--epsilon", "1/8", "--out", str(net)],
+                     ["audit", "--net", str(net)]):
+            assert run(argv + ["--in", str(reg)]) == 0
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["build", "verify", "eval", "audit"])
+    def test_json_nan_or_infinity_exit_2(self, saved, tmp_path, command, constant):
+        _, _, obj = saved
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        data = tmp_path / "points.json"
+        data.write_text('{"points": [[%s, 1], [2, 3]], "labels": [1, 2]}' % constant)
+        argv = [command, "--in", str(data)]
+        if command != "build":
+            argv += ["--net", str(net)]
+        assert self._one_error_line(argv) == 2
 
     @staticmethod
     def _audit(root, data, obj):
