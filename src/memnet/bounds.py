@@ -73,21 +73,21 @@ def _lg(x) -> float:
     return max(1.0, math.log2(max(2.0, x)))
 
 
-def _float(q) -> float:
-    """float(q) for an exact q >= 0, inf past the float range."""
+def to_float(q) -> float:
+    """float(q) for an exact q, saturating to -inf/inf past the float range."""
     try:
         return float(q)
     except OverflowError:
-        return math.inf
+        return math.inf if q > 0 else -math.inf
 
 
 def _sqrt(q) -> float:
     """sqrt(q) for an exact q >= 0, also where float(q) would overflow or
     round to 0: then q is scaled by 4**-k and the root by 2**k."""
-    f = _float(q)
+    f = to_float(q)
     if q and f in (0.0, math.inf):
         k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-        return math.sqrt(float(q / Fraction(4) ** k)) * _float(Fraction(2) ** k)
+        return math.sqrt(float(q / Fraction(4) ** k)) * to_float(Fraction(2) ** k)
     return math.sqrt(f)
 
 
@@ -198,7 +198,7 @@ def audit(net: LayeredNet, ds: "Dataset", theorem: str, info: "BuildInfo",
         ceilings["depth_construction"] = construction_depth(info)
         passes["depth_construction"] = real.depth == ceilings["depth_construction"]
         ceilings["projection_range"] = projection_ceiling(info)
-        passes["projection_range"] = _float(Fraction(info.R_realized)) <= ceilings["projection_range"]
+        passes["projection_range"] = to_float(Fraction(info.R_realized)) <= ceilings["projection_range"]
         ratio("depth", real.depth,
               math.sqrt(n * log_n) + math.sqrt(n / log_n) * max(log_r, log_c))
         ratio("params", real.params,

@@ -39,26 +39,6 @@ def _write_report(report, path) -> None:
         fh.write("\n")
 
 
-def _read_points(path):
-    """Rows as exact Fractions, tolerating a trailing label column."""
-    import csv
-
-    if str(path).endswith(".json"):
-        obj = pipeline.read_json(path)
-        points = [tuple(pipeline._to_fraction(c) for c in p) for p in obj["points"]]
-        labels = [str(y) for y in obj["labels"]] if "labels" in obj else None
-        return points, labels
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_label = header and header[-1].strip().lower() == "label"
-        rows = [row for row in reader if row]
-    cut = -1 if has_label else None
-    points = [tuple(pipeline._to_fraction(c.strip()) for c in row[:cut]) for row in rows]
-    labels = [row[-1].strip() for row in rows] if has_label else None
-    return points, labels
-
-
 def cmd_build(args) -> int:
     config = pipeline.PipelineConfig(seed=args.seed)
     try:
@@ -81,6 +61,11 @@ def cmd_build(args) -> int:
                 net, report = variants.assemble_bounded_bits(ds, args.B, config)
             else:
                 raise ValueError(f"unknown mode {args.mode!r}")
+        # a record number past the interpreter's int-to-decimal limit is a ValueError
+        if args.out:
+            save_net(net, args.out, builder=report.info.to_json())
+        if args.report:
+            _write_report(report, args.report)
     except pipeline.ProjectionSearchExhausted as exc:
         _diag(f"projection search failed: {exc}")
         return EXIT_PROJECTION
@@ -88,10 +73,6 @@ def cmd_build(args) -> int:
             gadgets.ParameterError, ValueError, OSError) as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_INVALID_INPUT
-    if args.out:
-        save_net(net, args.out, builder=report.info.to_json())
-    if args.report:
-        _write_report(report, args.report)
     _emit({
         "event": "build",
         "mode": args.mode,
@@ -118,7 +99,7 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID_INPUT
     net, _ = loaded
     try:
-        points, labels = _read_points(args.infile)
+        points, labels, _ = pipeline.read_dataset(args.infile)
         if labels is None:
             raise ValueError("verify needs a label column")
         targets = [pipeline._to_fraction(v) for v in labels]
@@ -140,8 +121,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK if not bad else EXIT_CHECK_FAILED
     worst = 0.0
     for p, want in zip(points, targets):
-        out = eval_float(net, [float(c) for c in p])[0]
-        err = abs(out - float(want))
+        out = eval_float(net, [bounds.to_float(c) for c in p])[0]
+        err = abs(out - bounds.to_float(want))
         if err != err or err > worst:  # NaN counts as collapse
             worst = err if err == err else float("inf")
     _emit({"event": "verify", "precision": "float64",
@@ -155,7 +136,7 @@ def cmd_eval(args) -> int:
         return EXIT_INVALID_INPUT
     net, _ = loaded
     try:
-        points, _ = _read_points(args.infile)
+        points, _, _ = pipeline.read_dataset(args.infile)
         if any(len(p) != net.input_dim for p in points):
             raise DimensionError("point dimension does not match the network")
     except (ValueError, OSError) as exc:
@@ -172,7 +153,7 @@ def cmd_eval(args) -> int:
                 return EXIT_INVALID_INPUT
             _emit({"event": "eval", "index": idx, "output": text})
         else:
-            out = eval_float(net, [float(c) for c in p])[0]
+            out = eval_float(net, [bounds.to_float(c) for c in p])[0]
             _emit({"event": "eval", "index": idx, "output": out})
     return EXIT_OK
 
@@ -254,7 +235,7 @@ def _sweep_rows(args):
                 "bits": real.bits, "exponent_range": real.exponent_range,
                 "effective_bits": report.effective_bits,
                 "memorized": int(report.memorized),
-                "R_realized": float(Fraction(report.info.R_realized)),
+                "R_realized": bounds.to_float(Fraction(report.info.R_realized)),
                 "kappa": report.kappa,
                 **{f"ceiling_{k}": v for k, v in sorted(report.ceilings.items())},
                 **{f"ratio_{k}": v for k, v in sorted(report.ratios.items())},

@@ -1,8 +1,10 @@
 """Verified ReLU building blocks: triangle, indicator, distance gate, bit extractor.
 
-Each gadget comes in two forms: a scalar defining formula (the oracle) and a
-LayeredNet built from it.  Oracles and networks are compared exhaustively on
-small instances; the networks are what the construction pipeline composes.
+Each gadget comes in two forms: a scalar defining formula (the oracle) and
+row emitters (`window_rows`, `triangle_step_rows`, `tap_weight`), the one
+copy of its rows.  The standalone nets here wrap the emitters and are
+compared exhaustively with the formulas on small instances; the pipeline's
+bucket selector and block matcher emit the same rows inside their layers.
 
 Depth convention: depth counts affine layers including the final affine
 readout.  The indicator and distance gate therefore realize depth 3 (two
@@ -23,6 +25,9 @@ __all__ = [
     "triangle_value",
     "triangle_iterate",
     "build_triangle",
+    "window_rows",
+    "triangle_step_rows",
+    "tap_weight",
     "indicator_value",
     "build_indicator",
     "distance_value",
@@ -79,7 +84,30 @@ def build_triangle() -> LayeredNet:
 
 
 # ---------------------------------------------------------------------------
-# interval indicator and distance gate
+# interval window: indicator and distance gate
+
+
+def window_rows(x: str, lo, hi):
+    """The two ReLU layers of an interval window on channel x.
+
+    lo and hi are affine expressions (bias, {source: coeff}) over channels
+    other than x.  Layer one: h1 = sigma(2lo - 2x), h2 = sigma(2x - 2hi),
+    endpoint terms before x; layer two: g1 = sigma(1 - h1), g2 = sigma(1 - h2).
+    The readout g1 + g2 - 1, which consumers fuse into their next layer, is
+    1 on [lo, hi] and 0 beyond margins of 1/2.
+    """
+    (lo_bias, lo_terms), (hi_bias, hi_terms) = lo, hi
+    first = [("h1", 2 * lo_bias, {**{s: 2 * w for s, w in lo_terms.items()}, x: -2}),
+             ("h2", -2 * hi_bias, {**{s: -2 * w for s, w in hi_terms.items()}, x: 2})]
+    return first, [("g1", 1, {"h1": -1}), ("g2", 1, {"h2": -1})]
+
+
+def _window_net(inputs, lo, hi, provenance) -> LayeredNet:
+    t = TapeBuilder(inputs)
+    for rows in window_rows("x", lo, hi):
+        t.layer(rows)
+    t.layer([("f", -1, {"g1": 1, "g2": 1})], relu=False)
+    return t.build(provenance, output_nonneg=True)
 
 
 def indicator_value(a: int, b: int, x):
@@ -91,11 +119,7 @@ def build_indicator(a: int, b: int) -> LayeredNet:
     """Net with F(x)=1 on [a,b], 0 outside (a-1/2, b+1/2), values in [0,1]."""
     if a >= b:
         raise ParameterError(f"indicator needs a < b, got a={a}, b={b}")
-    t = TapeBuilder(["x"])
-    t.layer([("h1", 2 * a, {"x": -2}), ("h2", -2 * b, {"x": 2})])
-    t.layer([("g1", 1, {"h1": -1}), ("g2", 1, {"h2": -1})])
-    t.layer([("f", -1, {"g1": 1, "g2": 1})], relu=False)
-    return t.build(f"indicator[{a},{b}]", output_nonneg=True)
+    return _window_net(["x"], (a, {}), (b, {}), f"indicator[{a},{b}]")
 
 
 def distance_value(x, y):
@@ -104,16 +128,33 @@ def distance_value(x, y):
 
 
 def build_distance_gate() -> LayeredNet:
-    """Net on (x, y) firing 1 for x in [y, y+1], 0 past the 1/2 margins."""
-    t = TapeBuilder(["x", "y"])
-    t.layer([("h1", 0, {"y": 2, "x": -2}), ("h2", -2, {"x": 2, "y": -2})])
-    t.layer([("g1", 1, {"h1": -1}), ("g2", 1, {"h2": -1})])
-    t.layer([("f", -1, {"g1": 1, "g2": 1})], relu=False)
-    return t.build("distance_gate", output_nonneg=True)
+    """Net on (x, y) firing 1 for x in [y, y+1], 0 past the 1/2 margins: the
+    window from y to y+1, since distance_value(x, y) == indicator_value(y, y+1, x)."""
+    return _window_net(["x", "y"], (0, {"y": 1}), (1, {"y": 1}), "distance_gate")
 
 
 # ---------------------------------------------------------------------------
 # bit extraction
+
+
+def triangle_step_rows(p: str, q: str, t: str, prefix: str):
+    """The two layers of one triangle step on tracks p and q, with the bit tap.
+
+    Layer one writes sigma(2v) and sigma(4v - 2) of each track to channels
+    prefix1..prefix4; layer two folds them into phi(p), phi(q) and the tap
+    t = phi(q) - phi(p), the current bit over 2^(n + 2 - i) (bin_bit_formula).
+    """
+    h1, h2, h3, h4 = (f"{prefix}{k}" for k in range(1, 5))
+    first = [(h1, 0, {p: 2}), (h2, -2, {p: 4}), (h3, 0, {q: 2}), (h4, -2, {q: 4})]
+    second = [(p, 0, {h1: 1, h2: -1}), (q, 0, {h3: 1, h4: -1}),
+              (t, 0, {h3: 1, h4: -1, h1: -1, h2: 1})]
+    return first, second
+
+
+def tap_weight(n: int, k: int, left: int) -> DyadicRational:
+    """Weight on the tap of bit k (MSB-first, width n) when `left` more bits
+    of the same block follow it: it scales the bit to 2^left."""
+    return DyadicRational(1, left + n + 2 - k)
 
 
 def extractor_track_inputs(x: int, n: int, i: int) -> tuple[DyadicRational, DyadicRational]:
@@ -160,26 +201,13 @@ def build_bit_extractor(n: int, i: int, j: int) -> LayeredNet:
     """
     if i < 1 or i > j or j > n:
         raise IndexError(f"bit range {i}:{j} out of range for width {n}")
-    c = j - i
     t = TapeBuilder(["p", "q"])
-    for step in range(c + 1):
-        k = i + step  # global bit tapped by this block
-        have_y = step > 0
-        carry = ["y"] if have_y else []
-        t.layer([
-            ("hp1", 0, {"p": 2}), ("hp2", -2, {"p": 4}),
-            ("hq1", 0, {"q": 2}), ("hq2", -2, {"q": 4}),
-        ] + t.passthrough_rows(carry), passthrough=carry)
-        t.layer([
-            ("p", 0, {"hp1": 1, "hp2": -1}),
-            ("q", 0, {"hq1": 1, "hq2": -1}),
-            ("t", 0, {"hq1": 1, "hq2": -1, "hp1": -1, "hp2": 1}),
-        ] + t.passthrough_rows(carry), passthrough=carry)
-        tap = DyadicRational(1, (c - step) + (n + 2 - k))
-        y_terms = {"t": tap}
-        if have_y:
-            y_terms["y"] = 1
-        last = step == c
+    for k in range(i, j + 1):  # global bit tapped by this block
+        carry = ["y"] if k > i else []
+        for rows in triangle_step_rows("p", "q", "t", "h"):
+            t.layer(rows + t.passthrough_rows(carry), passthrough=carry)
+        y_terms = {"t": tap_weight(n, k, j - k), **dict.fromkeys(carry, 1)}
+        last = k == j
         t.layer(
             [("p", 0, {"p": 1}), ("q", 0, {"q": 1}), ("y", 0, y_terms)],
             relu=not last,

@@ -15,14 +15,16 @@ returned after every training point evaluates to its label exactly.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from . import bounds
+from . import bounds, gadgets
 from .exactnum import DyadicRational, bit_len, ceil_log2, ceil_sqrt, pack_blocks
 from .gadgets import ParameterError
 from .netir import LayeredNet, TapeBuilder, compose_serial, eval_exact, metrics
@@ -104,20 +106,35 @@ class Dataset:
         }
 
 
+# Every dataset number is a fraction whose numerator and denominator are at
+# most 10^MAX_NUMBER_DIGITS in absolute value (docs/FORMATS.md): with every
+# value under it a build saves, verifies and audits.
+MAX_NUMBER_DIGITS = 1000
+_NUMBER_CAP = 10 ** MAX_NUMBER_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
 def _to_fraction(value) -> Fraction:
-    """An exact number read from outside the program; ValueError if it is not one."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, DyadicRational):
-        return value.as_fraction()
+    """An exact dataset number; ValueError if it is not one or is past the cap."""
     if isinstance(value, str):
+        exp = _EXPONENT.search(value)
+        # past this, no digit string can bring the number back under the cap,
+        # so 10^exp is never built
+        if exp and abs(int(exp[1])) > MAX_NUMBER_DIGITS + len(value):
+            raise ValueError(f"{value!r:.40} is past the cap of 10^{MAX_NUMBER_DIGITS}")
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"{value!r} divides by zero") from None
-    raise ValueError(f"{value!r} is not an exact number (int/str/Fraction)")
+    elif isinstance(value, DyadicRational):
+        value = value.as_fraction()
+    elif isinstance(value, int) and not isinstance(value, bool):
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise ValueError(f"{value!r} is not an exact number (int/str/Fraction)")
+    if abs(value.numerator) > _NUMBER_CAP or value.denominator > _NUMBER_CAP:
+        raise ValueError(f"a dataset number is past the cap of 10^{MAX_NUMBER_DIGITS}")
+    return value
 
 
 def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) -> Dataset:
@@ -144,6 +161,8 @@ def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) ->
     if len(labels) != len(points):
         raise ValueError("points and labels differ in length")
     c = num_classes if num_classes is not None else max(labels)
+    if c > _NUMBER_CAP:
+        raise LabelRangeError(f"class count past the cap of 10^{MAX_NUMBER_DIGITS}")
     for y in labels:
         if not 1 <= y <= c:
             raise LabelRangeError(f"label {y} outside 1..{c}")
@@ -183,54 +202,79 @@ def _min_sq_distance(points) -> Fraction | None:
     return best
 
 
-def dataset_from_csv(path, num_classes: int | None = None,
-                     regression: bool = False):
-    """CSV with columns x1..xd,label; coordinates are exact decimal strings.
+def read_dataset(path):
+    """(exact points, raw label cells, class count) of a .json or CSV dataset.
 
-    With regression=True the label column is parsed as an exact rational and
-    the raw (points, labels) pair is returned instead of a Dataset.
+    Label cells are None without a label column (a CSV header not ending in
+    `label`, a JSON object without "labels"), the class count unless a JSON
+    file gives "C".  ValueError on a malformed file (docs/FORMATS.md).
     """
-    import csv
+    if not str(path).endswith(".json"):
+        return _csv_rows(path)
+    with open(path) as fh:
+        try:
+            obj = json.load(fh, parse_float=_to_fraction, parse_constant=Fraction)
+        except RecursionError:
+            raise ValueError("dataset file nests too deeply to parse") from None
+    return _json_rows(obj)
 
-    points = []
-    labels = []
+
+def _csv_rows(path):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header and header[-1].strip().lower() != "label":
-            raise ValueError("last CSV column must be 'label'")
-        for row in reader:
-            if not row:
-                continue
-            points.append([cell.strip() for cell in row[:-1]])
-            labels.append(row[-1].strip())
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise ValueError(f"malformed CSV file: {exc}") from None
+    if not rows:
+        raise ValueError("the CSV file is empty")
+    header, rows = rows[0], [row for row in rows[1:] if row]
+    if not header or header[-1].strip().lower() != "label":
+        return _exact_rows(rows, None, None)
+    return _exact_rows([row[:-1] for row in rows], [row[-1] for row in rows], None)
+
+
+def _json_rows(obj):
+    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
+        raise ValueError('a JSON dataset is an object with a "points" list')
+    points, labels, c = obj["points"], obj.get("labels"), obj.get("C")
+    if not all(isinstance(p, list) for p in points):
+        raise ValueError("every JSON point must be a list of coordinates")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError('"labels" must be a list')
+    if c is not None and (isinstance(c, bool) or not isinstance(c, int)):
+        raise ValueError(f'"C" must be an integer, got {c!r}')
+    return _exact_rows(points, labels, c)
+
+
+def _exact_rows(points, labels, c):
+    if labels is not None and len(labels) != len(points):
+        raise ValueError("points and labels differ in length")
+    return [tuple(_to_fraction(v) for v in p) for p in points], labels, c
+
+
+def _labelled(rows, num_classes, regression):
+    points, labels, c = rows
+    if labels is None:
+        raise ValueError("the dataset has no label column")
     if regression:
-        return ([tuple(_to_fraction(c) for c in p) for p in points],
-                [_to_fraction(v) for v in labels])
-    return load_and_validate(points, [int(v) for v in labels], num_classes)
+        return points, [_to_fraction(y) for y in labels]
+    labels = [int(y) if isinstance(y, str) else y for y in labels]
+    return load_and_validate(points, labels, c if num_classes is None else num_classes)
+
+
+def dataset_from_csv(path, num_classes: int | None = None, regression: bool = False):
+    """A CSV dataset (see read_dataset) as a Dataset, or with regression=True
+    as the raw (points, exact labels) pair."""
+    return _labelled(_csv_rows(path), num_classes, regression)
 
 
 def dataset_from_json(obj, num_classes: int | None = None) -> Dataset:
-    return load_and_validate(obj["points"], obj["labels"],
-                             num_classes if num_classes is not None else obj.get("C"))
+    return _labelled(_json_rows(obj), num_classes, False)
 
 
-def read_json(path):
-    """A JSON file with every number exact (0.1 is 1/10); NaN/Infinity raise ValueError."""
-    with open(path) as fh:
-        return json.load(fh, parse_float=Fraction, parse_constant=Fraction)
-
-
-def load_dataset(path, num_classes: int | None = None,
-                 regression: bool = False):
-    """Dispatch on extension: .json dataset files, CSV otherwise."""
-    if str(path).endswith(".json"):
-        obj = read_json(path)
-        if regression:
-            points = [tuple(_to_fraction(c) for c in p) for p in obj["points"]]
-            return points, [_to_fraction(y) for y in obj["labels"]]
-        return dataset_from_json(obj, num_classes)
-    return dataset_from_csv(path, num_classes, regression)
+def load_dataset(path, num_classes: int | None = None, regression: bool = False):
+    """dataset_from_csv, or its .json counterpart for a path ending in .json."""
+    return _labelled(read_dataset(path), num_classes, regression)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +453,9 @@ def craft_codes(z_sorted, labels_sorted, m: int, num_classes: int,
 def build_stage2(code: CraftedCode, carry: int = 0) -> LayeredNet:
     """Bucket selector: z -> (z, w_j, u_j) for z in bucket j's plateau.
 
-    One shared interval indicator gates both payload accumulators, so the
-    realized width is 5 (the scalar selector of the contract is width 4)
-    plus any carry channels.  Depth is 3*bucket_count + 2.
+    Bucket j's indicator (gadgets.window_rows on [a_j, b_j]) gates both
+    payload accumulators, so the realized width is 5 (the scalar selector of
+    the contract is width 4) plus any carry channels.  Depth is 3*bucket_count + 2.
     """
     carries = [f"k{t}" for t in range(carry)]
     t = TapeBuilder(["z"] + carries)
@@ -421,10 +465,8 @@ def build_stage2(code: CraftedCode, carry: int = 0) -> LayeredNet:
     keep = ["x", "yw", "yu"] + carries
     for j in range(code.bucket_count):
         a, b = code.intervals[j]
-        t.layer([("h1", 2 * a, {"x": -2}), ("h2", -2 * b, {"x": 2})]
-                + t.passthrough_rows(keep), passthrough=keep)
-        t.layer([("g1", 1, {"h1": -1}), ("g2", 1, {"h2": -1})]
-                + t.passthrough_rows(keep), passthrough=keep)
+        for rows in gadgets.window_rows("x", (a, {}), (b, {})):
+            t.layer(rows + t.passthrough_rows(keep), passthrough=keep)
         t.layer([
             ("x", 0, {"x": 1}),
             ("yw", -code.w[j], {"yw": 1, "g1": code.w[j], "g2": code.w[j]}),
@@ -439,9 +481,10 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0,
     """Block matcher: (x, w, u) -> label block of w whose u block equals floor(x).
 
     Walks the n_blocks rho-bit blocks of u and c-bit blocks of w with two
-    iterated-triangle tracks each, gates every decoded u block against x
-    with a distance gate, and accumulates the gated w blocks.  Output is 0
-    when x is farther than 3/2 from every block value.  Width 12; depth
+    iterated-triangle tracks each (gadgets.triangle_step_rows, tap_weight),
+    gates every decoded u block b against x with a distance gate (the window
+    [b, b+1], gadgets.window_rows), and sums the gated w blocks.  Output is
+    0 when x is farther than 3/2 from every block value.  Width 12; depth
     3*n_blocks*max(rho, c) + 2*n_blocks + 2.
 
     With merge_carry=True the net maps (x, w, u, y) -> (x, y + result),
@@ -465,85 +508,45 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0,
         ("y", 0, {}),
     ] + t.passthrough_rows(carries), passthrough=["x"] + carries)
 
-    def track_rows(prefix, active):
+    def track(v, active):
+        """Both layers of one step on payload v's tracks; idle tracks hold."""
         if active:
-            return [
-                (f"h{prefix}1", 0, {f"p{prefix}": 2}),
-                (f"h{prefix}2", -2, {f"p{prefix}": 4}),
-                (f"h{prefix}3", 0, {f"q{prefix}": 2}),
-                (f"h{prefix}4", -2, {f"q{prefix}": 4}),
-            ]
-        return [(f"p{prefix}", 0, {f"p{prefix}": 1}), (f"q{prefix}", 0, {f"q{prefix}": 1})]
+            return gadgets.triangle_step_rows(f"p{v}", f"q{v}", f"t{v}", f"h{v}")
+        hold = t.passthrough_rows([f"p{v}", f"q{v}"])
+        return hold, hold
+
+    def accumulator(v, step, width, n):
+        """b_v plus this step's tapped bit of the current block, if it has one."""
+        terms = {f"b{v}": 1} if step > 1 else {}
+        if step <= width:
+            terms[f"t{v}"] = gadgets.tap_weight(n, blk * width + step, width - step)
+        return terms
 
     for blk in range(n_blocks):
         y_in = {"y": 1, "g": 1} if blk else {"y": 1}
         for step in range(1, steps + 1):
-            act_u = step <= rho
-            act_w = step <= c
-            # L1: halve/shift both tracks
-            rows = [("x", 0, {"x": 1})]
-            rows += track_rows("u", act_u)
-            rows += track_rows("w", act_w)
-            if step > 1:
-                rows += [("bu", 0, {"bu": 1}), ("bw", 0, {"bw": 1})]
-            rows += [("y", 0, y_in if step == 1 else {"y": 1})]
-            rows += t.passthrough_rows(carries)
-            t.layer(rows, passthrough=["x"] + carries)
-            # L2: fold into triangle values and bit taps
-            rows = [("x", 0, {"x": 1})]
-            if act_u:
-                rows += [
-                    ("pu", 0, {"hu1": 1, "hu2": -1}),
-                    ("qu", 0, {"hu3": 1, "hu4": -1}),
-                    ("tu", 0, {"hu3": 1, "hu4": -1, "hu1": -1, "hu2": 1}),
-                ]
-            else:
-                rows += [("pu", 0, {"pu": 1}), ("qu", 0, {"qu": 1})]
-            if act_w:
-                rows += [
-                    ("pw", 0, {"hw1": 1, "hw2": -1}),
-                    ("qw", 0, {"hw3": 1, "hw4": -1}),
-                    ("tw", 0, {"hw3": 1, "hw4": -1, "hw1": -1, "hw2": 1}),
-                ]
-            else:
-                rows += [("pw", 0, {"pw": 1}), ("qw", 0, {"qw": 1})]
-            if step > 1:
-                rows += [("bu", 0, {"bu": 1}), ("bw", 0, {"bw": 1})]
-            rows += [("y", 0, {"y": 1})]
-            rows += t.passthrough_rows(carries)
-            t.layer(rows, passthrough=["x"] + carries)
-            # L3: advance accumulators; on the last step fuse in the gate taps
-            bu_expr = {}
-            if step > 1:
-                bu_expr["bu"] = 1
-            if act_u:
-                bu_expr["tu"] = DyadicRational(1, (rho - step) + (nr + 2 - (blk * rho + step)))
-            bw_expr = {}
-            if step > 1:
-                bw_expr["bw"] = 1
-            if act_w:
-                bw_expr["tw"] = DyadicRational(1, (c - step) + (nc + 2 - (blk * c + step)))
-            rows = [("x", 0, {"x": 1}),
-                    ("pu", 0, {"pu": 1}), ("qu", 0, {"qu": 1}),
-                    ("pw", 0, {"pw": 1}), ("qw", 0, {"qw": 1}),
-                    ("y", 0, {"y": 1})]
+            sums = t.passthrough_rows(["bu", "bw"] if step > 1 else [])
+            tracks = zip(track("u", step <= rho), track("w", step <= c))
+            for layer, (u_rows, w_rows) in enumerate(tracks):
+                y = y_in if step == 1 and layer == 0 else {"y": 1}
+                t.layer([("x", 0, {"x": 1})] + u_rows + w_rows + sums + [("y", 0, y)]
+                        + t.passthrough_rows(carries), passthrough=["x"] + carries)
+            # advance the accumulators; on the last step open the distance gate
+            bu = accumulator("u", step, rho, nr)
+            bw = accumulator("w", step, c, nc)
+            rows = t.passthrough_rows(["x", "pu", "qu", "pw", "qw", "y"])
             if step < steps:
-                rows += [("bu", 0, bu_expr), ("bw", 0, bw_expr)]
+                rows += [("bu", 0, bu), ("bw", 0, bw)]
             else:
-                # distance gate layer 1, with the final bu folded in
-                d1 = {src: 2 * wt for src, wt in bu_expr.items()}
-                d1["x"] = d1.get("x", 0) - 2
-                d2 = {src: -2 * wt for src, wt in bu_expr.items()}
-                d2["x"] = d2.get("x", 0) + 2
-                rows += [("bw", 0, bw_expr), ("d1", 0, d1), ("d2", -2, d2)]
-            rows += t.passthrough_rows(carries)
-            t.layer(rows, passthrough=["x"] + carries)
+                gate, gate_out = gadgets.window_rows("x", (0, bu), (1, bu))
+                rows += [("bw", 0, bw)] + gate
+            t.layer(rows + t.passthrough_rows(carries), passthrough=["x"] + carries)
         hold = ["x", "pu", "qu", "pw", "qw", "y"] + carries
-        t.layer([("e1", 1, {"d1": -1}), ("e2", 1, {"d2": -1}), ("bw", 0, {"bw": 1})]
+        t.layer(gate_out + [("bw", 0, {"bw": 1})]
                 + t.passthrough_rows(hold), passthrough=["x", "bw"] + carries)
         gate_scale = DyadicRational(1, c + 1)
         t.layer([("g", -gate_scale.mul_pow2(1),
-                  {"e1": gate_scale, "e2": gate_scale, "bw": 1})]
+                  {"g1": gate_scale, "g2": gate_scale, "bw": 1})]
                 + t.passthrough_rows(hold), passthrough=["x"] + carries)
     if merge_carry:
         final = [("x", 0, {"x": 1}),
@@ -590,25 +593,11 @@ class BuildInfo:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        def fr(v):
-            return None if v is None else str(v)
-
-        out = {
-            "theorem": self.theorem, "N": self.n, "d": self.dim,
-            "C": self.num_classes, "seed": self.seed, "rho": self.rho,
-            "c": self.c, "bucket_count": self.bucket_count,
-            "bucket_size": self.bucket_size, "R_realized": fr(self.R_realized),
-            "delta_sq": fr(self.delta_sq), "r_sq": fr(self.r_sq),
-        }
-        if self.L is not None:
-            out["L"] = self.L
-        if self.B is not None:
-            out["B"] = self.B
-        if self.subnet_count is not None:
-            out["subnet_count"] = self.subnet_count
-        if self.epsilon is not None:
-            out["epsilon"] = fr(self.epsilon)
-            out["label_lo"] = fr(self.label_lo)
+        out = {"theorem": self.theorem}
+        for attr, key, kind, _ in _FIELDS:
+            v = getattr(self, attr)
+            if v is not None or key not in _MODE_KEYS:
+                out[key] = v if kind is int or v is None else str(v)
         out.update(self.extra)
         return out
 
@@ -617,53 +606,54 @@ class BuildInfo:
         """Parse a saved builder record; ValueError on a missing or mistyped field."""
         if not isinstance(obj, dict):
             raise ValueError("builder record must be a JSON object")
-
-        def integer(key, low=None, default=None):
-            v = obj.get(key, default)
-            if isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low):
-                floor = "" if low is None else f" >= {low}"
-                raise ValueError(f"builder field {key!r} must be an integer{floor}, got {v!r}")
-            return v
-
-        def optional_integer(key):
-            return None if obj.get(key) is None else integer(key, low=1)
-
-        def rational(key, positive=False):
-            v = obj.get(key)
-            if v is None:
-                return None
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise ValueError(f"builder field {key!r} must be an exact number, got {v!r}")
-            v = _to_fraction(v)
-            if positive and v <= 0:
-                raise ValueError(f"builder field {key!r} must be positive, got {v}")
-            return v
-
         theorem = obj.get("theorem")
         if not isinstance(theorem, str):
             raise ValueError(f"builder field 'theorem' must be a string, got {theorem!r}")
-        required = {"bounded_depth": ("L", "subnet_count"), "bounded_bits": ("B",),
-                    "regression": ("epsilon", "label_lo")}.get(theorem, ())
-        missing = [k for k in required if obj.get(k) is None]
+        missing = [k for k in _MODE_FIELDS.get(theorem, ()) if obj.get(k) is None]
         if missing:
             raise ValueError(f"builder record for {theorem!r} lacks {', '.join(missing)}")
-        known = {"theorem", "N", "d", "C", "seed", "rho", "c", "bucket_count",
-                 "bucket_size", "R_realized", "delta_sq", "r_sq", "L", "B",
-                 "subnet_count", "epsilon", "label_lo"}
-        return cls(
-            theorem=theorem, n=integer("N", 1), dim=integer("d", 1),
-            num_classes=integer("C", 1), seed=integer("seed", default=0),
-            rho=integer("rho", 0, 0), c=integer("c", 0, 0),
-            bucket_count=integer("bucket_count", 0, 0),
-            bucket_size=integer("bucket_size", 0, 0),
-            R_realized=rational("R_realized") or Fraction(0),
-            delta_sq=rational("delta_sq", positive=True),
-            r_sq=rational("r_sq") or Fraction(0),
-            L=optional_integer("L"), B=optional_integer("B"),
-            subnet_count=optional_integer("subnet_count"),
-            epsilon=rational("epsilon", positive=True), label_lo=rational("label_lo"),
-            extra={k: v for k, v in obj.items() if k not in known},
-        )
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = {}
+        for attr, key, kind, floor in _FIELDS:
+            v = obj.get(key)
+            if v is None and (kind is Fraction or defaults[attr] is None):
+                values[attr] = defaults[attr]
+            elif kind is int:
+                if isinstance(v, bool) or not isinstance(v, int) or (
+                        floor is not None and v < floor):
+                    at_least = "" if floor is None else f" >= {floor}"
+                    raise ValueError(f"builder field {key!r} must be an integer{at_least}, "
+                                     f"got {v!r}")
+                values[attr] = v
+            else:
+                if not (isinstance(v, int) and not isinstance(v, bool)
+                        or isinstance(v, str) and _RECORD_RATIONAL.fullmatch(v)):
+                    raise ValueError(f"builder field {key!r} must be an exact number, got {v!r}")
+                values[attr] = Fraction(v)
+                if floor is not None and values[attr] <= floor:
+                    raise ValueError(f"builder field {key!r} must be > {floor}, got {v}")
+        extra = {k: v for k, v in obj.items() if k != "theorem" and k not in _KEYS}
+        return cls(theorem=theorem, extra=extra, **values)
+
+
+# The builder record's fields: (attribute, JSON key, kind, floor).  An int is
+# at least its floor, an exact number (a string "n" or "n/d") is above it.
+# Mode fields are left out while None; the rest are always written.
+_FIELDS = (
+    ("n", "N", int, 1), ("dim", "d", int, 1), ("num_classes", "C", int, 1),
+    ("seed", "seed", int, None), ("rho", "rho", int, 0), ("c", "c", int, 0),
+    ("bucket_count", "bucket_count", int, 0), ("bucket_size", "bucket_size", int, 0),
+    ("R_realized", "R_realized", Fraction, None), ("delta_sq", "delta_sq", Fraction, 0),
+    ("r_sq", "r_sq", Fraction, None), ("L", "L", int, 1), ("B", "B", int, 1),
+    ("subnet_count", "subnet_count", int, 1), ("epsilon", "epsilon", Fraction, 0),
+    ("label_lo", "label_lo", Fraction, None),
+)
+_KEYS = {key for _, key, _, _ in _FIELDS}
+# the fields a record of each theorem must carry; absent while None otherwise
+_MODE_FIELDS = {"bounded_depth": ("L", "subnet_count"), "bounded_bits": ("B",),
+                "regression": ("epsilon", "label_lo")}
+_MODE_KEYS = {key for keys in _MODE_FIELDS.values() for key in keys}
+_RECORD_RATIONAL = re.compile(r"-?\d+(/\d*[1-9]\d*)?")
 
 
 def verify_exact(net: LayeredNet, points, labels, debug: bool = False):

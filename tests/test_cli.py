@@ -14,7 +14,7 @@ from memnet import cli
 from memnet.datagen import random_dataset, random_regression_labels, \
     random_separated_points, write_csv
 from memnet.netir import MAX_EXPONENT, MAX_MANTISSA_BITS, load_net, save_net
-from memnet.pipeline import load_dataset
+from memnet.pipeline import MAX_NUMBER_DIGITS, load_dataset, read_dataset
 
 
 @pytest.fixture()
@@ -377,7 +377,7 @@ class TestHostileInput:
                      ["eval", "--net", str(net)], ["audit", "--net", str(net)]):
             assert run(argv + ["--in", str(data)]) == 0
         assert load_dataset(str(data)).points[1] == (Fraction(1, 10), 3)
-        assert cli._read_points(str(data))[0][1] == (Fraction(1, 10), 3)
+        assert read_dataset(str(data))[0][1] == (Fraction(1, 10), 3)
         reg = tmp_path / "reg.json"
         reg.write_text('{"points": [[0.5, 1], [0.1, 3]], "labels": [0.5, 0.25]}')
         for argv in (["build", "--mode", "regression", "--epsilon", "1/8", "--out", str(net)],
@@ -396,6 +396,105 @@ class TestHostileInput:
         if command != "build":
             argv += ["--net", str(net)]
         assert self._one_error_line(argv) == 2
+
+    @pytest.mark.parametrize("suffix, text", [
+        (".json", '{"labels": [1, 2]}'),
+        (".json", '{"points": 5, "labels": [1, 2]}'),
+        (".json", '{"points": [5, 6], "labels": [1, 2]}'),
+        (".json", '{"points": [[1, 2], [3, 4]], "labels": 7}'),
+        (".json", '{"points": [[1, 2], [3, 4]], "labels": [1]}'),
+        (".json", '"x"'),
+        (".json", "[1, 2]"),
+        (".json", '{"points": [[1, 2], [3, 4]], "labels": [1, 2], "C": 4.0}'),
+        (".json", '{"points": [[1, 2], [3, 4]], "labels": [1, 2], "C": true}'),
+        (".json", '{"points": [[true, 2], [3, 4]], "labels": [1, 2]}'),
+        (".json", "[" * 100000 + "]" * 100000),
+        (".csv", ""),
+        (".csv", "x1,x2,label\n%s,1,1\n" % ("1" * 200000)),
+    ], ids=["no-points", "points-int", "point-int", "labels-int", "labels-short",
+            "top-level-string", "top-level-list", "C-float", "C-bool", "bool-coordinate",
+            "deeply-nested", "empty-csv", "csv-field-past-the-csv-limit"])
+    @pytest.mark.parametrize("command", ["build", "verify", "eval", "audit"])
+    def test_malformed_dataset_exit_2(self, saved, tmp_path, command, suffix, text):
+        _, _, obj = saved
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        data = tmp_path / f"points{suffix}"
+        data.write_text(text)
+        argv = [command, "--in", str(data)]
+        if command != "build":
+            argv += ["--net", str(net)]
+        assert self._one_error_line(argv) == 2
+
+    def test_numbers_at_the_cap_build_verify_and_audit(self, tmp_path):
+        cap = MAX_NUMBER_DIGITS
+        data = tmp_path / "data.csv"
+        data.write_text(f"x1,label\n1e{cap},1\n1e-{cap},2\n")
+        net = tmp_path / "net.json"
+        assert run(["build", "--in", str(data), "--out", str(net)]) == 0
+        for command in ("verify", "audit"):
+            assert run([command, "--net", str(net), "--in", str(data)]) == 0
+
+    @pytest.mark.parametrize("suffix, number", [
+        (".csv", f"1e{MAX_NUMBER_DIGITS + 1}"), (".csv", f"1e-{MAX_NUMBER_DIGITS + 1}"),
+        (".csv", "1e3000000"), (".csv", "-1E-3_000_000"),
+        (".csv", "1/" + "3" * (MAX_NUMBER_DIGITS + 1)),
+        (".json", f"1e{MAX_NUMBER_DIGITS + 1}"), (".json", "1e3000000"),
+        (".json", str(10 ** MAX_NUMBER_DIGITS + 1)),
+    ], ids=["csv-large", "csv-small", "csv-huge-exponent", "csv-huge-negative-exponent",
+            "csv-long-denominator", "json-large", "json-huge-exponent", "json-long-int"])
+    @pytest.mark.parametrize("command", ["build", "eval"])
+    def test_numbers_past_the_cap_exit_2(self, saved, tmp_path, command, suffix, number):
+        _, _, obj = saved
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        data = tmp_path / f"points{suffix}"
+        if suffix == ".csv":
+            data.write_text(f"x1,x2,label\n{number},1,1\n2,3,2\n")
+        else:
+            data.write_text('{"points": [[%s, 1], [2, 3]], "labels": [1, 2]}' % number)
+        argv = [command, "--in", str(data)]
+        if command != "build":
+            argv += ["--net", str(net)]
+        assert self._one_error_line(argv) == 2
+
+    @pytest.mark.parametrize("text", [
+        "x1,label\n1,1\n2,1%s1\n", '{"points": [[1], [2]], "labels": [1, 1%s1]}',
+        '{"points": [[1], [2]], "labels": [1, 2], "C": 1%s1}',
+    ], ids=["csv-label", "json-label", "json-C"])
+    def test_class_count_past_the_cap_exit_2(self, tmp_path, text):
+        data = tmp_path / ("data.csv" if text.startswith("x1") else "data.json")
+        data.write_text(text % ("0" * MAX_NUMBER_DIGITS))
+        assert self._one_error_line(["build", "--in", str(data)]) == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-decimal limit in this interpreter")
+    def test_record_past_the_decimal_limit_exit_2(self, tmp_path):
+        """Numbers under the cap whose delta_sq has a denominator of about
+        6,000 digits: the builder record cannot be written."""
+        p, q, r = (10 ** (MAX_NUMBER_DIGITS - 1) + k for k in (7, 9, 13))
+        data = tmp_path / "data.csv"
+        data.write_text(f"x1,x2,x3,label\n1/{p},1/{q},1/{r},1\n0,0,0,2\n")
+        net = tmp_path / "net.json"
+        assert self._one_error_line(["build", "--in", str(data), "--out", str(net)]) == 2
+
+    def test_unwritable_output_exit_2(self, dataset_csv, tmp_path):
+        out = tmp_path / "missing" / "net.json"
+        assert self._one_error_line(["build", "--in", dataset_csv, "--out", str(out)]) == 2
+
+    def test_float64_past_the_float_range(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n1e400,1\n3e400,2\n")
+        net = tmp_path / "net.json"
+        assert run(["build", "--in", str(data), "--out", str(net)]) == 0
+        capsys.readouterr()
+        for command in ("verify", "eval"):
+            assert run([command, "--net", str(net), "--in", str(data),
+                        "--precision", "float64"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            json.loads(line)
 
     @staticmethod
     def _audit(root, data, obj):
