@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exactnum import ceil_sqrt
-from .netir import LayeredNet, NetMetrics, effective_bits, eval_exact, metrics
+from .netir import LayeredNet, NetMetrics, check_outputs, effective_bits, metrics
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import BuildInfo, Dataset
@@ -145,24 +145,15 @@ class AuditReport:
         }
 
 
-def _verify_outputs(net: LayeredNet, points, expected) -> bool:
-    for p, want in zip(points, expected):
-        out = eval_exact(net, list(p))[0]
-        got = out if isinstance(out, Fraction) else out.as_fraction()
-        if got != want:
-            return False
-    return True
-
-
 _KNOWN = {"sqrt", "bounded_depth", "bounded_bits", "regression"}
 
 
-def audit(net: LayeredNet, ds: "Dataset", theorem: str, info: "BuildInfo",
-          expected=None) -> AuditReport:
+def audit(net: LayeredNet, ds: "Dataset", theorem: str, info: "BuildInfo") -> AuditReport:
     """Fill every ceiling and lower bound relevant to `theorem`.
 
-    Memorization is re-verified here by exact evaluation; for regression
-    builds pass the expected exact outputs (grid midpoints) via `expected`.
+    Memorization is re-verified here by exact evaluation: against the
+    labels, or for a regression build against the grid midpoints
+    label_lo + (q - 1/2) * epsilon of the quantized labels q.
     """
     if theorem not in _KNOWN:
         raise ProvenanceError(f"unknown construction {theorem!r}")
@@ -171,13 +162,10 @@ def audit(net: LayeredNet, ds: "Dataset", theorem: str, info: "BuildInfo",
             f"builder info says {info.theorem!r}, audit asked for {theorem!r}")
     real = metrics(net)
     ebits = effective_bits(net)
-    if expected is None:
-        if theorem == "regression":
-            expected = [info.label_lo + Fraction(2 * q - 1, 2) * info.epsilon
-                        for q in ds.labels]
-        else:
-            expected = [Fraction(y) for y in ds.labels]
-    memorized = _verify_outputs(net, ds.points, expected)
+    expected = ds.labels
+    if theorem == "regression":
+        expected = [info.label_lo + Fraction(2 * q - 1, 2) * info.epsilon for q in ds.labels]
+    memorized = not check_outputs(net, ds.points, expected)[0]
 
     n, d = info.n, info.dim
     log_r = _lg(Fraction(info.R_realized) if info.R_realized else 2.0)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import bounds, datagen, gadgets, pipeline, variants
-from .netir import (DimensionError, eval_exact, eval_float, effective_bits,
-                    load_net, metrics, save_net)
+from .netir import (DimensionError, check_outputs, eval_exact, eval_float,
+                    load_net, save_net)
 
 __all__ = ["main", "entry"]
 
@@ -27,6 +28,11 @@ EXIT_PROJECTION = 3
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _json_float(x: float):
+    """x, or "inf", "-inf" or "nan" for a non-finite x: JSON has no such numbers."""
+    return x if math.isfinite(x) else str(x)
 
 
 def _diag(message: str) -> None:
@@ -109,12 +115,7 @@ def cmd_verify(args) -> int:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_INVALID_INPUT
     if args.precision == "exact":
-        bad = []
-        for idx, (p, want) in enumerate(zip(points, targets)):
-            out = eval_exact(net, list(p))[0]
-            got = out if isinstance(out, Fraction) else out.as_fraction()
-            if got != want:
-                bad.append(idx)
+        bad, _ = check_outputs(net, points, targets)
         _emit({"event": "verify", "precision": "exact",
                "points": len(points), "mismatches": bad[:32],
                "pass": not bad})
@@ -126,7 +127,7 @@ def cmd_verify(args) -> int:
         if err != err or err > worst:  # NaN counts as collapse
             worst = err if err == err else float("inf")
     _emit({"event": "verify", "precision": "float64",
-           "points": len(points), "max_abs_error": worst})
+           "points": len(points), "max_abs_error": _json_float(worst)})
     return EXIT_OK
 
 
@@ -154,7 +155,7 @@ def cmd_eval(args) -> int:
             _emit({"event": "eval", "index": idx, "output": text})
         else:
             out = eval_float(net, [bounds.to_float(c) for c in p])[0]
-            _emit({"event": "eval", "index": idx, "output": out})
+            _emit({"event": "eval", "index": idx, "output": _json_float(out)})
     return EXIT_OK
 
 
@@ -170,10 +171,8 @@ def cmd_audit(args) -> int:
         info = pipeline.BuildInfo.from_json(builder)
         if info.theorem == "regression":
             points, labels = pipeline.load_dataset(args.infile, regression=True)
-            quantized = [min(info.num_classes - 1,
-                             int((y - info.label_lo) // info.epsilon)) + 1
-                         for y in labels]
-            ds = pipeline.load_and_validate(points, quantized, info.num_classes)
+            ds = pipeline.regression_dataset(points, labels, info.label_lo,
+                                             info.epsilon, info.num_classes)
         else:
             ds = pipeline.load_dataset(args.infile)
         report = bounds.audit(net, ds, info.theorem, info)

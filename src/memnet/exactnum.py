@@ -14,10 +14,8 @@ from fractions import Fraction
 __all__ = [
     "DyadicRational",
     "ZERO",
-    "ONE",
     "bit_len",
     "bin_range",
-    "bin_bit",
     "pack_blocks",
     "ceil_log2",
     "ceil_sqrt",
@@ -43,11 +41,6 @@ def bin_range(n: int, i: int, j: int, width: int) -> int:
     if n < 0 or n.bit_length() > width:
         raise OverflowError(f"{n} does not fit in {width} bits")
     return (n >> (width - j)) & ((1 << (j - i + 1)) - 1)
-
-
-def bin_bit(n: int, i: int, width: int) -> int:
-    """Single bit i of n viewed as a width-bit MSB-first string."""
-    return bin_range(n, i, i, width)
 
 
 def pack_blocks(values: list[int], block_width: int) -> int:
@@ -169,11 +162,6 @@ class DyadicRational:
         except OverflowError:
             return self.sign * math.inf
 
-    @property
-    def bit_complexity(self) -> int:
-        """Mantissa length; the exponent magnitude is reported separately."""
-        return self.mantissa.bit_length()
-
     # -- arithmetic ---------------------------------------------------
 
     def _pair(self) -> tuple[int, int]:
@@ -232,9 +220,6 @@ class DyadicRational:
         if self.sign == 0:
             return self
         return DyadicRational(self.sign * self.mantissa, self.exponent + k)
-
-    def relu(self) -> "DyadicRational":
-        return self if self.sign > 0 else ZERO
 
     # -- comparison ---------------------------------------------------
 
@@ -303,4 +288,3 @@ class DyadicRational:
 
 
 ZERO = DyadicRational(0, 0)
-ONE = DyadicRational(1, 0)

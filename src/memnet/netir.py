@@ -26,6 +26,7 @@ __all__ = [
     "metrics",
     "effective_bits",
     "eval_exact",
+    "check_outputs",
     "eval_float",
     "compose_serial",
     "stack_parallel",
@@ -297,6 +298,23 @@ def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
             for r, e in outputs]
 
 
+def check_outputs(net: LayeredNet, points, expected, debug: bool = False):
+    """Evaluate every point exactly against its expected first output.
+
+    Returns (indices of the points whose output differs, the largest
+    absolute error as a Fraction).  This is the one loop that checks
+    eval_exact outputs: build verification, the audit and `verify` use it.
+    """
+    bad, worst = [], Fraction(0)
+    for idx, (p, want) in enumerate(zip(points, expected)):
+        out = eval_exact(net, list(p), debug=debug)[0]
+        got = out if isinstance(out, Fraction) else out.as_fraction()
+        if got != want:
+            bad.append(idx)
+            worst = max(worst, abs(got - want))
+    return bad, worst
+
+
 def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
     """Same recursion under IEEE float64 rounding; NaN/Inf propagate.
 
@@ -463,7 +481,13 @@ def serialize_net(net: LayeredNet, builder: dict | None = None) -> dict:
     """JSON-ready dict.  Dense weight rows up to width 16, sparse beyond.
 
     Sparse rows are lists of [column, dyadic] pairs; see docs/FORMATS.md.
+    ValueError if a weight or bias is past the caps load_net enforces.
     """
+    real = metrics(net)
+    if real.exponent_range > MAX_EXPONENT or real.bits > MAX_MANTISSA_BITS:
+        raise ValueError(f"the network exceeds the load caps |e| <= {MAX_EXPONENT}, "
+                         f"mantissa <= {MAX_MANTISSA_BITS} bits (it has |e| <= "
+                         f"{real.exponent_range}, mantissa <= {real.bits} bits)")
     layers = []
     for layer in net.layers:
         dense = max(layer.in_dim, layer.out_dim) <= _DENSE_WIDTH_LIMIT
@@ -489,7 +513,7 @@ def serialize_net(net: LayeredNet, builder: dict | None = None) -> dict:
         "provenance": net.provenance,
         "output_nonneg": net.output_nonneg,
         "layers": layers,
-        "metrics": metrics(net).to_json(),
+        "metrics": real.to_json(),
     }
     if builder is not None:
         out["builder"] = builder
@@ -536,8 +560,9 @@ def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
 
 
 def save_net(net: LayeredNet, path, builder: dict | None = None) -> None:
+    data = net_to_json_bytes(net, builder)  # raises before the file is opened
     with open(path, "wb") as fh:
-        fh.write(net_to_json_bytes(net, builder))
+        fh.write(data)
         fh.write(b"\n")
 
 

@@ -21,13 +21,13 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import bounds, gadgets
 from .exactnum import DyadicRational, bit_len, ceil_log2, ceil_sqrt, pack_blocks
 from .gadgets import ParameterError
-from .netir import LayeredNet, TapeBuilder, compose_serial, eval_exact, metrics
+from .netir import LayeredNet, TapeBuilder, check_outputs, compose_serial, metrics
 
 __all__ = [
     "DuplicatePointError",
@@ -48,6 +48,7 @@ __all__ = [
     "build_stage2",
     "build_stage3",
     "assemble_sqrt",
+    "regression_dataset",
     "regression_wrap",
     "verify_exact",
 ]
@@ -658,11 +659,7 @@ _RECORD_RATIONAL = re.compile(r"-?\d+(/\d*[1-9]\d*)?")
 
 def verify_exact(net: LayeredNet, points, labels, debug: bool = False):
     """Evaluate every point exactly; return (all_equal, mismatched indices)."""
-    bad = []
-    for idx, (p, y) in enumerate(zip(points, labels)):
-        out = eval_exact(net, list(p), debug=debug)
-        if out[0] != y:
-            bad.append(idx)
+    bad, _ = check_outputs(net, points, labels, debug)
     return not bad, bad
 
 
@@ -673,6 +670,25 @@ def _sorted_projection(ds: Dataset, config: PipelineConfig):
     z_sorted = [zs[i] for i in order]
     labels_sorted = [ds.labels[i] for i in order]
     return proj, net1, z_sorted, labels_sorted
+
+
+def _verified_build(net: LayeredNet, ds: Dataset, config: PipelineConfig,
+                    proj: Projection1D, codes, theorem: str, debug: bool = False,
+                    **mode_fields):
+    """Every builder's tail: verify each training point exactly, record the
+    realized quantities of the codes, and audit.  Returns (net, report)."""
+    ok, bad = verify_exact(net, ds.points, ds.labels, debug)
+    if not ok:
+        raise MemorizationError(f"training points {bad[:5]} not reproduced")
+    info = BuildInfo(
+        theorem=theorem, n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
+        seed=config.seed, rho=max(c.rho for c in codes), c=codes[0].c,
+        bucket_count=max(c.bucket_count for c in codes),
+        bucket_size=max(c.bucket_size for c in codes),
+        R_realized=proj.R_realized, delta_sq=ds.delta_sq, r_sq=ds.r_sq,
+        **mode_fields,
+    )
+    return net, bounds.audit(net, ds, theorem, info)
 
 
 def assemble_sqrt(ds: Dataset, config: PipelineConfig | None = None):
@@ -688,19 +704,15 @@ def assemble_sqrt(ds: Dataset, config: PipelineConfig | None = None):
     net2 = build_stage2(code)
     net3 = build_stage3(code.bucket_size, code.rho, code.c)
     net = compose_serial(compose_serial(net1, net2), net3, "sqrt_memorizer")
-    ok, bad = verify_exact(net, ds.points, ds.labels)
-    if not ok:
-        raise MemorizationError(f"training points {bad[:5]} not reproduced")
-    info = BuildInfo(
-        theorem="sqrt", n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-        seed=config.seed, rho=code.rho, c=code.c,
-        bucket_count=code.bucket_count, bucket_size=code.bucket_size,
-        R_realized=proj.R_realized, delta_sq=ds.delta_sq, r_sq=ds.r_sq,
-        extra={"stage_widths": [metrics(net1).width, metrics(net2).width,
-                                metrics(net3).width]},
-    )
-    report = bounds.audit(net, ds, "sqrt", info)
-    return net, report
+    return _verified_build(net, ds, config, proj, [code], "sqrt", extra={
+        "stage_widths": [metrics(net1).width, metrics(net2).width, metrics(net3).width]})
+
+
+def regression_dataset(points, labels, lo, epsilon, classes: int) -> Dataset:
+    """The points with exact real labels put on the grid of width epsilon
+    from lo: label y becomes class min(classes, floor((y - lo) / epsilon) + 1)."""
+    quantized = [min(classes - 1, int((y - lo) // epsilon)) + 1 for y in labels]
+    return load_and_validate(points, quantized, classes)
 
 
 def regression_wrap(raw_points, raw_labels, epsilon,
@@ -722,36 +734,18 @@ def regression_wrap(raw_points, raw_labels, epsilon,
     hi = max(labels) if hi is None else _to_fraction(hi)
     if any(not lo <= y <= hi for y in labels):
         raise ParameterError("labels fall outside the declared interval")
-    span = hi - lo
-    classes = max(1, math.ceil(span / epsilon))
-    quantized = []
-    for y in labels:
-        q = min(classes - 1, (y - lo) // epsilon)
-        quantized.append(int(q) + 1)
-    ds = load_and_validate(raw_points, quantized, classes)
+    classes = max(1, math.ceil((hi - lo) / epsilon))
+    ds = regression_dataset(raw_points, labels, lo, epsilon, classes)
     base, base_report = assemble_sqrt(ds, config)
     # class q maps back to the grid midpoint lo + (q - 1/2) * epsilon
     head = _dyadic_head(epsilon, lo - epsilon / 2)
     net = compose_serial(base, head, "regression_memorizer")
-    worst = Fraction(0)
-    for p, y in zip(ds.points, labels):
-        out = eval_exact(net, list(p))[0]
-        out_fr = out if isinstance(out, Fraction) else out.as_fraction()
-        worst = max(worst, abs(out_fr - y))
+    _, worst = check_outputs(net, ds.points, labels)
     if worst > epsilon / 2:
         raise MemorizationError(f"regression error {worst} exceeds epsilon/2")
-    base_info = base_report.info
-    info = BuildInfo(
-        theorem="regression", n=ds.n, dim=ds.dim, num_classes=classes,
-        seed=config.seed, epsilon=epsilon, label_lo=lo,
-        rho=base_info.rho, c=base_info.c,
-        bucket_count=base_info.bucket_count, bucket_size=base_info.bucket_size,
-        R_realized=base_info.R_realized, delta_sq=ds.delta_sq, r_sq=ds.r_sq,
-        extra={"max_abs_error": str(worst)},
-    )
-    expected = [lo + Fraction(2 * q - 1, 2) * epsilon for q in ds.labels]
-    report = bounds.audit(net, ds, "regression", info, expected=expected)
-    return net, report
+    info = replace(base_report.info, theorem="regression", epsilon=epsilon, label_lo=lo,
+                   extra={"max_abs_error": str(worst)})
+    return net, bounds.audit(net, ds, "regression", info)
 
 
 def _dyadic_head(epsilon: Fraction, bias: Fraction) -> LayeredNet:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bounds
 from .exactnum import ZERO, ceil_sqrt
 from .gadgets import ParameterError
 from .netir import (AffineLayer, LayeredNet, TapeBuilder, compose_serial,
                     stack_parallel)
-from .pipeline import (BuildInfo, Dataset, PipelineConfig, build_stage2,
-                       build_stage3, craft_codes, default_bucket_count,
-                       verify_exact, MemorizationError, _sorted_projection)
+from .pipeline import (Dataset, PipelineConfig, build_stage2, build_stage3,
+                       craft_codes, default_bucket_count, _sorted_projection,
+                       _verified_build)
 
 __all__ = [
     "VariantConfig",
@@ -99,21 +98,9 @@ def assemble_bounded_depth(ds: Dataset, L: int,
     net = compose_serial(compose_serial(net1, stacked),
                          head.build("sum_head", output_nonneg=True),
                          f"depth_budget_memorizer[L={L}]")
-    ok, bad = verify_exact(net, ds.points, ds.labels)
-    if not ok:
-        raise MemorizationError(f"training points {bad[:5]} not reproduced")
-    info = BuildInfo(
-        theorem="bounded_depth", n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-        seed=config.seed, rho=max(c.rho for c in codes), c=codes[0].c,
-        bucket_count=max(c.bucket_count for c in codes),
-        bucket_size=max(c.bucket_size for c in codes),
-        R_realized=proj.R_realized, delta_sq=ds.delta_sq, r_sq=ds.r_sq,
-        L=L, subnet_count=len(codes),
-        extra={"subset_sizes": [len(c.block_values) * c.bucket_size
-                                - len(c.sentinels) for c in codes]},
-    )
-    report = bounds.audit(net, ds, "bounded_depth", info)
-    return net, report
+    sizes = [len(c.block_values) * c.bucket_size - len(c.sentinels) for c in codes]
+    return _verified_build(net, ds, config, proj, codes, "bounded_depth",
+                           L=L, subnet_count=len(codes), extra={"subset_sizes": sizes})
 
 
 def assemble_bounded_bits(ds: Dataset, B: int,
@@ -139,16 +126,5 @@ def assemble_bounded_bits(ds: Dataset, B: int,
     tail.layer([("out", 0, {"y": 1})], relu=False)
     net = compose_serial(net, tail.build("accumulator_readout", output_nonneg=True),
                          f"bit_budget_memorizer[B={B}]")
-    ok, bad = verify_exact(net, ds.points, ds.labels, debug=True)
-    if not ok:
-        raise MemorizationError(f"training points {bad[:5]} not reproduced")
-    info = BuildInfo(
-        theorem="bounded_bits", n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-        seed=config.seed, rho=max(c.rho for c in codes), c=codes[0].c,
-        bucket_count=max(c.bucket_count for c in codes),
-        bucket_size=max(c.bucket_size for c in codes),
-        R_realized=proj.R_realized, delta_sq=ds.delta_sq, r_sq=ds.r_sq,
-        B=B, subnet_count=len(codes),
-    )
-    report = bounds.audit(net, ds, "bounded_bits", info)
-    return net, report
+    return _verified_build(net, ds, config, proj, codes, "bounded_bits", debug=True,
+                           B=B, subnet_count=len(codes))

@@ -184,6 +184,22 @@ class TestSweepAndRegression:
         write_csv(data, pts, labels)
         assert run(["build", "--mode", "regression", "--in", str(data)]) == 2
 
+    @pytest.mark.parametrize("mode", [["sqrt"], ["depth", "--L", "2"],
+                                      ["bits", "--B", "2"], ["regression", "--epsilon", "1/8"]],
+                             ids=["sqrt", "depth", "bits", "regression"])
+    def test_audit_report_equals_build_report(self, tmp_path, mode):
+        ds = random_dataset(24, 2, 4, seed=3)
+        labels = (random_regression_labels(24, seed=3) if mode[0] == "regression"
+                  else ds.labels)
+        data = tmp_path / "data.csv"
+        write_csv(data, ds.points, labels)
+        net, built, audited = (tmp_path / f for f in ("net.json", "build.json", "audit.json"))
+        assert run(["build", "--mode", *mode, "--in", str(data), "--out", str(net),
+                    "--report", str(built), "--seed", "5"]) == 0
+        assert run(["audit", "--net", str(net), "--in", str(data),
+                    "--report", str(audited)]) == 0
+        assert audited.read_bytes() == built.read_bytes()
+
     def test_determinism_byte_identical(self, dataset_csv, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -493,8 +509,25 @@ class TestHostileInput:
                         "--precision", "float64"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
-        for line in lines:
-            json.loads(line)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        verify, *evals = [json.loads(line, parse_constant=refuse) for line in lines]
+        # float64 overflows to inf on both points: error inf, outputs inf - inf
+        assert verify["max_abs_error"] == "inf"
+        assert [e["output"] for e in evals] == ["nan", "nan"]
+
+    def test_net_past_the_load_caps_is_not_saved(self, dataset_csv, tmp_path,
+                                                  monkeypatch):
+        """build exits 2 and writes no file when load_net would refuse the net;
+        the caps are lowered so that a small build passes them."""
+        from memnet import netir
+        net = tmp_path / "net.json"
+        monkeypatch.setattr(netir, "MAX_EXPONENT", 2)
+        assert self._one_error_line(["build", "--in", dataset_csv,
+                                     "--out", str(net)]) == 2
+        assert not net.exists()
 
     @staticmethod
     def _audit(root, data, obj):

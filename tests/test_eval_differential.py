@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.netir import (AffineLayer, ContractViolation, LayeredNet,
-                          eval_exact)
+                          check_outputs, eval_exact)
 from memnet.pipeline import PipelineConfig, assemble_sqrt, regression_wrap
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 from test_acceptance import _corpus_specs
@@ -141,6 +141,52 @@ def test_negative_first_layer_inputs_under_debug():
             eval_exact(guarded, xs, debug=True)
         assert_agrees(guarded, xs)
     _check_points(guarded, ds.points[:4], random.Random(name))
+
+
+# ---------------------------------------------------------------------------
+# check_outputs against a plain loop over the reference evaluator
+
+
+def plain_check(net: LayeredNet, points, expected, debug: bool = False):
+    bad, worst = [], Fraction(0)
+    for idx, (p, want) in enumerate(zip(points, expected)):
+        err = abs(reference_eval(net, list(p), debug)[0] - want)
+        if err:
+            bad.append(idx)
+            worst = max(worst, err)
+    return bad, worst
+
+
+@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
+def test_check_outputs_matches_plain_loop(name, net, ds):
+    """Corpus nets and one-weight mutations of them, on the training points
+    and on dyadic, decimal and mixed shifts of them, against the labels and
+    against labels moved by thirds."""
+    rng = random.Random(name)
+    points = [_input_variants(p, rng)[k % 5] for k, p in enumerate(ds.points[:8])]
+    expected = list(ds.labels[:8])
+    moved = [Fraction(y) + Fraction(1 + k % 3, 3) for k, y in enumerate(expected)]
+    found = []
+    for candidate in (net, _mutated(net, rng), _mutated(net, rng)):
+        for want in (expected, moved):
+            bad, worst = check_outputs(candidate, points, want)
+            assert (bad, worst) == plain_check(candidate, points, want), name
+            assert type(worst) is Fraction
+            found.append(bad)
+    assert found[1]  # labels moved by thirds always mismatch
+
+
+def test_check_outputs_debug_raises_contract_violation():
+    name, net, ds = CORPUS[-2]
+    d = net.input_dim
+    carrier = AffineLayer(d, d, [((i, 1),) for i in range(d)], [0] * d, relu=True,
+                          passthrough=range(d))
+    guarded = LayeredNet(d, (carrier,) + net.layers)
+    points = [list(ds.points[0]), [Fraction(-1, 3)] + list(ds.points[1][1:])]
+    labels = ds.labels[:2]
+    with pytest.raises(ContractViolation):
+        check_outputs(guarded, points, labels, debug=True)
+    assert check_outputs(guarded, points, labels) == plain_check(guarded, points, labels)
 
 
 # ---------------------------------------------------------------------------

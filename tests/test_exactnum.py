@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from memnet.exactnum import (DyadicRational, ZERO, bin_bit, bin_range, bit_len,
+from memnet.exactnum import (DyadicRational, ZERO, bin_range, bit_len,
                              ceil_log2, ceil_sqrt, pack_blocks)
 
 
@@ -56,9 +56,6 @@ class TestBinRange:
             bin_range(3, 1, 5, 4)
         with pytest.raises(OverflowError):
             bin_range(32, 1, 2, 3)
-
-    def test_bin_bit(self):
-        assert [bin_bit(5, i, 3) for i in (1, 2, 3)] == [1, 0, 1]
 
 
 class TestPackBlocks:
@@ -135,16 +132,10 @@ class TestDyadicRational:
         assert DyadicRational(-7, -1).floor() == -4
         assert DyadicRational(5, 1).floor() == 10
 
-    def test_mul_pow2_and_relu(self):
+    def test_mul_pow2(self):
         v = DyadicRational(3, -2)
         assert v.mul_pow2(4) == 12
-        assert DyadicRational(-5, 0).relu() == ZERO
-        assert v.relu() == v
-
-    def test_bit_complexity_is_mantissa_length(self):
-        assert DyadicRational(12, 0).bit_complexity == 2  # 12 = 3 * 2^2
-        assert DyadicRational(1, 100).bit_complexity == 1
-        assert ZERO.bit_complexity == 0
+        assert ZERO.mul_pow2(5) == ZERO
 
     def test_json_round_trip(self):
         for v in (ZERO, DyadicRational(-12345, -7), DyadicRational(1, 99)):

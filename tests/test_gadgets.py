@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from memnet.exactnum import DyadicRational, bin_range
-from memnet.gadgets import (ParameterError, bin_bit_formula, build_bit_extractor,
-                            build_distance_gate, build_indicator, build_triangle,
+from memnet.gadgets import (ParameterError, _relu, bin_bit_formula,
+                            build_bit_extractor, build_distance_gate,
+                            build_indicator, build_triangle,
                             distance_value, extractor_track_inputs,
                             indicator_value, oracle_bits, oracle_distance,
                             oracle_indicator, oracle_stage3, oracle_triangle,
@@ -175,7 +176,7 @@ class TestOracles:
         # mutation check: a wrong power in the bit tap must produce a witness
         def bad_formula(x, n, i):
             p, q = extractor_track_inputs(x, n, i + 1)
-            wrong = (q - p).relu().mul_pow2(n + 1 - i)  # off by one power
+            wrong = _relu(q - p).mul_pow2(n + 1 - i)  # off by one power
             return 1 if wrong == 1 else 0
 
         report = oracle_bits(3, formula=bad_formula)

@@ -7,10 +7,11 @@ import pytest
 
 from memnet.exactnum import DyadicRational
 from memnet.gadgets import build_triangle, build_indicator, triangle_iterate
-from memnet.netir import (AffineLayer, ContractViolation, DimensionError,
-                          LayeredNet, TapeBuilder, compose_serial,
-                          deserialize_net, effective_bits, eval_exact,
-                          eval_float, metrics, serialize_net,
+from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
+                          ContractViolation, DimensionError, LayeredNet,
+                          TapeBuilder, compose_serial, deserialize_net,
+                          effective_bits, eval_exact, eval_float, load_net,
+                          metrics, net_to_json_bytes, save_net, serialize_net,
                           stack_parallel)
 
 
@@ -220,3 +221,23 @@ class TestMetricsAndSerialization:
         layer = AffineLayer(1, 1, [((0, 1),)], [0], relu=True)
         with pytest.raises(DimensionError):
             LayeredNet(1, [layer], "bad")
+
+    @pytest.mark.parametrize("at_cap, past_cap", [
+        (DyadicRational(1, MAX_EXPONENT), DyadicRational(1, MAX_EXPONENT + 1)),
+        (DyadicRational(-3, -MAX_EXPONENT), DyadicRational(-3, -MAX_EXPONENT - 1)),
+        (DyadicRational((1 << MAX_MANTISSA_BITS) - 1),
+         DyadicRational((1 << MAX_MANTISSA_BITS) + 1)),
+    ], ids=["exponent", "negative-exponent", "mantissa"])
+    def test_only_nets_within_the_load_caps_are_saved(self, tmp_path, at_cap, past_cap):
+        def one_weight(w):
+            return LayeredNet(1, [AffineLayer(1, 1, [((0, w),)], [0], relu=False)])
+
+        path = tmp_path / "net.json"
+        save_net(one_weight(at_cap), path)
+        assert load_net(path)[0].layers[0].rows == (((0, at_cap),),)
+        with pytest.raises(ValueError, match="load caps"):
+            net_to_json_bytes(one_weight(past_cap))
+        path.unlink()
+        with pytest.raises(ValueError, match="load caps"):
+            save_net(one_weight(past_cap), path)
+        assert not path.exists()
