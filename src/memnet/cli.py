@@ -26,13 +26,20 @@ EXIT_INVALID_INPUT = 2
 EXIT_PROJECTION = 3
 
 
+def _strict(obj):
+    """obj with every non-finite float written "inf", "-inf" or "nan": JSON has
+    no such numbers."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _json_float(x: float):
-    """x, or "inf", "-inf" or "nan" for a non-finite x: JSON has no such numbers."""
-    return x if math.isfinite(x) else str(x)
+    print(json.dumps(_strict(payload), sort_keys=True))
 
 
 def _diag(message: str) -> None:
@@ -41,7 +48,7 @@ def _diag(message: str) -> None:
 
 def _write_report(report, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, separators=(",", ":"))
+        json.dump(_strict(report.to_json()), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
@@ -127,7 +134,7 @@ def cmd_verify(args) -> int:
         if err != err or err > worst:  # NaN counts as collapse
             worst = err if err == err else float("inf")
     _emit({"event": "verify", "precision": "float64",
-           "points": len(points), "max_abs_error": _json_float(worst)})
+           "points": len(points), "max_abs_error": worst})
     return EXIT_OK
 
 
@@ -155,7 +162,7 @@ def cmd_eval(args) -> int:
             _emit({"event": "eval", "index": idx, "output": text})
         else:
             out = eval_float(net, [bounds.to_float(c) for c in p])[0]
-            _emit({"event": "eval", "index": idx, "output": _json_float(out)})
+            _emit({"event": "eval", "index": idx, "output": out})
     return EXIT_OK
 
 

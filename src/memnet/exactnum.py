@@ -268,10 +268,7 @@ class DyadicRational:
             return str(self.sign * (self.mantissa << self.exponent))
         return f"{self.sign * self.mantissa}/2^{-self.exponent}"
 
-    # -- serialization (bit-exact, no decimal conversion) ---------------
-
-    def to_json(self) -> dict:
-        return {"s": self.sign, "m": format(self.mantissa, "x"), "e": self.exponent}
+    # -- parsing (netir.net_to_json_bytes writes the cells) -----------
 
     @classmethod
     def from_json(cls, obj: dict) -> "DyadicRational":

@@ -186,9 +186,12 @@ def bin_bit_formula(x: int, n: int, i: int) -> int:
         raise IndexError(f"bit index {i} out of range for width {n}")
     if bit_len(x) > n:
         raise OverflowError(f"{x} does not fit in {n} bits")
-    p, q = extractor_track_inputs(x, n, i + 1)  # phi^(i) of both offsets
-    bit = _relu(q - p).mul_pow2(n + 2 - i)
-    return bit.as_int()
+    return _tap_bit(*extractor_track_inputs(x, n, i + 1), n, i)  # phi^(i) of both offsets
+
+
+def _tap_bit(p: DyadicRational, q: DyadicRational, n: int, i: int) -> int:
+    """Bit i from the stage-(i+1) track pair: 2^(n+2-i) * sigma(q - p)."""
+    return _relu(q - p).mul_pow2(n + 2 - i).as_int()
 
 
 def build_bit_extractor(n: int, i: int, j: int) -> LayeredNet:
@@ -301,26 +304,27 @@ def oracle_bits(n_max: int = 10, builder=None, formula=None) -> dict:
 
     For all n <= n_max, all x < 2^n, all 1 <= i <= j <= n, the network's
     third output must equal bin_range(x, i, j, n) exactly.  The single-bit
-    formula is swept on the same domain.
+    formula is swept on the same domain; by default it reads its track pairs
+    from the per-(n, x) table the net sweep uses, through the same tap
+    arithmetic as bin_bit_formula.
     """
     from .netir import eval_exact
 
     if n_max > 14:
         raise ParameterError("n_max above 14 would take too long; refusing")
     build = builder or build_bit_extractor
-    single = formula or bin_bit_formula
     checks = 0
     witnesses = []
     for n in range(1, n_max + 1):
+        tracks = [_track_table(x, n) for x in range(1 << n)]
         for i in range(1, n + 1):
             for x in range(1 << n):
-                got = single(x, n, i)
+                got = formula(x, n, i) if formula else _tap_bit(*tracks[x][i], n, i)
                 want = bin_range(x, i, i, n)
                 checks += 1
                 if got != want:
                     witnesses.append({"suite": "bits", "kind": "formula", "n": n,
                                       "i": i, "x": x, "got": got, "want": want})
-        tracks = [_track_table(x, n) for x in range(1 << n)]
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 net = build(n, i, j)

@@ -9,13 +9,14 @@ layers including the final one; width is the largest hidden-layer size.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exactnum import DyadicRational, ZERO
+from .exactnum import DyadicRational
 
 __all__ = [
     "DimensionError",
@@ -477,47 +478,58 @@ MAX_EXPONENT = 1 << 14
 MAX_MANTISSA_BITS = 1 << 16
 
 
-def serialize_net(net: LayeredNet, builder: dict | None = None) -> dict:
-    """JSON-ready dict.  Dense weight rows up to width 16, sparse beyond.
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_ZERO_CELL = '{"e":0,"m":"0","s":0}'
 
-    Sparse rows are lists of [column, dyadic] pairs; see docs/FORMATS.md.
-    ValueError if a weight or bias is past the caps load_net enforces.
+
+def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
+    """The network file: dense weight rows up to width 16, sparse beyond.
+
+    Writes the sorted-key, compact JSON of docs/FORMATS.md straight to
+    text; each distinct dyadic is encoded once per call.  ValueError if a
+    weight or bias is past the caps load_net enforces.
     """
     real = metrics(net)
     if real.exponent_range > MAX_EXPONENT or real.bits > MAX_MANTISSA_BITS:
         raise ValueError(f"the network exceeds the load caps |e| <= {MAX_EXPONENT}, "
                          f"mantissa <= {MAX_MANTISSA_BITS} bits (it has |e| <= "
                          f"{real.exponent_range}, mantissa <= {real.bits} bits)")
+    memo = {(0, 0, 0): _ZERO_CELL}
+
+    def cell(d: DyadicRational) -> str:
+        key = (d.sign, d.mantissa, d.exponent)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = f'{{"e":{d.exponent},"m":"{d.mantissa:x}","s":{d.sign}}}'
+        return text
+
     layers = []
     for layer in net.layers:
-        dense = max(layer.in_dim, layer.out_dim) <= _DENSE_WIDTH_LIMIT
-        if dense:
-            w = []
+        if max(layer.in_dim, layer.out_dim) <= _DENSE_WIDTH_LIMIT:
+            rows = []
             for row in layer.rows:
-                dense_row = [ZERO.to_json() for _ in range(layer.in_dim)]
-                for i, wt in row:
-                    dense_row[i] = wt.to_json()
-                w.append(dense_row)
+                cells = [_ZERO_CELL] * layer.in_dim
+                for i, w in row:
+                    cells[i] = cell(w)
+                rows.append("[" + ",".join(cells) + "]")
+            w = "[" + ",".join(rows) + "]"
         else:
-            w = {"sparse": [[[i, wt.to_json()] for i, wt in row] for row in layer.rows],
-                 "in_dim": layer.in_dim}
-        layers.append({
-            "w": w,
-            "b": [b.to_json() for b in layer.biases],
-            "relu": layer.relu,
-            "passthrough": list(layer.passthrough),
-        })
-    out = {
-        "format_version": FORMAT_VERSION,
-        "input_dim": net.input_dim,
-        "provenance": net.provenance,
-        "output_nonneg": net.output_nonneg,
-        "layers": layers,
-        "metrics": real.to_json(),
-    }
-    if builder is not None:
-        out["builder"] = builder
-    return out
+            rows = ["[" + ",".join([f"[{i},{cell(w)}]" for i, w in row]) + "]"
+                    for row in layer.rows]
+            w = f'{{"in_dim":{_dumps(layer.in_dim)},"sparse":[' + ",".join(rows) + "]}"
+        layers.append(f'{{"b":[{",".join([cell(b) for b in layer.biases])}],'
+                      f'"passthrough":{_dumps(list(layer.passthrough))},'
+                      f'"relu":{_dumps(layer.relu)},"w":{w}}}')
+    head = "" if builder is None else f'"builder":{_dumps(builder)},'
+    return (f'{{{head}"format_version":{FORMAT_VERSION},"input_dim":{_dumps(net.input_dim)},'
+            f'"layers":[{",".join(layers)}],"metrics":{_dumps(real.to_json())},'
+            f'"output_nonneg":{_dumps(net.output_nonneg)},'
+            f'"provenance":{_dumps(net.provenance)}}}').encode()
+
+
+def serialize_net(net: LayeredNet, builder: dict | None = None) -> dict:
+    """The network file as a parsed JSON object: json.loads(net_to_json_bytes(...))."""
+    return json.loads(net_to_json_bytes(net, builder))
 
 
 def _capped(obj) -> DyadicRational:
@@ -529,7 +541,23 @@ def _capped(obj) -> DyadicRational:
 
 
 def deserialize_net(obj: dict) -> LayeredNet:
-    """The net of a parsed network file; ValueError on any malformed content."""
+    """The net of a parsed network file; ValueError on any malformed content.
+
+    Each distinct cell (s, m, e) is decoded and checked against the caps
+    once; a cell whose fields cannot form that key is decoded on its own.
+    """
+    memo = {}
+
+    def capped(cell) -> DyadicRational:
+        try:
+            key = (cell["s"], cell["m"], cell["e"])
+            v = memo.get(key)
+        except (TypeError, KeyError):  # not a dict, or a field missing or unhashable
+            return _capped(cell)
+        if v is None:
+            v = memo[key] = _capped(cell)
+        return v
+
     try:
         if obj.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported network format: {obj.get('format_version')!r}")
@@ -537,14 +565,14 @@ def deserialize_net(obj: dict) -> LayeredNet:
             raise ValueError("input_dim must be an integer")
         layers = []
         for spec in obj["layers"]:
-            biases = [_capped(b) for b in spec["b"]]
+            biases = [capped(b) for b in spec["b"]]
             w = spec["w"]
             if isinstance(w, dict):
                 in_dim = int(w["in_dim"])
-                rows = [tuple((int(i), _capped(wt)) for i, wt in row) for row in w["sparse"]]
+                rows = [tuple((int(i), capped(wt)) for i, wt in row) for row in w["sparse"]]
             else:
                 in_dim = len(w[0]) if w else 0
-                rows = [tuple((i, _capped(wt)) for i, wt in enumerate(row) if wt["s"] != 0)
+                rows = [tuple((i, capped(wt)) for i, wt in enumerate(row) if wt["s"] != 0)
                         for row in w]
             layers.append(AffineLayer(in_dim, len(biases), rows, biases,
                                       spec["relu"], tuple(spec.get("passthrough", ()))))
@@ -552,11 +580,6 @@ def deserialize_net(obj: dict) -> LayeredNet:
                           obj.get("output_nonneg", False))
     except (TypeError, AttributeError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed network file: {type(exc).__name__}: {exc}") from exc
-
-
-def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
-    payload = serialize_net(net, builder)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 def save_net(net: LayeredNet, path, builder: dict | None = None) -> None:

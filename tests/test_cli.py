@@ -269,10 +269,13 @@ class TestHostileInput:
             0, {"s": -1, "m": "3", "e": -MAX_EXPONENT - 1}) or obj,
         lambda obj: obj["layers"][0]["b"].__setitem__(
             0, {"s": 1, "m": "1" + "0" * (MAX_MANTISSA_BITS // 4 - 1) + "1", "e": 0}) or obj,
+        lambda obj: obj["layers"][0]["b"].__setitem__(0, {"s": [], "m": "1", "e": 0}) or obj,
+        lambda obj: obj["layers"][0]["w"][0].__setitem__(
+            0, {"s": 1, "m": {}, "e": 0}) or obj,
     ], ids=["no-layers", "layers-null", "w-int", "top-level-list", "float-input-dim",
             "infinite-exponent",
             "passthrough-past-out-dim", "exponent-past-cap", "negative-exponent-past-cap",
-            "mantissa-past-cap"])
+            "mantissa-past-cap", "unhashable-sign", "unhashable-mantissa"])
     def test_crafted_net_exit_2(self, saved, craft):
         root, data, obj = saved
         assert list(self._commands(root, data, craft(copy.deepcopy(obj)))) == [2, 2]
@@ -517,6 +520,24 @@ class TestHostileInput:
         # float64 overflows to inf on both points: error inf, outputs inf - inf
         assert verify["max_abs_error"] == "inf"
         assert [e["output"] for e in evals] == ["nan", "nan"]
+
+    def test_report_past_the_float_range(self, tmp_path):
+        """The projection ceiling overflows to inf; both reports write it as "inf"."""
+        data = tmp_path / "data.csv"
+        data.write_text("x1,label\n1e400,1\n3e400,2\n")
+        net, built, audited = (tmp_path / name for name in ("net.json", "b.json", "a.json"))
+        assert run(["build", "--in", str(data), "--out", str(net),
+                    "--report", str(built)]) == 0
+        assert run(["audit", "--net", str(net), "--in", str(data),
+                    "--report", str(audited)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert built.read_bytes() == audited.read_bytes()
+        report = json.loads(built.read_text(), parse_constant=refuse)
+        assert report["ceilings"]["projection_range"] == "inf"
+        assert report["passes"]["projection_range"] is True
 
     def test_net_past_the_load_caps_is_not_saved(self, dataset_csv, tmp_path,
                                                   monkeypatch):

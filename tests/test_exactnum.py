@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from memnet.exactnum import (DyadicRational, ZERO, bin_range, bit_len,
                              ceil_log2, ceil_sqrt, pack_blocks)
+from netfile_reference import cell_json
 
 
 def brute_bits(n: int, width: int) -> str:
@@ -139,7 +140,7 @@ class TestDyadicRational:
 
     def test_json_round_trip(self):
         for v in (ZERO, DyadicRational(-12345, -7), DyadicRational(1, 99)):
-            again = DyadicRational.from_json(v.to_json())
+            again = DyadicRational.from_json(cell_json(v))
             assert again == v
         with pytest.raises(ValueError):
             DyadicRational.from_json({"s": 1, "m": "4", "e": 0})  # even mantissa

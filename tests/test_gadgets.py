@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from memnet.exactnum import DyadicRational, bin_range
-from memnet.gadgets import (ParameterError, _relu, bin_bit_formula,
+from memnet import gadgets
+from memnet.gadgets import (ParameterError, _relu, _track_table, bin_bit_formula,
                             build_bit_extractor, build_distance_gate,
                             build_indicator, build_triangle,
                             distance_value, extractor_track_inputs,
@@ -182,6 +183,24 @@ class TestOracles:
         report = oracle_bits(3, formula=bad_formula)
         assert not report["pass"]
         assert report["mismatches"]
+
+    def test_track_table_holds_the_extractor_inputs(self):
+        for n in range(1, 7):
+            for x in range(1 << n):
+                table = _track_table(x, n)
+                assert len(table) == n + 1
+                for i in range(n + 1):
+                    assert table[i] == extractor_track_inputs(x, n, i + 1)
+
+    def test_oracle_catches_sabotaged_tap_helper(self, monkeypatch):
+        # the default formula sweep and bin_bit_formula share the tap arithmetic
+        tap_bit = gadgets._tap_bit
+        monkeypatch.setattr(gadgets, "_tap_bit",
+                            lambda p, q, n, i: tap_bit(p, q, n, i) ^ (i == n))
+        assert bin_bit_formula(1, 3, 3) == 0
+        report = oracle_bits(3)
+        assert not report["pass"]
+        assert {w["kind"] for w in report["mismatches"]} == {"formula"}
 
     def test_oracle_refuses_huge_sweep(self):
         with pytest.raises(ParameterError):

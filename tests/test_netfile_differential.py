@@ -1,0 +1,239 @@
+"""Differential tests: netir's network-file writer and reader against the old ones.
+
+`netfile_reference` holds the dict-per-cell writer and the cell-by-cell
+reader that netir replaced.  The writer must give the same bytes on every
+net, and the memoized reader the same net or the same ValueError on every
+file, including files where one copy of a value repeated across many cells
+is broken.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from memnet.exactnum import DyadicRational
+from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
+                          LayeredNet, deserialize_net, net_to_json_bytes,
+                          serialize_net)
+from netfile_reference import reference_bytes, reference_deserialize
+from test_eval_differential import CORPUS, _nets
+
+
+def assert_same_bytes(net, builder=None):
+    data = net_to_json_bytes(net, builder)
+    assert data == reference_bytes(net, builder)
+    assert serialize_net(net, builder) == json.loads(data)
+
+
+# ---------------------------------------------------------------------------
+# writer
+
+
+@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
+def test_corpus_nets_write_the_same_bytes(name, net, ds):
+    assert_same_bytes(net, {"theorem": name, "N": ds.n})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nets())
+def test_random_nets_write_the_same_bytes(net):
+    assert_same_bytes(net)
+
+
+def _layer(in_dim, out_dim, weight, relu=True):
+    """Row k holds `weight` in column k % in_dim; every other row is empty."""
+    rows = [((k % in_dim, weight),) if k % 3 == 0 else () for k in range(out_dim)]
+    biases = [weight if k % 4 == 1 else 0 for k in range(out_dim)]
+    return AffineLayer(in_dim, out_dim, rows, biases, relu, passthrough=range(0, out_dim, 5))
+
+
+@pytest.mark.parametrize("dims", [(16, 16, 1), (16, 17, 1), (17, 16, 1), (1, 16, 17),
+                                  (3, 17, 16), (17, 17, 17)],
+                         ids=lambda d: "-".join(map(str, d)))
+def test_dense_sparse_edge(dims):
+    weight = DyadicRational(-5, -3)
+    layers = [_layer(a, b, weight) for a, b in zip(dims, dims[1:])]
+    layers[-1] = _layer(dims[-2], dims[-1], weight, relu=False)
+    assert_same_bytes(LayeredNet(dims[0], layers, "edge"))
+
+
+def test_empty_rows_and_zero_biases():
+    hidden = AffineLayer(3, 20, [()] * 20, [0] * 20, relu=True)
+    out = AffineLayer(20, 2, [(), ((19, 1),)], [0, 0], relu=False)
+    assert_same_bytes(LayeredNet(3, [hidden, out], ""))
+    assert_same_bytes(LayeredNet(2, [AffineLayer(2, 1, [()], [0], relu=False)]))
+
+
+@pytest.mark.parametrize("width", [4, 40])
+def test_weights_at_the_caps(width):
+    big = (1 << MAX_MANTISSA_BITS) - 1
+    values = [DyadicRational(1, MAX_EXPONENT), DyadicRational(-3, -MAX_EXPONENT),
+              DyadicRational(big, 7), DyadicRational(-big, -MAX_EXPONENT),
+              DyadicRational((1 << 200) + 1, 0)]
+    rows = [tuple((k, values[(k + u) % len(values)]) for k in range(0, width, 3))
+            for u in range(width)]
+    biases = [values[u % len(values)] for u in range(width)]
+    layers = [AffineLayer(width, width, rows, biases, relu=True),
+              AffineLayer(width, 1, [((0, values[2]),)], [values[1]], relu=False)]
+    assert_same_bytes(LayeredNet(width, layers, "caps"))
+
+
+PROVENANCES = ['say "hi"', "back\\slash\\\\", "tab\tnl\ncr\rnul\x00bell\x07\x1f",
+               "Grüße, 𝔁 ≤ ∞, 日本", "lone \ud800 surrogate", "</script> ", ""]
+
+
+@pytest.mark.parametrize("provenance", PROVENANCES)
+def test_escaped_provenance(provenance):
+    layer = AffineLayer(1, 1, [((0, 3),)], [DyadicRational(1, -2)], relu=False)
+    assert_same_bytes(LayeredNet(1, [layer], provenance, output_nonneg=True))
+
+
+def test_nested_non_ascii_builder():
+    name, net, ds = CORPUS[0]
+    builder = {"théorème": "sqrt", "zeta": {"b": [1, -2, "ü\"\\"], "a": {"ß": None}},
+               "flag": True, "ratio": 0.1, "big": 10 ** 40, "empty": {}, "list": [],
+               "Z": "é\U0001f600"}
+    assert_same_bytes(net, builder)
+
+
+# ---------------------------------------------------------------------------
+# reader
+
+
+def _read(reader, obj):
+    """('net', bytes of the net read) or ('error', the ValueError's message)."""
+    try:
+        net = reader(obj)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "net", net_to_json_bytes(net)
+
+
+def _cells(obj):
+    """(container, key) of every dyadic cell of a parsed network file."""
+    for spec in obj["layers"]:
+        yield from ((spec["b"], k) for k in range(len(spec["b"])))
+        w = spec["w"]
+        if isinstance(w, dict):
+            yield from ((pair, 1) for row in w["sparse"] for pair in row)
+        else:
+            yield from ((row, k) for row in w for k in range(len(row)))
+
+
+def verdict_with(obj, place, cell):
+    """Both readers' verdict on obj with `cell` at place; they must agree.
+
+    The cell is swapped in and back out, so every test reads the same
+    parsed file without copying it.
+    """
+    container, key = place
+    kept, container[key] = container[key], cell
+    try:
+        want = _read(reference_deserialize, obj)
+        assert _read(deserialize_net, obj) == want
+    finally:
+        container[key] = kept
+    return want[0]
+
+
+SAVED = {name: json.loads(net_to_json_bytes(net)) for name, net, _ in
+         (CORPUS[0], CORPUS[-3], CORPUS[-2], CORPUS[-1])}
+CELLS = {name: list(_cells(obj)) for name, obj in SAVED.items()}
+
+BAD_CELLS = [
+    {"s": 1, "m": "4", "e": 0},  # even mantissa
+    {"s": 1, "m": "0", "e": 0},
+    {"s": -1, "m": "0", "e": 3},
+    {"s": 0, "m": "1", "e": 0},
+    {"s": 0, "m": "0", "e": 2},
+    {"s": 2, "m": "1", "e": 0},
+    {"s": 1, "m": "1", "e": MAX_EXPONENT + 1},
+    {"s": -1, "m": "3", "e": -MAX_EXPONENT - 1},
+    {"s": 1, "m": "3" * (MAX_MANTISSA_BITS // 4 + 1), "e": 0},
+    {"s": [], "m": "1", "e": 0},
+    {"s": {}, "m": "1", "e": 0},
+    {"s": 1, "m": ["1"], "e": 0},
+    {"s": 1, "m": 5, "e": 0},
+    {"s": 1, "m": "1", "e": None},
+    {"s": "x", "m": "1"},
+    {"s": 1, "m": "1"},
+    {"m": "1", "e": 0},
+    [1, "1", 0],
+    "1",
+    None,
+]
+
+ODD_GOOD_CELLS = [
+    {"s": True, "m": "1", "e": 0},
+    {"s": 1, "m": "1", "e": "3"},
+    {"s": 1.0, "m": "3", "e": -2.0},
+    {"s": "-1", "m": "0x5", "e": 1},
+    {"s": 1, "m": "1", "e": MAX_EXPONENT},
+    {"s": 0, "m": "0", "e": "0"},
+    {"s": 1, "m": "7", "e": 0, "extra": []},
+]
+
+
+@pytest.mark.parametrize("name", ["depth", "regression", CORPUS[0][0]])
+@pytest.mark.parametrize("cell", BAD_CELLS + ODD_GOOD_CELLS,
+                         ids=[f"bad{k}" for k in range(len(BAD_CELLS))]
+                         + [f"odd{k}" for k in range(len(ODD_GOOD_CELLS))])
+def test_one_cell_mutations(name, cell):
+    """The cell in place of the first (a bias), a middle and the last cell."""
+    cells = CELLS[name]
+    verdicts = {verdict_with(SAVED[name], cells[where], cell)
+                for where in (0, len(cells) // 2, len(cells) - 1)}
+    if cell in BAD_CELLS[:9]:
+        assert "error" in verdicts
+
+
+def _most_repeated(name):
+    """The nonzero cell value held by the most cells, and where they are."""
+    seen = {}
+    for container, key in CELLS[name]:
+        cell = container[key]
+        if cell["s"]:
+            seen.setdefault(json.dumps(cell, sort_keys=True), []).append((container, key))
+    text, places = max(seen.items(), key=lambda kv: len(kv[1]))
+    return json.loads(text), places
+
+
+@pytest.mark.parametrize("name", sorted(SAVED))
+def test_one_broken_copy_of_a_repeated_value(name):
+    """Good copies are read before the broken one; the memo must not pass it."""
+    good, places = _most_repeated(name)
+    assert len(places) > 3
+    broken = [
+        {**good, "m": format(2 * int(good["m"], 16), "x"), "e": good["e"] - 1},  # even
+        {**good, "m": "0"},
+        {**good, "e": MAX_EXPONENT + 1},
+        {**good, "s": 2},
+        {**good, "s": []},
+    ]
+    for cell in broken:
+        for where in (1, len(places) - 1):
+            assert verdict_with(SAVED[name], places[where], cell) == "error", cell
+    for cell in ({**good, "s": True}, {**good, "e": str(good["e"])}):
+        assert verdict_with(SAVED[name], places[-1], cell) == "net"
+
+
+def test_repeated_zero_bias_with_one_bad_copy():
+    name = CORPUS[0][0]
+    zeros = [(spec["b"], k) for spec in SAVED[name]["layers"]
+             for k, b in enumerate(spec["b"]) if b["s"] == 0]
+    assert len(zeros) > 3
+    assert verdict_with(SAVED[name], zeros[-1], {"s": 0, "m": "1", "e": 0}) == "error"
+
+
+_field = st.one_of(st.integers(-3, 3), st.booleans(), st.none(),
+                   st.sampled_from(["0", "1", "3", "4", "-1", "x", "0x3", " 5 "]),
+                   st.floats(allow_nan=True, allow_infinity=True),
+                   st.lists(st.integers(), max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({"s": _field, "m": _field, "e": _field}),
+       st.integers(0, 10 ** 6), st.sampled_from(["depth", CORPUS[0][0]]))
+def test_arbitrary_cell_fields(cell, where, name):
+    verdict_with(SAVED[name], CELLS[name][where % len(CELLS[name])], cell)
