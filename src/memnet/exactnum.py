@@ -9,6 +9,7 @@ bit blocks (bit 1 is the most significant bit of the padded string).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -84,6 +85,9 @@ def ceil_sqrt(n: int) -> int:
 
     r = isqrt(n)
     return r if r * r == n else r + 1
+
+
+_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
 
 
 def _canon(num: int, exp: int) -> tuple[int, int]:
@@ -224,23 +228,35 @@ class DyadicRational:
     # -- comparison ---------------------------------------------------
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
+        """Sign of self - other, from the two numerators shifted to one exponent."""
+        if isinstance(other, DyadicRational):
+            b, be = other.sign * other.mantissa, other.exponent
+        elif isinstance(other, int):
+            b, be = other, 0
+        else:
             raise TypeError(f"cannot compare DyadicRational with {type(other)!r}")
-        d = self - o
-        return d.sign
+        a, ae = self.sign * self.mantissa, self.exponent
+        if ae > be:
+            a <<= ae - be
+        else:
+            b <<= be - ae
+        return (a > b) - (a < b)
 
     def __eq__(self, other):
+        if isinstance(other, DyadicRational):
+            return (
+                self.sign == other.sign
+                and self.mantissa == other.mantissa
+                and self.exponent == other.exponent
+            )
+        if isinstance(other, int):
+            # canonical form: a nonzero value with e < 0 is not an integer, and
+            # one with e > other.bit_length() exceeds |other|
+            e = self.exponent
+            return 0 <= e <= other.bit_length() and self.sign * self.mantissa << e == other
         if isinstance(other, Fraction):
             return self.as_fraction() == other
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (
-            self.sign == o.sign
-            and self.mantissa == o.mantissa
-            and self.exponent == o.exponent
-        )
+        return NotImplemented
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -272,9 +288,18 @@ class DyadicRational:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DyadicRational":
-        sign = int(obj["s"])
-        mantissa = int(obj["m"], 16)
-        exponent = int(obj["e"])
+        """The value of a cell {"s": sign, "m": mantissa hex, "e": exponent}.
+
+        ValueError unless s and e are JSON integers (not booleans, floats or
+        strings), m is lowercase hex without leading zeros, and the triple is
+        canonical: s in {-1, 1} with an odd mantissa, or exactly the zero cell.
+        """
+        sign, hex_mantissa, exponent = obj["s"], obj["m"], obj["e"]
+        if (type(sign) is not int or type(exponent) is not int
+                or type(hex_mantissa) is not str or not _HEX.fullmatch(hex_mantissa)):
+            raise ValueError(f"serialized dyadic needs integer s and e and a lowercase "
+                             f"hex m: {obj!r:.200}")
+        mantissa = int(hex_mantissa, 16)
         if sign == 0:
             if mantissa != 0 or exponent != 0:
                 raise ValueError("non-canonical zero in serialized dyadic")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import DyadicRational, bit_len, bin_range
+from .exactnum import ZERO, DyadicRational, bit_len, bin_range
 from .netir import LayeredNet, TapeBuilder
 
 __all__ = [
@@ -47,9 +47,14 @@ class ParameterError(ValueError):
     """Gadget parameters violate the construction's preconditions."""
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def _relu(v):
-    zero = Fraction(0) if isinstance(v, Fraction) else DyadicRational(0)
-    return v if v > zero else zero
+    """sigma(v); a zero of the argument's kind (DyadicRational for an int)."""
+    if isinstance(v, Fraction):
+        return v if v > 0 else _FRACTION_ZERO
+    return v if v > ZERO else ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +173,22 @@ def extractor_track_inputs(x: int, n: int, i: int) -> tuple[DyadicRational, Dyad
 
 
 def _track_table(x: int, n: int) -> list:
-    """extractor_track_inputs(x, n, k + 1) for k = 0..n, one triangle step apart."""
-    p, q = extractor_track_inputs(x, n, 1)
-    table = [(p, q)]
+    """extractor_track_inputs(x, n, k + 1) for k = 0..n, one triangle step apart.
+
+    The tracks stay on the grid of 2^-(n+2), so the steps run on integers
+    a in those units: triangle_value is sigma(sigma(2a) - sigma(4a - 2u))
+    with u = 2^(n+2).
+    """
+    u, e = 1 << (n + 2), -(n + 2)
+
+    def step(a: int) -> int:
+        return max(max(2 * a, 0) - max(4 * a - 2 * u, 0), 0)
+
+    p, q = (x << 2) + 2, (x << 2) + 1
+    table = [(DyadicRational(p, e), DyadicRational(q, e))]
     for _ in range(n):
-        p, q = triangle_value(p), triangle_value(q)
-        table.append((p, q))
+        p, q = step(p), step(q)
+        table.append((DyadicRational(p, e), DyadicRational(q, e)))
     return table
 
 

@@ -49,11 +49,17 @@ class ContractViolation(RuntimeError):
     """A pass-through channel saw a negative value in debug evaluation."""
 
 
+# One shared immutable value per small integer weight or bias: identity rows
+# and zero biases are most of the cells of a built net.
+_SMALL_INTS = {k: DyadicRational(k, 0) for k in range(-16, 17)}
+
+
 def _as_dyadic(v) -> DyadicRational:
     if isinstance(v, DyadicRational):
         return v
     if isinstance(v, int):
-        return DyadicRational(v, 0)
+        d = _SMALL_INTS.get(v)
+        return DyadicRational(v, 0) if d is None else d
     raise TypeError(f"weight must be int or DyadicRational, got {type(v)!r}")
 
 
@@ -68,9 +74,9 @@ class AffineLayer:
     __slots__ = ("in_dim", "out_dim", "rows", "biases", "relu", "passthrough")
 
     def __init__(self, in_dim, out_dim, rows, biases, relu, passthrough=()):
-        rows = tuple(tuple((int(i), d) for i, w in row if (d := _as_dyadic(w)).sign)
-                     for row in rows)
-        biases = tuple(_as_dyadic(b) for b in biases)
+        rows = tuple([tuple([(int(i), d) for i, w in row if (d := _as_dyadic(w)).sign])
+                      for row in rows])
+        biases = tuple(map(_as_dyadic, biases))
         passthrough = tuple(passthrough)
         if len(rows) != out_dim or len(biases) != out_dim:
             raise DimensionError("row/bias count does not match out_dim")
@@ -102,7 +108,7 @@ class LayeredNet:
     """
 
     __slots__ = ("input_dim", "layers", "provenance", "output_nonneg",
-                 "_plan", "_prog", "_flt")
+                 "_plan", "_prog", "_flt", "_stats")
 
     def __init__(self, input_dim, layers, provenance="", output_nonneg=False):
         layers = tuple(layers)
@@ -119,7 +125,7 @@ class LayeredNet:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "output_nonneg", bool(output_nonneg))
-        for cache in ("_plan", "_prog", "_flt"):
+        for cache in ("_plan", "_prog", "_flt", "_stats"):
             object.__setattr__(self, cache, None)
 
     def __setattr__(self, name, value):
@@ -159,13 +165,24 @@ def _stored_values(net: LayeredNet):
         yield from (b for b in layer.biases if b.sign)
 
 
+def _stats(net: LayeredNet) -> tuple[NetMetrics, int]:
+    """metrics and effective_bits of the net from one walk of its stored
+    values, cached like the register plan."""
+    if net._stats is None:
+        sizes = [(m.bit_length(), abs(e))
+                 for m, e in {(w.mantissa, w.exponent) for w in _stored_values(net)}]
+        bits = max((b for b, _ in sizes), default=0)
+        erange = max((e for _, e in sizes), default=0)
+        ebits = max((b + e for b, e in sizes), default=0)
+        width = max((l.out_dim for l in net.layers[:-1]), default=0)
+        params = sum(l.nonzero_params() for l in net.layers)
+        object.__setattr__(net, "_stats", (
+            NetMetrics(width, len(net.layers), params, bits, erange), ebits))
+    return net._stats
+
+
 def metrics(net: LayeredNet) -> NetMetrics:
-    width = max((l.out_dim for l in net.layers[:-1]), default=0)
-    params = sum(l.nonzero_params() for l in net.layers)
-    values = list(_stored_values(net))
-    bits = max((w.mantissa.bit_length() for w in values), default=0)
-    erange = max((abs(w.exponent) for w in values), default=0)
-    return NetMetrics(width, len(net.layers), params, bits, erange)
+    return _stats(net)[0]
 
 
 def effective_bits(net: LayeredNet) -> int:
@@ -174,8 +191,7 @@ def effective_bits(net: LayeredNet) -> int:
     For an integer weight this equals its plain bit length; for a scale
     2**-k it is k+1.  Used by the audit's bit-complexity comparisons.
     """
-    return max((w.mantissa.bit_length() + abs(w.exponent) for w in _stored_values(net)),
-               default=0)
+    return _stats(net)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +496,10 @@ MAX_MANTISSA_BITS = 1 << 16
 
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 _ZERO_CELL = '{"e":0,"m":"0","s":0}'
+# The dense-row skip takes a cell only when s and e are this object: the
+# parser's int 0 is the interpreter's one cached small int, never False or
+# 0.0.  Any other zero cell is read by `capped`, which checks its types.
+_INT_ZERO = 0
 
 
 def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
@@ -545,12 +565,15 @@ def deserialize_net(obj: dict) -> LayeredNet:
 
     Each distinct cell (s, m, e) is decoded and checked against the caps
     once; a cell whose fields cannot form that key is decoded on its own.
+    The key holds the types of s and e, since True == 1 == 1.0 hash alike
+    and only the int is a valid field.
     """
     memo = {}
 
     def capped(cell) -> DyadicRational:
         try:
-            key = (cell["s"], cell["m"], cell["e"])
+            s, e = cell["s"], cell["e"]
+            key = (s, cell["m"], e, s.__class__, e.__class__)
             v = memo.get(key)
         except (TypeError, KeyError):  # not a dict, or a field missing or unhashable
             return _capped(cell)
@@ -572,8 +595,9 @@ def deserialize_net(obj: dict) -> LayeredNet:
                 rows = [tuple((int(i), capped(wt)) for i, wt in row) for row in w["sparse"]]
             else:
                 in_dim = len(w[0]) if w else 0
-                rows = [tuple((i, capped(wt)) for i, wt in enumerate(row) if wt["s"] != 0)
-                        for row in w]
+                rows = [tuple([(i, capped(wt)) for i, wt in enumerate(row) if not (
+                    wt["m"] == "0" and wt["s"] is _INT_ZERO and wt["e"] is _INT_ZERO)])
+                    for row in w]
             layers.append(AffineLayer(in_dim, len(biases), rows, biases,
                                       spec["relu"], tuple(spec.get("passthrough", ()))))
         return LayeredNet(obj["input_dim"], layers, obj.get("provenance", ""),

@@ -272,10 +272,18 @@ class TestHostileInput:
         lambda obj: obj["layers"][0]["b"].__setitem__(0, {"s": [], "m": "1", "e": 0}) or obj,
         lambda obj: obj["layers"][0]["w"][0].__setitem__(
             0, {"s": 1, "m": {}, "e": 0}) or obj,
+        lambda obj: _edit_dense_cell(obj, True, lambda c: {"s": 0, "m": "zz"}),
+        lambda obj: _edit_dense_cell(obj, True, lambda c: {"s": False, "m": "5", "e": 1}),
+        lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "s": 1.5 * c["s"]}),
+        lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "m": f" 0x{c['m']} "}),
+        lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "e": str(c["e"])}),
+        lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "e": float(c["e"])}),
     ], ids=["no-layers", "layers-null", "w-int", "top-level-list", "float-input-dim",
             "infinite-exponent",
             "passthrough-past-out-dim", "exponent-past-cap", "negative-exponent-past-cap",
-            "mantissa-past-cap", "unhashable-sign", "unhashable-mantissa"])
+            "mantissa-past-cap", "unhashable-sign", "unhashable-mantissa",
+            "dense-zero-hex-zz", "dense-zero-false-sign", "sign-one-and-a-half",
+            "mantissa-0x-padded", "exponent-string", "exponent-float"])
     def test_crafted_net_exit_2(self, saved, craft):
         root, data, obj = saved
         assert list(self._commands(root, data, craft(copy.deepcopy(obj)))) == [2, 2]
@@ -631,6 +639,14 @@ _HOSTILE_VALUES = [None, True, 5, -1, 2.5, float("inf"), "x", "zz", [], {}, [[]]
                    {"s": 1, "m": "1", "e": MAX_EXPONENT + 1},
                    MAX_EXPONENT + 1, -MAX_EXPONENT - 1,
                    "1" + "0" * (MAX_MANTISSA_BITS // 4 - 1) + "1"]
+
+
+def _edit_dense_cell(obj, zero: bool, edit):
+    """obj with its first zero (or nonzero) dense weight cell c replaced by edit(c)."""
+    row, k = next((row, k) for spec in obj["layers"] if isinstance(spec["w"], list)
+                  for row in spec["w"] for k, c in enumerate(row) if (c["s"] == 0) == zero)
+    row[k] = edit(row[k])
+    return obj
 
 
 def _json_paths(node, path=()):

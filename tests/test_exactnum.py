@@ -2,11 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from memnet.exactnum import (DyadicRational, ZERO, bin_range, bit_len,
                              ceil_log2, ceil_sqrt, pack_blocks)
+from memnet.netir import MAX_EXPONENT, MAX_MANTISSA_BITS
 from netfile_reference import cell_json
+
+# zero, small and negative numerators, and mantissas up to the load cap
+_numerators = st.one_of(
+    st.integers(-9, 9),
+    st.integers(1, MAX_MANTISSA_BITS).flatmap(
+        lambda b: st.integers(-(1 << b) + 1, (1 << b) - 1)))
+_exponents = st.one_of(st.integers(-4, 4), st.integers(-MAX_EXPONENT, MAX_EXPONENT),
+                       st.sampled_from([-MAX_EXPONENT, MAX_EXPONENT]))
+_dyadics = st.builds(DyadicRational, _numerators, _exponents)
 
 
 def brute_bits(n: int, width: int) -> str:
@@ -121,6 +131,24 @@ class TestDyadicRational:
         a, b = DyadicRational(na, ea), DyadicRational(nb, eb)
         assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
         assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dyadics, st.one_of(_dyadics, _numerators))
+    def test_comparisons_match_fractions(self, a, b):
+        fa = a.as_fraction()
+        fb = b.as_fraction() if isinstance(b, DyadicRational) else Fraction(b)
+        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == \
+            (fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb, fa != fb)
+        assert (b < a, b <= a, b > a, b >= a, b == a) == \
+            (fb < fa, fb <= fa, fb > fa, fb >= fa, fb == fa)
+        assert a == fa and (a == fb) == (fa == fb)
+
+    def test_comparison_with_a_fraction_is_refused(self):
+        with pytest.raises(TypeError):
+            DyadicRational(1) < Fraction(1, 2)  # noqa: B015
+        with pytest.raises(TypeError):
+            Fraction(1, 2) >= DyadicRational(1)  # noqa: B015
+        assert DyadicRational(1, -1) == Fraction(1, 2) != DyadicRational(1)
 
     def test_int_interop(self):
         v = DyadicRational(3, -1)

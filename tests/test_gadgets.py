@@ -14,6 +14,29 @@ from memnet.gadgets import (ParameterError, _relu, _track_table, bin_bit_formula
 from memnet.netir import eval_exact, metrics
 
 
+class TestRelu:
+    @pytest.mark.parametrize("v,want", [
+        (DyadicRational(3, -2), DyadicRational(3, -2)),
+        (DyadicRational(-3, -2), DyadicRational(0)),
+        (DyadicRational(0), DyadicRational(0)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(-1, 3), Fraction(0)),
+        (Fraction(0), Fraction(0)),
+        (5, 5),
+        (-5, DyadicRational(0)),
+        (0, DyadicRational(0)),
+    ], ids=repr)
+    def test_values_and_types(self, v, want):
+        got = _relu(v)
+        assert type(got) is type(want) and got == want
+        if type(v) is type(want) and v > 0:
+            assert got is v
+
+    def test_other_types_are_refused(self):
+        with pytest.raises(TypeError):
+            _relu(0.5)
+
+
 class TestTriangle:
     def test_landmarks(self):
         net = build_triangle()
@@ -185,12 +208,16 @@ class TestOracles:
         assert report["mismatches"]
 
     def test_track_table_holds_the_extractor_inputs(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             for x in range(1 << n):
                 table = _track_table(x, n)
                 assert len(table) == n + 1
                 for i in range(n + 1):
                     assert table[i] == extractor_track_inputs(x, n, i + 1)
+                    for v in table[i]:
+                        assert type(v) is DyadicRational
+                        assert (v.sign, v.mantissa, v.exponent) == (0, 0, 0) or (
+                            v.sign in (-1, 1) and v.mantissa & 1)
 
     def test_oracle_catches_sabotaged_tap_helper(self, monkeypatch):
         # the default formula sweep and bin_bit_formula share the tap arithmetic

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from memnet import netir
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.gadgets import ParameterError
@@ -212,6 +213,18 @@ class TestAssemble:
         a, _ = assemble_sqrt(ds, PipelineConfig(seed=5))
         b, _ = assemble_sqrt(ds, PipelineConfig(seed=5))
         assert net_to_json_bytes(a) == net_to_json_bytes(b)
+
+    def test_weights_are_walked_once_per_build(self, monkeypatch):
+        # the audit's metrics and effective_bits and the writer's cap check
+        walked = []
+        stored_values = netir._stored_values
+        monkeypatch.setattr(netir, "_stored_values",
+                            lambda net: walked.append(net) or stored_values(net))
+        ds = random_dataset(20, 2, 4, seed=5)
+        net, report = assemble_sqrt(ds, PipelineConfig(seed=5))
+        net_to_json_bytes(net, report.info.to_json())
+        assert report.realized == metrics(net) and report.effective_bits > 0
+        assert sum(w is net for w in walked) == 1
 
     def test_bucket_count_override(self):
         ds = random_dataset(12, 1, 2, seed=1)
