@@ -52,40 +52,33 @@ def _write_report(report, path) -> None:
         fh.write("\n")
 
 
+# mode -> (budget flag, builder(ds, budget, config)).  The lambdas look each
+# builder up on its module at call time, so a rebound attribute is called.
+_BUILDERS = {
+    "sqrt": (None, lambda ds, budget, config: pipeline.assemble_sqrt(ds, config)),
+    "depth": ("L", lambda ds, L, config: variants.assemble_bounded_depth(ds, L, config)),
+    "bits": ("B", lambda ds, B, config: variants.assemble_bounded_bits(ds, B, config)),
+}
+
+
 def cmd_build(args) -> int:
     config = pipeline.PipelineConfig(seed=args.seed)
-    try:
-        if args.mode == "regression":
-            points, labels = pipeline.load_dataset(args.infile, regression=True)
-            if args.epsilon is None:
-                raise ValueError("--epsilon is required for --mode regression")
-            net, report = pipeline.regression_wrap(points, labels, args.epsilon, config)
-        else:
-            ds = pipeline.load_dataset(args.infile)
-            if args.mode == "sqrt":
-                net, report = pipeline.assemble_sqrt(ds, config)
-            elif args.mode == "depth":
-                if args.L is None:
-                    raise ValueError("--L is required for --mode depth")
-                net, report = variants.assemble_bounded_depth(ds, args.L, config)
-            elif args.mode == "bits":
-                if args.B is None:
-                    raise ValueError("--B is required for --mode bits")
-                net, report = variants.assemble_bounded_bits(ds, args.B, config)
-            else:
-                raise ValueError(f"unknown mode {args.mode!r}")
-        # a record number past the interpreter's int-to-decimal limit is a ValueError
-        if args.out:
-            save_net(net, args.out, builder=report.info.to_json())
-        if args.report:
-            _write_report(report, args.report)
-    except pipeline.ProjectionSearchExhausted as exc:
-        _diag(f"projection search failed: {exc}")
-        return EXIT_PROJECTION
-    except (pipeline.DuplicatePointError, pipeline.LabelRangeError,
-            gadgets.ParameterError, ValueError, OSError) as exc:
-        _diag(f"{type(exc).__name__}: {exc}")
-        return EXIT_INVALID_INPUT
+    if args.mode == "regression":
+        if args.epsilon is None:
+            raise ValueError("--epsilon is required for --mode regression")
+        points, labels, _ = pipeline.read_dataset(args.infile)
+        net, report = pipeline.regression_wrap(points, labels, args.epsilon, config)
+    else:
+        flag, builder = _BUILDERS[args.mode]
+        budget = getattr(args, flag) if flag else None
+        if flag and budget is None:
+            raise ValueError(f"--{flag} is required for --mode {args.mode}")
+        net, report = builder(pipeline.load_dataset(args.infile), budget, config)
+    # a record number past the interpreter's int-to-decimal limit is a ValueError
+    if args.out:
+        save_net(net, args.out, builder=report.info.to_json())
+    if args.report:
+        _write_report(report, args.report)
     _emit({
         "event": "build",
         "mode": args.mode,
@@ -98,29 +91,18 @@ def cmd_build(args) -> int:
     return EXIT_OK if report.memorized and report.passed else EXIT_CHECK_FAILED
 
 
-def _load_net_or_none(path):
-    try:
-        return load_net(path)
-    except (ValueError, KeyError, OSError, DimensionError) as exc:
-        _diag(f"cannot load network: {type(exc).__name__}: {exc}")
-        return None
+def _net_and_points(args):
+    """The saved net and the points of --in, which must match its input dimension."""
+    net, _ = load_net(args.net)
+    points, labels, _ = pipeline.read_dataset(args.infile)
+    if any(len(p) != net.input_dim for p in points):
+        raise DimensionError("point dimension does not match the network")
+    return net, points, labels
 
 
 def cmd_verify(args) -> int:
-    loaded = _load_net_or_none(args.net)
-    if loaded is None:
-        return EXIT_INVALID_INPUT
-    net, _ = loaded
-    try:
-        points, labels, _ = pipeline.read_dataset(args.infile)
-        if labels is None:
-            raise ValueError("verify needs a label column")
-        targets = [pipeline._to_fraction(v) for v in labels]
-        if any(len(p) != net.input_dim for p in points):
-            raise DimensionError("point dimension does not match the network")
-    except (ValueError, OSError, DimensionError) as exc:
-        _diag(f"{type(exc).__name__}: {exc}")
-        return EXIT_INVALID_INPUT
+    net, points, labels = _net_and_points(args)
+    targets = pipeline.exact_labels(labels)
     if args.precision == "exact":
         bad, _ = check_outputs(net, points, targets)
         _emit({"event": "verify", "precision": "exact",
@@ -139,27 +121,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    loaded = _load_net_or_none(args.net)
-    if loaded is None:
-        return EXIT_INVALID_INPUT
-    net, _ = loaded
-    try:
-        points, _, _ = pipeline.read_dataset(args.infile)
-        if any(len(p) != net.input_dim for p in points):
-            raise DimensionError("point dimension does not match the network")
-    except (ValueError, OSError) as exc:
-        _diag(f"{type(exc).__name__}: {exc}")
-        return EXIT_INVALID_INPUT
+    net, points, _ = _net_and_points(args)
     for idx, p in enumerate(points):
         if args.precision == "exact":
             out = eval_exact(net, list(p))[0]
             got = out if isinstance(out, Fraction) else out.as_fraction()
-            try:
-                text = str(got)
-            except ValueError as exc:  # past the interpreter's int-to-decimal limit
-                _diag(f"output {idx} cannot be printed: {exc}")
-                return EXIT_INVALID_INPUT
-            _emit({"event": "eval", "index": idx, "output": text})
+            # str() is a ValueError past the interpreter's int-to-decimal limit
+            _emit({"event": "eval", "index": idx, "output": str(got)})
         else:
             out = eval_float(net, [bounds.to_float(c) for c in p])[0]
             _emit({"event": "eval", "index": idx, "output": out})
@@ -167,28 +135,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    loaded = _load_net_or_none(args.net)
-    if loaded is None:
-        return EXIT_INVALID_INPUT
-    net, builder = loaded
+    net, builder = load_net(args.net)
     if not builder:
-        _diag("network file carries no builder record; cannot audit")
-        return EXIT_INVALID_INPUT
-    try:
-        info = pipeline.BuildInfo.from_json(builder)
-        if info.theorem == "regression":
-            points, labels = pipeline.load_dataset(args.infile, regression=True)
-            ds = pipeline.regression_dataset(points, labels, info.label_lo,
-                                             info.epsilon, info.num_classes)
-        else:
-            ds = pipeline.load_dataset(args.infile)
-        report = bounds.audit(net, ds, info.theorem, info)
-    except bounds.ProvenanceError as exc:
-        _diag(f"ProvenanceError: {exc}")
-        return EXIT_INVALID_INPUT
-    except (ValueError, OSError, KeyError) as exc:
-        _diag(f"{type(exc).__name__}: {exc}")
-        return EXIT_INVALID_INPUT
+        raise ValueError("network file carries no builder record; cannot audit")
+    info = pipeline.BuildInfo.from_json(builder)
+    if info.theorem == "regression":
+        points, labels, _ = pipeline.read_dataset(args.infile)
+        ds = pipeline.regression_dataset(points, labels, info.label_lo,
+                                         info.epsilon, info.num_classes)
+    else:
+        ds = pipeline.load_dataset(args.infile)
+    report = bounds.audit(net, ds, info.theorem, info)
     if args.report:
         _write_report(report, args.report)
     _emit({"event": "audit", "theorem": report.theorem,
@@ -207,11 +164,7 @@ _ORACLES = {
 
 
 def cmd_oracle(args) -> int:
-    try:
-        summary = _ORACLES[args.suite](args)
-    except gadgets.ParameterError as exc:
-        _diag(f"ParameterError: {exc}")
-        return EXIT_INVALID_INPUT
+    summary = _ORACLES[args.suite](args)
     _emit({"event": "oracle", "suite": summary["suite"],
            "checks": summary["checks"], "pass": summary["pass"],
            "witnesses": summary["mismatches"][:8]})
@@ -219,24 +172,15 @@ def cmd_oracle(args) -> int:
 
 
 def _sweep_rows(args):
-    n_list = args.N or [64]
-    for n in n_list:
+    flag, builder = _BUILDERS[args.mode]
+    budgets = [None] if flag is None else getattr(args, flag) or [2]
+    for n in args.N or [64]:
         ds = datagen.random_dataset(n, args.d, args.C, args.seed)
-        if args.mode == "sqrt":
-            runs = [(None, pipeline.assemble_sqrt(
-                ds, pipeline.PipelineConfig(seed=args.seed)))]
-        elif args.mode == "depth":
-            runs = [(L, variants.assemble_bounded_depth(
-                ds, L, pipeline.PipelineConfig(seed=args.seed)))
-                for L in (args.L or [2])]
-        else:
-            runs = [(B, variants.assemble_bounded_bits(
-                ds, B, pipeline.PipelineConfig(seed=args.seed)))
-                for B in (args.B or [2])]
-        for param, (net, report) in runs:
+        for budget in budgets:
+            _, report = builder(ds, budget, pipeline.PipelineConfig(seed=args.seed))
             real = report.realized
             yield {
-                "mode": args.mode, "N": n, "param": "" if param is None else param,
+                "mode": args.mode, "N": n, "param": "" if budget is None else budget,
                 "width": real.width, "depth": real.depth, "params": real.params,
                 "bits": real.bits, "exponent_range": real.exponent_range,
                 "effective_bits": report.effective_bits,
@@ -328,8 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that turns an exception into an exit code.
+
+    A ValueError (every malformed input, out-of-range parameter and
+    mismatched dimension) or an OSError exits 2 with one stderr line.  A
+    MemorizationError is an internal fault and is not caught.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except pipeline.ProjectionSearchExhausted as exc:
+        _diag(f"projection search failed: {exc}")
+        return EXIT_PROJECTION
+    except (ValueError, OSError) as exc:
+        _diag(f"{type(exc).__name__}: {exc}")
+        return EXIT_INVALID_INPUT
 
 
 def entry() -> None:

@@ -26,6 +26,8 @@ def random_separated_points(n: int, dim: int, seed: int,
     integer: coordinates in 0..4n.  dyadic: eighths.  decimal: hundredths
     (exercises the exact-decimal CSV path, which is not dyadic).
     """
+    if dim < 1:
+        raise ValueError(f"points need a dimension of at least 1, got {dim}")
     rng = random.Random(seed)
     span = 4 * n + 8
     seen = set()
@@ -54,6 +56,8 @@ def random_separated_points(n: int, dim: int, seed: int,
 
 def random_dataset(n: int, dim: int, num_classes: int, seed: int,
                    coord_kind: str = "integer") -> Dataset:
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be at least 1, got {num_classes}")
     rng = random.Random(seed ^ 0x5EED)
     points = random_separated_points(n, dim, seed, coord_kind)
     labels = [rng.randint(1, num_classes) for _ in range(n)]

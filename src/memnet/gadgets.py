@@ -325,8 +325,9 @@ def oracle_bits(n_max: int = 10, builder=None, formula=None) -> dict:
     """
     from .netir import eval_exact
 
-    if n_max > 14:
-        raise ParameterError("n_max above 14 would take too long; refusing")
+    if not 1 <= n_max <= 14:
+        raise ParameterError(f"n_max must be in 1..14 (above 14 would take too long), "
+                             f"got {n_max}")
     build = builder or build_bit_extractor
     checks = 0
     witnesses = []

@@ -31,7 +31,6 @@ __all__ = [
     "eval_float",
     "compose_serial",
     "stack_parallel",
-    "serialize_net",
     "deserialize_net",
     "save_net",
     "load_net",
@@ -547,11 +546,6 @@ def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
             f'"provenance":{_dumps(net.provenance)}}}').encode()
 
 
-def serialize_net(net: LayeredNet, builder: dict | None = None) -> dict:
-    """The network file as a parsed JSON object: json.loads(net_to_json_bytes(...))."""
-    return json.loads(net_to_json_bytes(net, builder))
-
-
 def _capped(obj) -> DyadicRational:
     v = DyadicRational.from_json(obj)
     if abs(v.exponent) > MAX_EXPONENT or v.mantissa.bit_length() > MAX_MANTISSA_BITS:
@@ -560,13 +554,21 @@ def _capped(obj) -> DyadicRational:
     return v
 
 
+def _typed(value, kind: type, what: str):
+    """value if its type is exactly kind (so true is no int); ValueError otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r:.40}")
+    return value
+
+
 def deserialize_net(obj: dict) -> LayeredNet:
     """The net of a parsed network file; ValueError on any malformed content.
 
     Each distinct cell (s, m, e) is decoded and checked against the caps
     once; a cell whose fields cannot form that key is decoded on its own.
     The key holds the types of s and e, since True == 1 == 1.0 hash alike
-    and only the int is a valid field.
+    and only the int is a valid field.  Every other field must have exactly
+    the type docs/FORMATS.md gives it.
     """
     memo = {}
 
@@ -582,26 +584,29 @@ def deserialize_net(obj: dict) -> LayeredNet:
         return v
 
     try:
-        if obj.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported network format: {obj.get('format_version')!r}")
-        if not isinstance(obj["input_dim"], int):
-            raise ValueError("input_dim must be an integer")
+        version = obj.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ValueError(f"unsupported network format: {version!r}")
+        input_dim = _typed(obj["input_dim"], int, "input_dim")
         layers = []
         for spec in obj["layers"]:
             biases = [capped(b) for b in spec["b"]]
             w = spec["w"]
             if isinstance(w, dict):
-                in_dim = int(w["in_dim"])
-                rows = [tuple((int(i), capped(wt)) for i, wt in row) for row in w["sparse"]]
+                in_dim = _typed(w["in_dim"], int, "in_dim")
+                rows = [tuple([(_typed(i, int, "a sparse column"), capped(wt)) for i, wt in row])
+                        for row in w["sparse"]]
             else:
                 in_dim = len(w[0]) if w else 0
                 rows = [tuple([(i, capped(wt)) for i, wt in enumerate(row) if not (
                     wt["m"] == "0" and wt["s"] is _INT_ZERO and wt["e"] is _INT_ZERO)])
                     for row in w]
+            passthrough = tuple([_typed(u, int, "a passthrough unit")
+                                 for u in spec.get("passthrough", ())])
             layers.append(AffineLayer(in_dim, len(biases), rows, biases,
-                                      spec["relu"], tuple(spec.get("passthrough", ()))))
-        return LayeredNet(obj["input_dim"], layers, obj.get("provenance", ""),
-                          obj.get("output_nonneg", False))
+                                      _typed(spec["relu"], bool, "relu"), passthrough))
+        return LayeredNet(input_dim, layers, _typed(obj.get("provenance", ""), str, "provenance"),
+                          _typed(obj.get("output_nonneg", False), bool, "output_nonneg"))
     except (TypeError, AttributeError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed network file: {type(exc).__name__}: {exc}") from exc
 

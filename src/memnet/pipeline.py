@@ -39,8 +39,9 @@ __all__ = [
     "CraftedCode",
     "PipelineConfig",
     "load_and_validate",
-    "dataset_from_csv",
-    "dataset_from_json",
+    "read_dataset",
+    "load_dataset",
+    "exact_labels",
     "project_to_line",
     "projected_values",
     "default_bucket_count",
@@ -98,13 +99,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return len(self.points[0])
-
-    def to_json(self) -> dict:
-        return {
-            "points": [[str(c) for c in p] for p in self.points],
-            "labels": list(self.labels),
-            "C": self.num_classes,
-        }
 
 
 # Every dataset number is a fraction whose numerator and denominator are at
@@ -253,29 +247,23 @@ def _exact_rows(points, labels, c):
     return [tuple(_to_fraction(v) for v in p) for p in points], labels, c
 
 
-def _labelled(rows, num_classes, regression):
-    points, labels, c = rows
+def _label_cells(labels):
     if labels is None:
         raise ValueError("the dataset has no label column")
-    if regression:
-        return points, [_to_fraction(y) for y in labels]
-    labels = [int(y) if isinstance(y, str) else y for y in labels]
-    return load_and_validate(points, labels, c if num_classes is None else num_classes)
+    return labels
 
 
-def dataset_from_csv(path, num_classes: int | None = None, regression: bool = False):
-    """A CSV dataset (see read_dataset) as a Dataset, or with regression=True
-    as the raw (points, exact labels) pair."""
-    return _labelled(_csv_rows(path), num_classes, regression)
+def exact_labels(labels) -> list[Fraction]:
+    """read_dataset's label cells as exact numbers (regression labels, or
+    the targets `verify` checks); ValueError without a label column."""
+    return [_to_fraction(y) for y in _label_cells(labels)]
 
 
-def dataset_from_json(obj, num_classes: int | None = None) -> Dataset:
-    return _labelled(_json_rows(obj), num_classes, False)
-
-
-def load_dataset(path, num_classes: int | None = None, regression: bool = False):
-    """dataset_from_csv, or its .json counterpart for a path ending in .json."""
-    return _labelled(read_dataset(path), num_classes, regression)
+def load_dataset(path) -> Dataset:
+    """The classification dataset of a .json or CSV file (see read_dataset)."""
+    points, labels, c = read_dataset(path)
+    labels = [int(y) if isinstance(y, str) else y for y in _label_cells(labels)]
+    return load_and_validate(points, labels, c)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +465,7 @@ def build_stage2(code: CraftedCode, carry: int = 0) -> LayeredNet:
     return t.build(f"bucket_selector[m={code.bucket_count}]", output_nonneg=True)
 
 
-def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0,
-                 merge_carry: bool = False) -> LayeredNet:
+def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
     """Block matcher: (x, w, u) -> label block of w whose u block equals floor(x).
 
     Walks the n_blocks rho-bit blocks of u and c-bit blocks of w with two
@@ -488,13 +475,11 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0,
     0 when x is farther than 3/2 from every block value.  Width 12; depth
     3*n_blocks*max(rho, c) + 2*n_blocks + 2.
 
-    With merge_carry=True the net maps (x, w, u, y) -> (x, y + result),
+    With one carry channel the net maps (x, w, u, y) -> (x, y + result),
     which is how the bit-budget chain threads its accumulator.
     """
     if n_blocks < 1 or rho < 1 or c < 1:
         raise ParameterError("block counts and widths must be positive")
-    if merge_carry and carry != 1:
-        raise ParameterError("merge_carry needs exactly one carry channel")
     carries = [f"k{t}" for t in range(carry)]
     nr = n_blocks * rho
     nc = n_blocks * c
@@ -549,7 +534,7 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0,
         t.layer([("g", -gate_scale.mul_pow2(1),
                   {"g1": gate_scale, "g2": gate_scale, "bw": 1})]
                 + t.passthrough_rows(hold), passthrough=["x"] + carries)
-    if merge_carry:
+    if carry:
         final = [("x", 0, {"x": 1}),
                  ("y", 0, {carries[0]: 1, "y": 1, "g": 1})]
     else:
@@ -567,7 +552,6 @@ class PipelineConfig:
     seed: int = 0
     bucket_count: int | None = None
     retry_budget: int | None = None
-    epsilon: Fraction | None = None
 
 
 @dataclass
@@ -709,9 +693,10 @@ def assemble_sqrt(ds: Dataset, config: PipelineConfig | None = None):
 
 
 def regression_dataset(points, labels, lo, epsilon, classes: int) -> Dataset:
-    """The points with exact real labels put on the grid of width epsilon
-    from lo: label y becomes class min(classes, floor((y - lo) / epsilon) + 1)."""
-    quantized = [min(classes - 1, int((y - lo) // epsilon)) + 1 for y in labels]
+    """The points with their real labels (exact_labels) put on the grid of
+    width epsilon from lo: label y becomes class
+    min(classes, floor((y - lo) / epsilon) + 1)."""
+    quantized = [min(classes - 1, int((y - lo) // epsilon)) + 1 for y in exact_labels(labels)]
     return load_and_validate(points, quantized, classes)
 
 
@@ -729,7 +714,7 @@ def regression_wrap(raw_points, raw_labels, epsilon,
     epsilon = _to_fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    labels = [_to_fraction(y) for y in raw_labels]
+    labels = exact_labels(raw_labels)
     lo = min(labels) if lo is None else _to_fraction(lo)
     hi = max(labels) if hi is None else _to_fraction(hi)
     if any(not lo <= y <= hi for y in labels):

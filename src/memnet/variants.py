@@ -119,8 +119,7 @@ def assemble_bounded_bits(ds: Dataset, B: int,
     for code in codes:
         block = compose_serial(
             build_stage2(code, carry=1),
-            build_stage3(code.bucket_size, code.rho, code.c,
-                         carry=1, merge_carry=True))
+            build_stage3(code.bucket_size, code.rho, code.c, carry=1))
         net = compose_serial(net, block)
     tail = TapeBuilder(["x", "y"])
     tail.layer([("out", 0, {"y": 1})], relu=False)

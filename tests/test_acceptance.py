@@ -98,11 +98,11 @@ def test_criterion_2_width_claim(corpus):
     # the audit must fail a build that exceeded the ceiling
     from memnet.bounds import audit
     from memnet.netir import load_net
-    from memnet.pipeline import BuildInfo, dataset_from_csv
+    from memnet.pipeline import BuildInfo, load_dataset
     sample = corpus[2]
     net, builder = load_net(sample["net_path"])
     info = BuildInfo.from_json(builder)
-    report = audit(net, dataset_from_csv(sample["data_path"]), "sqrt", info)
+    report = audit(net, load_dataset(sample["data_path"]), "sqrt", info)
     assert report.passes["width"]
     print(f"\nACCEPTANCE 2 width<=12+s (s=0): PASS (max realized width "
           f"{max(widths)})")

@@ -166,6 +166,27 @@ class TestSweepAndRegression:
         assert [r["N"] for r in rows] == ["8", "16"]
         assert all(r["memorized"] == "1" for r in rows)
 
+    def test_builders_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        """build and sweep call whatever the module attributes hold when they
+        run, so a rebinding (such as a tracer's) sees every build."""
+        from memnet import pipeline, variants
+        calls = []
+
+        def recording(name, real):
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+        for module, name in ((pipeline, "assemble_sqrt"), (variants, "assemble_bounded_depth")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        ds = random_dataset(16, 1, 2, seed=1)
+        data = tmp_path / "data.csv"
+        write_csv(data, ds.points, ds.labels)
+        for argv in (["build", "--in", str(data)],
+                     ["build", "--mode", "depth", "--L", "2", "--in", str(data)],
+                     ["sweep", "--N", "8"], ["sweep", "--mode", "depth", "--N", "8", "--L", "1,2"]):
+            assert run(argv) == 0
+        assert calls == ["assemble_sqrt", "assemble_bounded_depth", "assemble_sqrt",
+                         "assemble_bounded_depth", "assemble_bounded_depth"]
+
     def test_regression_build(self, tmp_path, capsys):
         pts = random_separated_points(12, 1, seed=4)
         labels = random_regression_labels(12, seed=4)
@@ -222,7 +243,8 @@ class TestSweepAndRegression:
     def test_json_dataset_input(self, tmp_path):
         ds = random_dataset(10, 2, 3, seed=6)
         data = tmp_path / "data.json"
-        data.write_text(json.dumps(ds.to_json()))
+        data.write_text(json.dumps({"points": [[str(c) for c in p] for p in ds.points],
+                                    "labels": list(ds.labels), "C": ds.num_classes}))
         net = tmp_path / "net.json"
         assert run(["build", "--mode", "sqrt", "--in", str(data),
                     "--out", str(net)]) == 0
@@ -255,7 +277,19 @@ class TestHostileInput:
                 json.loads(line)
             yield rc
 
-    @pytest.mark.parametrize("craft", [
+    @pytest.fixture(scope="class")
+    def depth_saved(self, tmp_path_factory):
+        """A 1-D depth build: its stacked layers are written in the sparse form."""
+        root = tmp_path_factory.mktemp("hostile-depth")
+        data = root / "data.csv"
+        ds = random_dataset(40, 1, 4, seed=4)
+        write_csv(data, ds.points, ds.labels)
+        net = root / "net.json"
+        assert run(["build", "--mode", "depth", "--L", "2", "--in", str(data),
+                    "--out", str(net)]) == 0
+        return root, str(data), json.loads(net.read_text())
+
+    @pytest.mark.parametrize("net, craft", [("saved", craft) for craft in (
         lambda obj: obj["layers"].clear() or obj,
         lambda obj: obj.update(layers=None) or obj,
         lambda obj: obj["layers"][0].update(w=5) or obj,
@@ -278,14 +312,31 @@ class TestHostileInput:
         lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "m": f" 0x{c['m']} "}),
         lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "e": str(c["e"])}),
         lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "e": float(c["e"])}),
-    ], ids=["no-layers", "layers-null", "w-int", "top-level-list", "float-input-dim",
-            "infinite-exponent",
-            "passthrough-past-out-dim", "exponent-past-cap", "negative-exponent-past-cap",
-            "mantissa-past-cap", "unhashable-sign", "unhashable-mantissa",
-            "dense-zero-hex-zz", "dense-zero-false-sign", "sign-one-and-a-half",
-            "mantissa-0x-padded", "exponent-string", "exponent-float"])
-    def test_crafted_net_exit_2(self, saved, craft):
-        root, data, obj = saved
+        lambda obj: obj["layers"][0].update(relu=1) or obj,
+        lambda obj: obj["layers"][0].update(relu="no") or obj,
+        lambda obj: _edit_passthrough(obj, lambda u: True),
+        lambda obj: obj.update(output_nonneg="yes") or obj,
+        lambda obj: obj.update(provenance=5) or obj,
+        lambda obj: obj.update(format_version=True) or obj,
+    )] + [("depth_saved", craft) for craft in (
+        lambda obj: obj.update(input_dim=True) or obj,
+        lambda obj: _edit_sparse_column(obj, lambda col: col + 0.25),
+        lambda obj: _edit_sparse_column(obj, str),
+        lambda obj: _edit_sparse_column(obj, lambda col: True),
+        lambda obj: _edit_sparse_in_dim(obj, str),
+        lambda obj: _edit_sparse_in_dim(obj, lambda n: n + 0.5),
+    )], ids=["no-layers", "layers-null", "w-int", "top-level-list", "float-input-dim",
+             "infinite-exponent",
+             "passthrough-past-out-dim", "exponent-past-cap", "negative-exponent-past-cap",
+             "mantissa-past-cap", "unhashable-sign", "unhashable-mantissa",
+             "dense-zero-hex-zz", "dense-zero-false-sign", "sign-one-and-a-half",
+             "mantissa-0x-padded", "exponent-string", "exponent-float",
+             "relu-int", "relu-string", "passthrough-bool",
+             "output-nonneg-string", "provenance-int", "bool-format-version", "bool-input-dim",
+             "sparse-column-float", "sparse-column-string", "sparse-column-bool",
+             "sparse-in-dim-string", "sparse-in-dim-float"])
+    def test_crafted_net_exit_2(self, request, net, craft):
+        root, data, obj = request.getfixturevalue(net)
         assert list(self._commands(root, data, craft(copy.deepcopy(obj)))) == [2, 2]
 
     def test_deeply_nested_file_exit_2(self, saved, tmp_path):
@@ -505,6 +556,17 @@ class TestHostileInput:
         net = tmp_path / "net.json"
         assert self._one_error_line(["build", "--in", str(data), "--out", str(net)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--d", "0", "--N", "8"], ["sweep", "--C", "0", "--N", "8"],
+        ["sweep", "--N", "0"], ["sweep", "--mode", "depth", "--L", "100", "--N", "8"],
+        ["sweep", "--N", "8", "--out", "{missing}"],
+        ["oracle", "bits", "--n-max", "0"], ["oracle", "bits", "--n-max", "-3"],
+    ], ids=["sweep-d-0", "sweep-C-0", "sweep-N-0", "sweep-L-past-sqrt-N",
+            "sweep-out-in-missing-directory", "oracle-n-max-0", "oracle-n-max-negative"])
+    def test_sweep_and_oracle_refusals_exit_2(self, tmp_path, argv):
+        missing = str(tmp_path / "missing" / "sweep.csv")
+        assert self._one_error_line([a.format(missing=missing) for a in argv]) == 2
+
     def test_unwritable_output_exit_2(self, dataset_csv, tmp_path):
         out = tmp_path / "missing" / "net.json"
         assert self._one_error_line(["build", "--in", dataset_csv, "--out", str(out)]) == 2
@@ -646,6 +708,28 @@ def _edit_dense_cell(obj, zero: bool, edit):
     row, k = next((row, k) for spec in obj["layers"] if isinstance(spec["w"], list)
                   for row in spec["w"] for k, c in enumerate(row) if (c["s"] == 0) == zero)
     row[k] = edit(row[k])
+    return obj
+
+
+def _edit_passthrough(obj, edit):
+    """obj with the first passthrough unit u of its layers replaced by edit(u)."""
+    units = next(spec["passthrough"] for spec in obj["layers"] if spec["passthrough"])
+    units[0] = edit(units[0])
+    return obj
+
+
+def _edit_sparse_in_dim(obj, edit):
+    """obj with the in_dim n of its first sparse layer replaced by edit(n)."""
+    w = next(spec["w"] for spec in obj["layers"] if isinstance(spec["w"], dict))
+    w["in_dim"] = edit(w["in_dim"])
+    return obj
+
+
+def _edit_sparse_column(obj, edit):
+    """obj with the first sparse term on column 1 given column edit(1)."""
+    term = next(term for spec in obj["layers"] if isinstance(spec["w"], dict)
+                for row in spec["w"]["sparse"] for term in row if term[0] == 1)
+    term[0] = edit(term[0])
     return obj
 
 

@@ -11,8 +11,7 @@ from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
                           ContractViolation, DimensionError, LayeredNet,
                           TapeBuilder, compose_serial, deserialize_net,
                           effective_bits, eval_exact, eval_float, load_net,
-                          metrics, net_to_json_bytes, save_net, serialize_net,
-                          stack_parallel)
+                          metrics, net_to_json_bytes, save_net, stack_parallel)
 
 
 def passthrough_net():
@@ -201,8 +200,7 @@ class TestMetricsAndSerialization:
 
     def test_round_trip_bit_exact(self):
         net = compose_serial(build_triangle(), build_indicator(3, 9))
-        blob = json.dumps(serialize_net(net))
-        again = deserialize_net(json.loads(blob))
+        again = deserialize_net(json.loads(net_to_json_bytes(net)))
         rng = random.Random(2)
         for _ in range(25):
             x = DyadicRational(rng.randint(-64, 64), rng.randint(-5, 2))
@@ -212,7 +210,7 @@ class TestMetricsAndSerialization:
     def test_sparse_encoding_used_for_wide_nets(self):
         wide = stack_parallel([build_indicator(2 * k + 2, 2 * k + 4)
                                for k in range(9)])
-        obj = serialize_net(wide)
+        obj = json.loads(net_to_json_bytes(wide))
         assert any(isinstance(layer["w"], dict) for layer in obj["layers"])
         again = deserialize_net(obj)
         assert eval_exact(again, [5]) == eval_exact(wide, [5])
