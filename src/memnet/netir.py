@@ -10,6 +10,7 @@ layers including the final one; width is the largest hidden-layer size.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,23 +76,24 @@ class AffineLayer:
     def __init__(self, in_dim, out_dim, rows, biases, relu, passthrough=()):
         rows = tuple([tuple([(int(i), d) for i, w in row if (d := _as_dyadic(w)).sign])
                       for row in rows])
-        biases = tuple(map(_as_dyadic, biases))
-        passthrough = tuple(passthrough)
-        if len(rows) != out_dim or len(biases) != out_dim:
-            raise DimensionError("row/bias count does not match out_dim")
         for row in rows:
             for i, _ in row:
                 if not 0 <= i < in_dim:
                     raise DimensionError(f"column {i} out of range for in_dim {in_dim}")
+        self._fill(in_dim, out_dim, rows, tuple(map(_as_dyadic, biases)), bool(relu),
+                   tuple(passthrough))
+
+    def _fill(self, in_dim, out_dim, rows, biases, relu, passthrough) -> AffineLayer:
+        """Set the fields from checked rows (tuples of (column in range, nonzero
+        dyadic)); deserialize_net calls it on a bare AffineLayer.__new__."""
+        if len(rows) != out_dim or len(biases) != out_dim:
+            raise DimensionError("row/bias count does not match out_dim")
         for u in passthrough:
             if not 0 <= u < out_dim:
                 raise DimensionError(f"passthrough unit {u} out of range for out_dim {out_dim}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.rows = rows
-        self.biases = biases
-        self.relu = bool(relu)
-        self.passthrough = passthrough
+        self.in_dim, self.out_dim, self.rows = in_dim, out_dim, rows
+        self.biases, self.relu, self.passthrough = biases, relu, passthrough
+        return self
 
     def nonzero_params(self) -> int:
         return sum(len(r) for r in self.rows) + sum(1 for b in self.biases if b.sign)
@@ -217,7 +219,7 @@ def _plan(net: LayeredNet) -> tuple:
         regs = []
         for k, (row, bias) in enumerate(zip(layer.rows, layer.biases)):
             if (len(row) == 1 and not bias.sign and (nonneg or not layer.relu)
-                    and row[0][1].exponent == 0 and row[0][1].numerator == 1):
+                    and (w := row[0][1]).exponent == 0 and w.mantissa == 1 and w.sign == 1):
                 regs.append(chan[row[0][0]])
                 continue
             ops.append((bias, [chan[i] for i, _ in row], tuple([w for _, w in row]),
@@ -225,15 +227,19 @@ def _plan(net: LayeredNet) -> tuple:
             regs.append(net.input_dim + len(ops) - 1)
         chan = regs
         nonneg = layer.relu
-    # virtual register -> index of its last reader; outputs live to the end
-    last = {r: t for t, op in enumerate(ops) for r in op[1]}
-    last.update((r, len(ops)) for r in chan)
+    # index of each virtual register's last reader (-1: none); outputs live to the end
+    last = [-1] * (net.input_dim + len(ops))
+    for t, op in enumerate(ops):
+        for r in op[1]:
+            last[r] = t
+    for r in chan:
+        last[r] = len(ops)
     slot, free, size = list(range(net.input_dim)), [], net.input_dim
     for t, (bias, srcs, weights, relu, unit) in enumerate(ops):
         free.extend({slot[r] for r in srcs if last[r] == t})
         slot.append(free.pop() if free else size)
         size = max(size, slot[-1] + 1)
-        if net.input_dim + t not in last:  # never read: reuse at once
+        if last[net.input_dim + t] < 0:  # never read: reuse at once
             free.append(slot[-1])
         ops[t] = (bias, tuple([slot[r] for r in srcs]), weights, relu, unit, slot[-1])
     object.__setattr__(net, "_plan", (tuple(ops), size, tuple([slot[r] for r in chan])))
@@ -256,8 +262,9 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
     for bias, slots, weights, relu, unit, dest in plan:
         ts = [w.exponent + exps[s] for s, w in zip(slots, weights)]
         e = min([*ts, bias.exponent] if bias.sign else ts, default=0)
-        ops.append((bias.numerator << (bias.exponent - e) if bias.sign else 0,
-                    tuple([(s, w.numerator << (t - e)) for s, w, t in zip(slots, weights, ts)]),
+        ops.append((bias.sign * bias.mantissa << (bias.exponent - e) if bias.sign else 0,
+                    tuple([(s, w.sign * w.mantissa << (t - e))
+                           for s, w, t in zip(slots, weights, ts)]),
                     relu, unit, dest))
         exps[dest] = e
     prog = (e0, tuple(ops), size, tuple([(s, exps[s]) for s in outputs]))
@@ -371,14 +378,8 @@ def _relu_seam_layers(a: LayeredNet) -> list[AffineLayer]:
         return list(a.layers[:-1]) + [seam]
     # No nonnegativity certificate: split every output into sigma(v)-sigma(-v)
     # so the inserted ReLU is exact for all signs.  Width doubles at the seam.
-    rows = []
-    biases = []
-    for k in range(last.out_dim):
-        rows.append(last.rows[k])
-        biases.append(last.biases[k])
-    for k in range(last.out_dim):
-        rows.append(tuple((i, -w) for i, w in last.rows[k]))
-        biases.append(-last.biases[k])
+    rows = list(last.rows) + [tuple((i, -w) for i, w in row) for row in last.rows]
+    biases = list(last.biases) + [-b for b in last.biases]
     seam = AffineLayer(last.in_dim, 2 * last.out_dim, rows, biases, relu=True)
     return list(a.layers[:-1]) + [seam]
 
@@ -561,6 +562,10 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _bad_column(i, in_dim: int):
+    raise ValueError(f"sparse column {i!r:.40} is not a JSON integer in [0, {in_dim})")
+
+
 def deserialize_net(obj: dict) -> LayeredNet:
     """The net of a parsed network file; ValueError on any malformed content.
 
@@ -568,7 +573,9 @@ def deserialize_net(obj: dict) -> LayeredNet:
     once; a cell whose fields cannot form that key is decoded on its own.
     The key holds the types of s and e, since True == 1 == 1.0 hash alike
     and only the int is a valid field.  Every other field must have exactly
-    the type docs/FORMATS.md gives it.
+    the type docs/FORMATS.md gives it; a dense row has in_dim cells, and a
+    sparse row names each column once.  Each row is checked as its cells are
+    decoded, so the layers skip AffineLayer's checking constructor.
     """
     memo = {}
 
@@ -590,21 +597,30 @@ def deserialize_net(obj: dict) -> LayeredNet:
         input_dim = _typed(obj["input_dim"], int, "input_dim")
         layers = []
         for spec in obj["layers"]:
-            biases = [capped(b) for b in spec["b"]]
+            biases = tuple([capped(b) for b in spec["b"]])
             w = spec["w"]
+            rows = []
             if isinstance(w, dict):
                 in_dim = _typed(w["in_dim"], int, "in_dim")
-                rows = [tuple([(_typed(i, int, "a sparse column"), capped(wt)) for i, wt in row])
-                        for row in w["sparse"]]
+                for row in w["sparse"]:
+                    rows.append(tuple([(i, d) for i, wt in row if (
+                        type(i) is int and 0 <= i < in_dim or _bad_column(i, in_dim))
+                        and (d := capped(wt)).sign]))
+                    if len({i for i, _ in row}) != len(row):
+                        raise ValueError("a sparse row names a column twice")
             else:
                 in_dim = len(w[0]) if w else 0
-                rows = [tuple([(i, capped(wt)) for i, wt in enumerate(row) if not (
-                    wt["m"] == "0" and wt["s"] is _INT_ZERO and wt["e"] is _INT_ZERO)])
-                    for row in w]
+                for row in w:
+                    if len(row) != in_dim:
+                        raise ValueError(f"a dense row has {len(row)} cells, not {in_dim}")
+                    rows.append(tuple([(i, d) for i, wt in enumerate(row) if not (
+                        wt["m"] == "0" and wt["s"] is _INT_ZERO and wt["e"] is _INT_ZERO)
+                        and (d := capped(wt)).sign]))
             passthrough = tuple([_typed(u, int, "a passthrough unit")
                                  for u in spec.get("passthrough", ())])
-            layers.append(AffineLayer(in_dim, len(biases), rows, biases,
-                                      _typed(spec["relu"], bool, "relu"), passthrough))
+            layers.append(AffineLayer.__new__(AffineLayer)._fill(
+                in_dim, len(biases), tuple(rows), biases, _typed(spec["relu"], bool, "relu"),
+                passthrough))
         return LayeredNet(input_dim, layers, _typed(obj.get("provenance", ""), str, "provenance"),
                           _typed(obj.get("output_nonneg", False), bool, "output_nonneg"))
     except (TypeError, AttributeError, KeyError, OverflowError) as exc:
@@ -621,11 +637,20 @@ def save_net(net: LayeredNet, path, builder: dict | None = None) -> None:
 def load_net(path) -> tuple[LayeredNet, dict | None]:
     with open(path, "rb") as fh:
         text = fh.read()
+    # The parse tree holds no reference cycles, so a collection while it is
+    # alive only rescans its cells: pause the collector until it is dropped.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         obj = json.loads(text)
+        net, builder = deserialize_net(obj), obj.get("builder")
+        del obj
+        return net, builder
     except RecursionError:
         raise ValueError("network file nests too deeply to parse") from None
-    return deserialize_net(obj), obj.get("builder")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,9 @@ class TestHostileInput:
         lambda obj: obj.update(output_nonneg="yes") or obj,
         lambda obj: obj.update(provenance=5) or obj,
         lambda obj: obj.update(format_version=True) or obj,
+        lambda obj: _edit_dense_row(obj, list.pop),
+        lambda obj: _edit_dense_row(obj, lambda row: row.append({"s": 0, "m": "0", "e": 0})),
+        lambda obj: _edit_dense_row(obj, list.clear),
     )] + [("depth_saved", craft) for craft in (
         lambda obj: obj.update(input_dim=True) or obj,
         lambda obj: _edit_sparse_column(obj, lambda col: col + 0.25),
@@ -325,6 +328,7 @@ class TestHostileInput:
         lambda obj: _edit_sparse_column(obj, lambda col: True),
         lambda obj: _edit_sparse_in_dim(obj, str),
         lambda obj: _edit_sparse_in_dim(obj, lambda n: n + 0.5),
+        lambda obj: _split_sparse_term(obj),
     )], ids=["no-layers", "layers-null", "w-int", "top-level-list", "float-input-dim",
              "infinite-exponent",
              "passthrough-past-out-dim", "exponent-past-cap", "negative-exponent-past-cap",
@@ -332,9 +336,10 @@ class TestHostileInput:
              "dense-zero-hex-zz", "dense-zero-false-sign", "sign-one-and-a-half",
              "mantissa-0x-padded", "exponent-string", "exponent-float",
              "relu-int", "relu-string", "passthrough-bool",
-             "output-nonneg-string", "provenance-int", "bool-format-version", "bool-input-dim",
+             "output-nonneg-string", "provenance-int", "bool-format-version",
+             "dense-row-short", "dense-row-long", "dense-row-empty", "bool-input-dim",
              "sparse-column-float", "sparse-column-string", "sparse-column-bool",
-             "sparse-in-dim-string", "sparse-in-dim-float"])
+             "sparse-in-dim-string", "sparse-in-dim-float", "sparse-column-twice"])
     def test_crafted_net_exit_2(self, request, net, craft):
         root, data, obj = request.getfixturevalue(net)
         assert list(self._commands(root, data, craft(copy.deepcopy(obj)))) == [2, 2]
@@ -708,6 +713,22 @@ def _edit_dense_cell(obj, zero: bool, edit):
     row, k = next((row, k) for spec in obj["layers"] if isinstance(spec["w"], list)
                   for row in spec["w"] for k, c in enumerate(row) if (c["s"] == 0) == zero)
     row[k] = edit(row[k])
+    return obj
+
+
+def _edit_dense_row(obj, edit):
+    """obj after edit(row) on a dense row, not its layer's first, whose last cell is zero."""
+    edit(next(row for spec in obj["layers"] if isinstance(spec["w"], list)
+              for row in spec["w"][1:] if row[-1]["s"] == 0))
+    return obj
+
+
+def _split_sparse_term(obj):
+    """obj with its first sparse term [c, w] written as the two terms [c, w/2]."""
+    row = next(row for spec in obj["layers"] if isinstance(spec["w"], dict)
+               for row in spec["w"]["sparse"] if row)
+    column, cell = row[0]
+    row[0:1] = [[column, {**cell, "e": cell["e"] - 1}] for _ in range(2)]
     return obj
 
 

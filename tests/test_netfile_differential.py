@@ -4,10 +4,12 @@
 reader that netir replaced.  The writer must give the same bytes on every
 net, and the memoized reader the same net or the same ValueError on every
 file, including files where one copy of a value repeated across many cells
-is broken.  The one intended difference is a loose cell (see `_loose`),
-which the reference reader may take and netir refuses.
+is broken.  The intended differences are a loose cell (see `_loose`) and
+a malformed matrix shape (see `SHAPES`), which the reference reader may
+take and netir refuses.
 """
 
+import copy
 import json
 import re
 
@@ -18,6 +20,7 @@ from memnet.exactnum import DyadicRational
 from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
                           LayeredNet, deserialize_net, net_to_json_bytes)
 from netfile_reference import reference_bytes, reference_deserialize
+from test_cli import _edit_dense_row, _split_sparse_term
 from test_eval_differential import CORPUS, _nets
 
 
@@ -286,3 +289,45 @@ _field = st.one_of(st.integers(-3, 3), st.booleans(), st.none(),
        st.integers(0, 10 ** 6), st.sampled_from(["depth", CORPUS[0][0]]))
 def test_arbitrary_cell_fields(cell, where, name):
     verdict_with(SAVED[name], CELLS[name][where % len(CELLS[name])], cell)
+
+
+def _zero_term_past_in_dim(obj):
+    """obj with a zero-weight term on column in_dim added to a sparse row."""
+    w = next(spec["w"] for spec in obj["layers"] if isinstance(spec["w"], dict))
+    next(row for row in w["sparse"] if row).append([w["in_dim"], {"s": 0, "m": "0", "e": 0}])
+
+
+# Files that break the matrix shape of docs/FORMATS.md: a dense row must
+# have in_dim cells, and a sparse row names each column in [0, in_dim) once,
+# even for a zero weight, which the reader then drops.  The reference
+# reader took each of them; netir refuses them.
+SHAPES = {
+    "dense-row-short": ("regression", lambda obj: _edit_dense_row(obj, list.pop)),
+    "dense-row-long": ("regression", lambda obj: _edit_dense_row(
+        obj, lambda row: row.append({"s": 0, "m": "0", "e": 0}))),
+    "dense-row-empty": ("regression", lambda obj: _edit_dense_row(obj, list.clear)),
+    "sparse-column-twice": ("depth", _split_sparse_term),
+    "sparse-zero-term-past-in-dim": ("depth", _zero_term_past_in_dim),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_malformed_shapes_are_refused(shape):
+    name, edit = SHAPES[shape]
+    obj = copy.deepcopy(SAVED[name])
+    edit(obj)
+    assert _read(reference_deserialize, obj)[0] == "net"
+    assert _read(deserialize_net, obj)[0] == "error"
+
+
+@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
+def test_loaded_layers_equal_the_checking_constructor(name, net, ds):
+    """deserialize_net checks its rows itself and skips AffineLayer.__init__;
+    the checking constructor, given the same tuples, must change nothing."""
+    loaded = deserialize_net(json.loads(net_to_json_bytes(net)))
+    for layer in loaded.layers:
+        again = AffineLayer(layer.in_dim, layer.out_dim, layer.rows, layer.biases,
+                            layer.relu, layer.passthrough)
+        assert ((layer.rows, layer.biases, layer.relu, layer.passthrough)
+                == (again.rows, again.biases, again.relu, again.passthrough))
+        assert type(layer.relu) is bool

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -239,3 +240,24 @@ class TestMetricsAndSerialization:
         with pytest.raises(ValueError, match="load caps"):
             save_net(one_weight(past_cap), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("content", [None, '{"format_version": 99}', "[" * 100_000],
+                             ids=["good", "refused", "too-deep"])
+    def test_load_net_leaves_the_collector_as_it_found_it(self, tmp_path, enabled, content):
+        path = tmp_path / "net.json"
+        if content is None:
+            save_net(passthrough_net(), path)
+        else:
+            path.write_text(content)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if content is None:
+                load_net(path)
+            else:
+                with pytest.raises(ValueError):
+                    load_net(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
