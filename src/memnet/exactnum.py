@@ -152,12 +152,6 @@ class DyadicRational:
             raise ValueError(f"{self!r} is not an integer")
         return self.sign * (self.mantissa << self.exponent)
 
-    def floor(self) -> int:
-        if self.exponent >= 0:
-            return self.sign * (self.mantissa << self.exponent)
-        n = self.sign * self.mantissa
-        return n >> -self.exponent
-
     def to_float(self) -> float:
         import math
 
@@ -200,9 +194,6 @@ class DyadicRational:
                 return self.as_fraction() - other
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return DyadicRational(-self.sign * self.mantissa, self.exponent)
@@ -269,9 +260,6 @@ class DyadicRational:
 
     def __ge__(self, other):
         return self._cmp(other) >= 0
-
-    def __hash__(self):
-        return hash(self.as_fraction())
 
     def __bool__(self):
         return self.sign != 0

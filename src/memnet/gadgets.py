@@ -5,6 +5,9 @@ row emitters (`window_rows`, `triangle_step_rows`, `tap_weight`), the one
 copy of its rows.  The standalone nets here wrap the emitters and are
 compared exhaustively with the formulas on small instances; the pipeline's
 bucket selector and block matcher emit the same rows inside their layers.
+The bit extractor's oracle is brute-force bit slicing (bin_range); the
+scalar iterated-triangle formula behind its tracks is kept in tests/ as the
+reference of the track table.
 
 Depth convention: depth counts affine layers including the final affine
 readout.  The indicator and distance gate therefore realize depth 3 (two
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ZERO, DyadicRational, bit_len, bin_range
+from .exactnum import ZERO, DyadicRational, bin_range
 from .netir import LayeredNet, TapeBuilder
 
 __all__ = [
@@ -32,8 +35,6 @@ __all__ = [
     "build_indicator",
     "distance_value",
     "build_distance_gate",
-    "extractor_track_inputs",
-    "bin_bit_formula",
     "build_bit_extractor",
     "oracle_triangle",
     "oracle_indicator",
@@ -147,7 +148,7 @@ def triangle_step_rows(p: str, q: str, t: str, prefix: str):
 
     Layer one writes sigma(2v) and sigma(4v - 2) of each track to channels
     prefix1..prefix4; layer two folds them into phi(p), phi(q) and the tap
-    t = phi(q) - phi(p), the current bit over 2^(n + 2 - i) (bin_bit_formula).
+    t = phi(q) - phi(p), the current bit over 2^(n + 2 - i) (_tap_bit).
     """
     h1, h2, h3, h4 = (f"{prefix}{k}" for k in range(1, 5))
     first = [(h1, 0, {p: 2}), (h2, -2, {p: 4}), (h3, 0, {q: 2}), (h4, -2, {q: 4})]
@@ -162,18 +163,10 @@ def tap_weight(n: int, k: int, left: int) -> DyadicRational:
     return DyadicRational(1, left + n + 2 - k)
 
 
-def extractor_track_inputs(x: int, n: int, i: int) -> tuple[DyadicRational, DyadicRational]:
-    """The two triangle-track values expected by a bit extractor at stage i.
-
-    Returns (phi^(i-1)(x/2^n + 1/2^(n+1)), phi^(i-1)(x/2^n + 1/2^(n+2))).
-    """
-    base_p = DyadicRational((x << 2) + 2, -(n + 2))
-    base_q = DyadicRational((x << 2) + 1, -(n + 2))
-    return triangle_iterate(base_p, i - 1), triangle_iterate(base_q, i - 1)
-
-
 def _track_table(x: int, n: int) -> list:
-    """extractor_track_inputs(x, n, k + 1) for k = 0..n, one triangle step apart.
+    """The track pairs (phi^(k)(x/2^n + 1/2^(n+1)), phi^(k)(x/2^n + 1/2^(n+2)))
+    for k = 0..n, one triangle step apart: entry i - 1 is the input of a bit
+    extractor starting at bit i.
 
     The tracks stay on the grid of 2^-(n+2), so the steps run on integers
     a in those units: triangle_value is sigma(sigma(2a) - sigma(4a - 2u))
@@ -192,20 +185,12 @@ def _track_table(x: int, n: int) -> list:
     return table
 
 
-def bin_bit_formula(x: int, n: int, i: int) -> int:
-    """Bit i of x (width-n, MSB-first) via the iterated-triangle identity.
-
-    bit_i = 2^(n+2-i) * sigma(phi^(i)(x/2^n + 1/2^(n+2)) - phi^(i)(x/2^n + 1/2^(n+1)))
-    """
-    if not 1 <= i <= n:
-        raise IndexError(f"bit index {i} out of range for width {n}")
-    if bit_len(x) > n:
-        raise OverflowError(f"{x} does not fit in {n} bits")
-    return _tap_bit(*extractor_track_inputs(x, n, i + 1), n, i)  # phi^(i) of both offsets
-
-
 def _tap_bit(p: DyadicRational, q: DyadicRational, n: int, i: int) -> int:
-    """Bit i from the stage-(i+1) track pair: 2^(n+2-i) * sigma(q - p)."""
+    """Bit i from the stage-(i+1) track pair: 2^(n+2-i) * sigma(q - p).
+
+    This is the iterated-triangle identity
+    bit_i = 2^(n+2-i) * sigma(phi^(i)(x/2^n + 1/2^(n+2)) - phi^(i)(x/2^n + 1/2^(n+1))).
+    """
     return _relu(q - p).mul_pow2(n + 2 - i).as_int()
 
 
@@ -314,28 +299,26 @@ def oracle_distance(y_values=(0, 3, 10), step=Fraction(1, 4)) -> dict:
             "pass": not witnesses}
 
 
-def oracle_bits(n_max: int = 10, builder=None, formula=None) -> dict:
+def oracle_bits(n_max: int = 10) -> dict:
     """Exhaustive check of extractor nets against brute-force bit slicing.
 
     For all n <= n_max, all x < 2^n, all 1 <= i <= j <= n, the network's
     third output must equal bin_range(x, i, j, n) exactly.  The single-bit
-    formula is swept on the same domain; by default it reads its track pairs
-    from the per-(n, x) table the net sweep uses, through the same tap
-    arithmetic as bin_bit_formula.
+    tap formula is swept on the same domain, on the track pairs of the
+    per-(n, x) table the net sweep uses.
     """
     from .netir import eval_exact
 
     if not 1 <= n_max <= 14:
         raise ParameterError(f"n_max must be in 1..14 (above 14 would take too long), "
                              f"got {n_max}")
-    build = builder or build_bit_extractor
     checks = 0
     witnesses = []
     for n in range(1, n_max + 1):
         tracks = [_track_table(x, n) for x in range(1 << n)]
         for i in range(1, n + 1):
             for x in range(1 << n):
-                got = formula(x, n, i) if formula else _tap_bit(*tracks[x][i], n, i)
+                got = _tap_bit(*tracks[x][i], n, i)
                 want = bin_range(x, i, i, n)
                 checks += 1
                 if got != want:
@@ -343,7 +326,7 @@ def oracle_bits(n_max: int = 10, builder=None, formula=None) -> dict:
                                       "i": i, "x": x, "got": got, "want": want})
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                net = build(n, i, j)
+                net = build_bit_extractor(n, i, j)
                 for x in range(1 << n):
                     out = eval_exact(net, tracks[x][i - 1])
                     want_tracks = tracks[x][j]

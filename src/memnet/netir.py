@@ -46,7 +46,9 @@ class DimensionError(ValueError):
 
 
 class ContractViolation(RuntimeError):
-    """A pass-through channel saw a negative value in debug evaluation."""
+    """A nonnegativity contract is broken: a pass-through channel went
+    negative in debug evaluation, or a net without a nonnegative-output
+    certificate was composed or padded."""
 
 
 # One shared immutable value per small integer weight or bias: identity rows
@@ -67,8 +69,9 @@ class AffineLayer:
     """One affine map with optional ReLU.
 
     rows[k] is a tuple of (input_index, weight) pairs for output unit k;
-    zero weights are never stored.  `passthrough` marks units that are
-    plain sigma(identity) channels, checked in debug evaluation.
+    zero weights are never stored, and a row names a column at most once.
+    `passthrough` marks units that are plain sigma(identity) channels,
+    checked in debug evaluation.
     """
 
     __slots__ = ("in_dim", "out_dim", "rows", "biases", "relu", "passthrough")
@@ -80,12 +83,15 @@ class AffineLayer:
             for i, _ in row:
                 if not 0 <= i < in_dim:
                     raise DimensionError(f"column {i} out of range for in_dim {in_dim}")
+            if len(row) > 1 and len({i for i, _ in row}) != len(row):
+                raise DimensionError("a row names a column twice")
         self._fill(in_dim, out_dim, rows, tuple(map(_as_dyadic, biases)), bool(relu),
                    tuple(passthrough))
 
     def _fill(self, in_dim, out_dim, rows, biases, relu, passthrough) -> AffineLayer:
         """Set the fields from checked rows (tuples of (column in range, nonzero
-        dyadic)); deserialize_net calls it on a bare AffineLayer.__new__."""
+        dyadic), each column once); deserialize_net calls it on a bare
+        AffineLayer.__new__."""
         if len(rows) != out_dim or len(biases) != out_dim:
             raise DimensionError("row/bias count does not match out_dim")
         for u in passthrough:
@@ -103,9 +109,9 @@ class LayeredNet:
     """Immutable layer stack.  The final layer never applies ReLU.
 
     `output_nonneg` is a builder-supplied certificate that the outputs are
-    nonnegative on the declared input domain; composition uses it to turn
-    the final affine layer into a genuine ReLU layer without changing the
-    computed function on that domain.
+    nonnegative on the declared input domain.  Composition and padding
+    require it: they turn the final affine layer into a genuine ReLU layer,
+    which leaves the computed function unchanged on that domain.
     """
 
     __slots__ = ("input_dim", "layers", "provenance", "output_nonneg",
@@ -135,10 +141,6 @@ class LayeredNet:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
 
 @dataclass(frozen=True)
@@ -370,46 +372,34 @@ def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
 
 
 def _relu_seam_layers(a: LayeredNet) -> list[AffineLayer]:
-    """a's layers with the final affine turned into a hidden layer."""
+    """a's layers with the final affine turned into a hidden ReLU layer.
+
+    The inserted ReLU is the identity only on nonnegative values, so a must
+    certify nonnegative outputs; ContractViolation otherwise.
+    """
+    if not a.output_nonneg:
+        raise ContractViolation(
+            f"{a.provenance or 'net'} has no nonnegative-output certificate, "
+            "so a ReLU cannot follow its final affine layer")
     last = a.layers[-1]
-    if a.output_nonneg:
-        seam = AffineLayer(last.in_dim, last.out_dim, last.rows, last.biases,
-                           relu=True, passthrough=last.passthrough)
-        return list(a.layers[:-1]) + [seam]
-    # No nonnegativity certificate: split every output into sigma(v)-sigma(-v)
-    # so the inserted ReLU is exact for all signs.  Width doubles at the seam.
-    rows = list(last.rows) + [tuple((i, -w) for i, w in row) for row in last.rows]
-    biases = list(last.biases) + [-b for b in last.biases]
-    seam = AffineLayer(last.in_dim, 2 * last.out_dim, rows, biases, relu=True)
+    seam = AffineLayer(last.in_dim, last.out_dim, last.rows, last.biases,
+                       relu=True, passthrough=last.passthrough)
     return list(a.layers[:-1]) + [seam]
 
 
 def compose_serial(a: LayeredNet, b: LayeredNet, provenance: str = "") -> LayeredNet:
     """Network computing b(a(x)); depth adds exactly.
 
-    a's final affine layer becomes a hidden ReLU layer.  When a certifies
-    nonnegative outputs this is the identity on the declared domain;
-    otherwise the seam is sign-split so the result is exact everywhere.
+    a's final affine layer becomes a hidden ReLU layer, which is the
+    identity because a certifies nonnegative outputs (ContractViolation
+    when it does not).
     """
     if b.input_dim != a.output_dim:
         raise DimensionError(
             f"cannot compose: {a.output_dim} outputs into {b.input_dim} inputs")
-    head = _relu_seam_layers(a)
-    seam_dim = head[-1].out_dim
-    tail = list(b.layers)
-    if seam_dim != b.input_dim:
-        # sign-split seam: rewire b's first layer to consume (v+, v-)
-        first = tail[0]
-        half = b.input_dim
-        rows = tuple(
-            tuple((i, w) for i, w in row) + tuple((i + half, -w) for i, w in row)
-            for row in first.rows
-        )
-        tail[0] = AffineLayer(seam_dim, first.out_dim, rows, first.biases,
-                              first.relu, first.passthrough)
     return LayeredNet(
         a.input_dim,
-        head + tail,
+        _relu_seam_layers(a) + list(b.layers),
         provenance or f"({a.provenance}>>{b.provenance})",
         output_nonneg=b.output_nonneg,
     )
@@ -429,9 +419,6 @@ def _padded_layers(net: LayeredNet, depth: int) -> list[AffineLayer]:
     extra = depth - len(net.layers)
     if extra == 0:
         return list(net.layers)
-    if not net.output_nonneg:
-        raise ContractViolation(
-            "cannot pad a net without a nonnegative-output certificate")
     layers = _relu_seam_layers(net)
     dim = layers[-1].out_dim
     for k in range(extra):

@@ -394,17 +394,17 @@ def craft_codes(z_sorted, labels_sorted, m: int, num_classes: int,
                 sentinel_base: int | None = None) -> CraftedCode:
     """Pack floors and labels into per-bucket integers.
 
-    z_sorted must be strictly increasing with gaps >= 2 (so floors differ by
-    >= 2 as well).  sentinel_base overrides the largest floor used for
-    sentinel placement, letting several code sets share one sentinel band.
+    z_sorted holds Fractions (as projected_values gives them) and must be
+    strictly increasing with gaps >= 2 (so floors differ by >= 2 as well).
+    sentinel_base overrides the largest floor used for sentinel placement,
+    letting several code sets share one sentinel band.
     """
     n = len(z_sorted)
     if n == 0:
         raise ParameterError("cannot craft codes for an empty sequence")
     if not 1 <= m <= n:
         raise ParameterError(f"bucket count {m} outside 1..{n}")
-    floors = [z.floor() if isinstance(z, DyadicRational)
-              else z.numerator // z.denominator for z in z_sorted]
+    floors = [z.numerator // z.denominator for z in z_sorted]
     for a, b in zip(floors, floors[1:]):
         if b - a < 2:
             raise ParameterError("projected floors are not 2-separated")

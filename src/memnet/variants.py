@@ -10,8 +10,6 @@ bit variant can chain additive blocks without interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import ZERO, ceil_sqrt
 from .gadgets import ParameterError
 from .netir import (AffineLayer, LayeredNet, TapeBuilder, compose_serial,
@@ -21,31 +19,16 @@ from .pipeline import (Dataset, PipelineConfig, build_stage2, build_stage3,
                        _verified_build)
 
 __all__ = [
-    "VariantConfig",
     "assemble_bounded_depth",
     "assemble_bounded_bits",
 ]
 
 
-@dataclass(frozen=True)
-class VariantConfig:
-    """Budget selector: subsets of size L^2 (depth mode) or B^2 (bit mode)."""
-
-    mode: str
-    budget: int
-    n: int
-
-    def __post_init__(self):
-        if self.mode not in ("bounded_depth", "bounded_bits"):
-            raise ParameterError(f"unknown variant mode {self.mode!r}")
-        limit = ceil_sqrt(self.n)
-        if not 1 <= self.budget <= limit:
-            raise ParameterError(
-                f"budget {self.budget} outside 1..ceil(sqrt(N))={limit}")
-
-    @property
-    def subset_size(self) -> int:
-        return self.budget * self.budget
+def _check_budget(budget: int, n: int) -> None:
+    """ParameterError unless 1 <= budget <= ceil(sqrt(n))."""
+    limit = ceil_sqrt(n)
+    if not 1 <= budget <= limit:
+        raise ParameterError(f"budget {budget} outside 1..ceil(sqrt(N))={limit}")
 
 
 def _subset_codes(ds: Dataset, z_sorted, labels_sorted, subset_size: int,
@@ -84,7 +67,7 @@ def assemble_bounded_depth(ds: Dataset, L: int,
     point activates exactly one of them.
     """
     config = config or PipelineConfig()
-    VariantConfig("bounded_depth", L, ds.n)
+    _check_budget(L, ds.n)
     proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
     codes = _subset_codes(ds, z_sorted, labels_sorted, L * L, config)
     subnets = [
@@ -112,7 +95,7 @@ def assemble_bounded_bits(ds: Dataset, B: int,
     every weight stays within the bit budget while depth grows with N/B^2.
     """
     config = config or PipelineConfig()
-    VariantConfig("bounded_bits", B, ds.n)
+    _check_budget(B, ds.n)
     proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
     codes = _subset_codes(ds, z_sorted, labels_sorted, B * B, config)
     net = _with_zero_outputs(net1, 1)

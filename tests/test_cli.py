@@ -148,9 +148,7 @@ class TestEvalAuditOracle:
             return LayeredNet(net.input_dim, net.layers[:-1] + (bad,),
                               net.provenance, net.output_nonneg)
 
-        monkeypatch.setitem(cli._ORACLES, "bits",
-                            lambda args: gadgets.oracle_bits(args.n_max,
-                                                             builder=sabotaged))
+        monkeypatch.setattr(gadgets, "build_bit_extractor", sabotaged)
         assert run(["oracle", "bits", "--n-max", "2"]) == 1
         event = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert event["witnesses"]
@@ -238,7 +236,7 @@ class TestSweepAndRegression:
              "--out", str(net_path)])
         net, builder = load_net(net_path)
         assert builder["theorem"] == "sqrt"
-        assert net.depth == json.loads(net_path.read_text())["metrics"]["depth"]
+        assert len(net.layers) == json.loads(net_path.read_text())["metrics"]["depth"]
 
     def test_json_dataset_input(self, tmp_path):
         ds = random_dataset(10, 2, 3, seed=6)

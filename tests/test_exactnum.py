@@ -155,11 +155,8 @@ class TestDyadicRational:
         assert v + 1 == DyadicRational(5, -1)
         assert 2 * v == 3
         assert v - Fraction(1, 2) == Fraction(1)
-
-    def test_floor(self):
-        assert DyadicRational(7, -1).floor() == 3
-        assert DyadicRational(-7, -1).floor() == -4
-        assert DyadicRational(5, 1).floor() == 10
+        # < against an int needs __lt__: the reflected __gt__ serves dyadics only
+        assert (v < 0, 0 > v, -v < 0, 0 > -v) == (False, False, True, True)
 
     def test_mul_pow2(self):
         v = DyadicRational(3, -2)

@@ -4,14 +4,14 @@ import pytest
 
 from memnet.exactnum import DyadicRational, bin_range
 from memnet import gadgets
-from memnet.gadgets import (ParameterError, _relu, _track_table, bin_bit_formula,
+from memnet.gadgets import (ParameterError, _relu, _track_table,
                             build_bit_extractor, build_distance_gate,
-                            build_indicator, build_triangle,
-                            distance_value, extractor_track_inputs,
+                            build_indicator, build_triangle, distance_value,
                             indicator_value, oracle_bits, oracle_distance,
                             oracle_indicator, oracle_stage3, oracle_triangle,
                             triangle_iterate, triangle_value)
 from memnet.netir import eval_exact, metrics
+from bitformula_reference import bin_bit_formula, extractor_track_inputs
 
 
 class TestRelu:
@@ -196,14 +196,14 @@ class TestOracles:
     def test_stage3_suite(self):
         assert oracle_stage3(trials=6)["pass"]
 
-    def test_oracle_catches_sabotaged_exponent(self):
+    def test_oracle_catches_sabotaged_exponent(self, monkeypatch):
         # mutation check: a wrong power in the bit tap must produce a witness
-        def bad_formula(x, n, i):
-            p, q = extractor_track_inputs(x, n, i + 1)
+        def bad_tap(p, q, n, i):
             wrong = _relu(q - p).mul_pow2(n + 1 - i)  # off by one power
             return 1 if wrong == 1 else 0
 
-        report = oracle_bits(3, formula=bad_formula)
+        monkeypatch.setattr(gadgets, "_tap_bit", bad_tap)
+        report = oracle_bits(3)
         assert not report["pass"]
         assert report["mismatches"]
 
@@ -220,11 +220,10 @@ class TestOracles:
                             v.sign in (-1, 1) and v.mantissa & 1)
 
     def test_oracle_catches_sabotaged_tap_helper(self, monkeypatch):
-        # the default formula sweep and bin_bit_formula share the tap arithmetic
+        # a tap wrong on the last bit only: the formula sweep catches it
         tap_bit = gadgets._tap_bit
         monkeypatch.setattr(gadgets, "_tap_bit",
                             lambda p, q, n, i: tap_bit(p, q, n, i) ^ (i == n))
-        assert bin_bit_formula(1, 3, 3) == 0
         report = oracle_bits(3)
         assert not report["pass"]
         assert {w["kind"] for w in report["mismatches"]} == {"formula"}

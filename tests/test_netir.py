@@ -113,7 +113,7 @@ class TestCompose:
     def test_depth_adds_exactly(self):
         a, b = build_triangle(), build_triangle()
         net = compose_serial(a, b)
-        assert net.depth == a.depth + b.depth
+        assert len(net.layers) == len(a.layers) + len(b.layers)
 
     def test_triangle_iteration(self):
         net = build_triangle()
@@ -133,19 +133,14 @@ class TestCompose:
             mid = eval_exact(a, [x])[0]
             assert eval_exact(net, [x])[0] == eval_exact(b, [mid])[0]
 
-    def test_sign_split_seam_is_exact_for_negative_values(self):
-        # no nonnegativity certificate: the seam must not clip
+    def test_uncertified_net_cannot_be_composed(self):
+        # a ReLU after a's readout would clip its negative outputs
         t = TapeBuilder(["x"])
         t.layer([("h", 0, {"x": 1})])
         t.layer([("v", -5, {"h": 1})], relu=False)  # negative on x < 5
         a = t.build("shifted", output_nonneg=False)
-        t2 = TapeBuilder(["v"])
-        t2.layer([("y", 0, {"v": 3})], relu=False)
-        b = t2.build("scale")
-        net = compose_serial(a, b)
-        assert net.depth == a.depth + b.depth
-        assert eval_exact(net, [2])[0] == -9
-        assert metrics(net).width == 2  # split doubled the 1-wide seam
+        with pytest.raises(ContractViolation):
+            compose_serial(a, identity_net())
 
     def test_interface_mismatch(self):
         with pytest.raises(DimensionError):
@@ -176,7 +171,7 @@ class TestStack:
         deep = compose_serial(build_indicator(2, 5), identity_net())
         shallow = build_indicator(9, 11)
         s = stack_parallel([deep, shallow])
-        assert len(s.layers) == deep.depth
+        assert len(s.layers) == len(deep.layers)
         for x in (2, 10, 8):
             assert eval_exact(s, [x]) == [eval_exact(deep, [x])[0],
                                           eval_exact(shallow, [x])[0]]
@@ -185,12 +180,22 @@ class TestStack:
         with pytest.raises(DimensionError):
             stack_parallel([identity_net(1), identity_net(2)])
 
+    def test_uncertified_shorter_member_cannot_be_padded(self):
+        deep = compose_serial(build_indicator(2, 5), identity_net())
+        with pytest.raises(ContractViolation):
+            stack_parallel([deep, identity_net()])
+
 
 class TestMetricsAndSerialization:
     def test_zero_weights_unstored(self):
         layer = AffineLayer(2, 1, [((0, 1), (1, DyadicRational(0)))], [0], False)
         assert layer.rows == (((0, DyadicRational(1)),),)
         assert layer.nonzero_params() == 1
+
+    def test_row_naming_a_column_twice_is_refused(self):
+        # a dense file would keep only one of the terms, a sparse one is refused
+        with pytest.raises(DimensionError, match="column twice"):
+            AffineLayer(2, 1, [((0, 1), (0, 1))], [0], False)
 
     def test_effective_bits(self):
         t = TapeBuilder(["x"])

@@ -51,7 +51,7 @@ class TestProjection:
         ds = load_and_validate([("0",), ("3",)], [1, 2])
         proj, net = project_to_line(ds, seed=0)
         assert proj.scale.as_fraction() <= 1
-        assert metrics(net).width == 1 and net.depth == 2
+        assert metrics(net).width == 1 and len(net.layers) == 2
 
     def test_invariants_hold_exactly(self):
         for seed in (0, 1, 2):

@@ -6,23 +6,20 @@ from memnet.netir import compose_serial, eval_exact, metrics
 from memnet.pipeline import (PipelineConfig, build_stage2, build_stage3,
                              craft_codes, default_bucket_count,
                              project_to_line, projected_values, verify_exact)
-from memnet.variants import (VariantConfig, assemble_bounded_bits,
-                             assemble_bounded_depth)
+from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 
 
-class TestVariantConfig:
+class TestBudgetCheck:
     def test_budget_bounds(self):
-        VariantConfig("bounded_depth", 1, 60)
-        VariantConfig("bounded_depth", 8, 60)  # ceil(sqrt(60)) = 8
-        with pytest.raises(ParameterError):
-            VariantConfig("bounded_depth", 9, 60)
-        with pytest.raises(ParameterError):
-            VariantConfig("bounded_bits", 0, 60)
-        with pytest.raises(ParameterError):
-            VariantConfig("sideways", 2, 60)
-
-    def test_subset_size(self):
-        assert VariantConfig("bounded_bits", 4, 64).subset_size == 16
+        ds = random_dataset(60, 2, 4, seed=1)
+        small = random_dataset(4, 2, 2, seed=1)
+        for assemble in (assemble_bounded_depth, assemble_bounded_bits):
+            for budget in (0, 9):  # ceil(sqrt(60)) = 8
+                with pytest.raises(ParameterError,
+                                   match=rf"^budget {budget} outside 1\.\.ceil\(sqrt\(N\)\)=8$"):
+                    assemble(ds, budget)
+            for budget in (1, 2):  # ceil(sqrt(4)) = 2
+                assert assemble(small, budget)[1].memorized
 
 
 class TestBoundedDepth:
