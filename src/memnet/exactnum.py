@@ -176,8 +176,6 @@ class DyadicRational:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, Fraction):
-                return self.as_fraction() + other
             return NotImplemented
         a, ae = self._pair()
         b, be = o._pair()
@@ -201,8 +199,6 @@ class DyadicRational:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, Fraction):
-                return self.as_fraction() * other
             return NotImplemented
         return DyadicRational(
             self.sign * o.sign * self.mantissa * o.mantissa,

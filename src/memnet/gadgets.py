@@ -307,7 +307,7 @@ def oracle_bits(n_max: int = 10) -> dict:
     tap formula is swept on the same domain, on the track pairs of the
     per-(n, x) table the net sweep uses.
     """
-    from .netir import eval_exact
+    from .netir import eval_exact_batch
 
     if not 1 <= n_max <= 14:
         raise ParameterError(f"n_max must be in 1..14 (above 14 would take too long), "
@@ -327,8 +327,8 @@ def oracle_bits(n_max: int = 10) -> dict:
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 net = build_bit_extractor(n, i, j)
-                for x in range(1 << n):
-                    out = eval_exact(net, tracks[x][i - 1])
+                outs = eval_exact_batch(net, [tracks[x][i - 1] for x in range(1 << n)])
+                for x, out in enumerate(outs):
                     want_tracks = tracks[x][j]
                     want_bits = bin_range(x, i, j, n)
                     checks += 1
@@ -355,7 +355,7 @@ def oracle_stage3(seed: int = 0, trials: int = 12) -> dict:
     import random
 
     from .exactnum import pack_blocks
-    from .netir import eval_exact
+    from .netir import eval_exact_batch
     from .pipeline import build_stage3
 
     rng = random.Random(seed)
@@ -372,23 +372,19 @@ def oracle_stage3(seed: int = 0, trials: int = 12) -> dict:
         labels = [rng.randrange(1 << c) for _ in range(n)]
         u = pack_blocks(blocks, rho)
         w = pack_blocks(labels, c)
-        net = build_stage3(n, rho, c)
-        for t, blk in enumerate(blocks):
-            for off in (Fraction(0), Fraction(1, 4), Fraction(1)):
-                got = eval_exact(net, [Fraction(blk) + off, Fraction(w), Fraction(u)])[0]
-                checks += 1
-                if got != labels[t]:
-                    witnesses.append({"suite": "stage3", "n": n, "rho": rho, "c": c,
-                                      "x": str(Fraction(blk) + off),
-                                      "got": str(got), "want": labels[t]})
+        # (x, wanted output): gated inputs give the paired label block, and
+        # inputs far from every block value give exact zero
+        cases = [(Fraction(blk) + off, labels[t]) for t, blk in enumerate(blocks)
+                 for off in (Fraction(0), Fraction(1, 4), Fraction(1))]
         far = max(blocks) + 2
-        for x in (Fraction(far), Fraction(4 * far + 7, 4)):
-            if any(abs(x - blk) < Fraction(3, 2) for blk in blocks):
-                continue
-            got = eval_exact(net, [x, Fraction(w), Fraction(u)])[0]
+        cases += [(x, 0) for x in (Fraction(far), Fraction(4 * far + 7, 4))
+                  if all(abs(x - blk) >= Fraction(3, 2) for blk in blocks)]
+        outs = eval_exact_batch(build_stage3(n, rho, c),
+                                [[x, Fraction(w), Fraction(u)] for x, _ in cases])
+        for (x, want), (got, *_) in zip(cases, outs):
             checks += 1
-            if got != 0:
+            if got != want:
                 witnesses.append({"suite": "stage3", "n": n, "rho": rho, "c": c,
-                                  "x": str(x), "got": str(got), "want": 0})
+                                  "x": str(x), "got": str(got), "want": want})
     return {"suite": "stage3", "checks": checks, "mismatches": witnesses,
             "pass": not witnesses}

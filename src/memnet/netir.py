@@ -28,6 +28,7 @@ __all__ = [
     "metrics",
     "effective_bits",
     "eval_exact",
+    "eval_exact_batch",
     "check_outputs",
     "eval_float",
     "compose_serial",
@@ -276,14 +277,12 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
 
 def _scaled(x) -> tuple[int, int, int]:
     """(n, e, d) with x == n * 2**e / d and d odd."""
-    if isinstance(x, Fraction):
-        den = x.denominator
-        twos = (den & -den).bit_length() - 1
-        return x.numerator, -twos, den >> twos
-    if isinstance(x, int):
-        return x, 0, 1
-    d = _as_dyadic(x)
-    return d.numerator, d.exponent, 1
+    if isinstance(x, DyadicRational) or not isinstance(x, Fraction):
+        d = _as_dyadic(x)
+        return d.sign * d.mantissa, d.exponent, 1
+    den = x.denominator
+    twos = (den & -den).bit_length() - 1
+    return x.numerator, -twos, den >> twos
 
 
 def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
@@ -317,10 +316,158 @@ def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
                 raise ContractViolation(f"pass-through unit {unit} went negative")
             acc = 0
         regs[dest] = acc
+    return [_value(regs[r], e, den) for r, e in outputs]
+
+
+def _value(v: int, e: int, den: int):
+    """v * 2**e / den: a DyadicRational when den == 1, otherwise a Fraction."""
     if den == 1:
-        return [DyadicRational(regs[r], e) for r, e in outputs]
-    return [Fraction(regs[r] << e, den) if e >= 0 else Fraction(regs[r], den << -e)
-            for r, e in outputs]
+        return DyadicRational(v, e)
+    return Fraction(v << e, den) if e >= 0 else Fraction(v, den << -e)
+
+
+# Bits held in one lane-packed register: eval_exact_batch cuts a group of
+# points into chunks of _REGISTER_BITS // W lanes, so a pass holds about
+# one layer of registers of at most this size, however many points it has.
+_REGISTER_BITS = 1 << 16
+
+
+def _lane_groups(net: LayeredNet, points) -> tuple:
+    """(program, {odd denominator D: (point indices, their input registers)}).
+
+    The program is compiled for the lowest exponent of the batch; each
+    point's input registers are integers over its own D, as in eval_exact.
+    """
+    parts = []
+    for xs in points:
+        if len(xs) != net.input_dim:
+            raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
+        parts.append([_scaled(x) for x in xs])
+    e0 = min([e for p in parts for n, e, _ in p if n] + [0])
+    prog = net._prog
+    if prog is None or e0 < prog[0]:
+        prog = _compile(net, e0)
+    e0, groups = prog[0], {}
+    for k, p in enumerate(parts):
+        den = lcm(*[d for _, _, d in p])
+        members, inputs = groups.setdefault(den, ([], []))
+        members.append(k)
+        inputs.append([n * (den // d) << (e - e0) for n, e, d in p])
+    return prog, groups
+
+
+def _lane_bounds(prog: tuple, den: int, lows, highs) -> tuple[int, list]:
+    """(W, clips) for input registers in [lows[i], highs[i]] over odd D = den.
+
+    Interval bound propagation over the integer program (Gowal et al.,
+    arXiv:1810.12715): every input, and every row's value before and after
+    its ReLU, stays within the bounds of its register for each point of the
+    batch.  W is the bit length of the largest bound plus 2, so each value
+    fits in W - 2 bits and a lane has room for its sign and for the offset
+    2**(W-1) of the ReLU mask.  clips[t] is false when op t has no ReLU or
+    its lower bound is >= 0, so the ReLU can never clip.
+    """
+    _, ops, size, _ = prog
+    lo = [*lows, *[0] * (size - len(lows))]
+    hi = [*highs, *[0] * (size - len(highs))]
+    top = max([*highs, *[-v for v in lows]], default=0)
+    clips = []
+    for bias, terms, relu, _, dest in ops:
+        a = b = bias * den
+        for r, c in terms:
+            if c > 0:
+                a += c * lo[r]
+                b += c * hi[r]
+            else:
+                a += c * hi[r]
+                b += c * lo[r]
+        top = max(top, b, -a)
+        clips.append(relu and a < 0)
+        if relu and a < 0:
+            a, b = 0, max(b, 0)
+        lo[dest], hi[dest] = a, b
+    return top.bit_length() + 2, clips
+
+
+def _pack(values, width: int) -> int:
+    """sum(v << k*width): values[k] in lane k.  A negative lane borrows from
+    the lanes above it; the offset 2**(width-1) in every lane undoes that."""
+    if len(values) > 32:  # halve, so packing many lanes stays O(n log n)
+        h = len(values) >> 1
+        return _pack(values[:h], width) + (_pack(values[h:], width) << h * width)
+    acc = 0
+    for v in reversed(values):
+        acc = (acc << width) + v
+    return acc
+
+
+def _lanes(q: int, width: int, count: int) -> list:
+    """The count width-bit fields of q >= 0, lane 0 first."""
+    if count > 32:
+        h = count >> 1
+        return (_lanes(q & ((1 << h * width) - 1), width, h)
+                + _lanes(q >> h * width, width, count - h))
+    mask = (1 << width) - 1
+    return [q >> k * width & mask for k in range(count)]
+
+
+def eval_exact_batch(net: LayeredNet, points) -> list:
+    """[eval_exact(net, p) for p in points]: the same values and types,
+    with each register one Python int for a whole group of points.
+
+    Points are grouped by their odd denominator D, and point k of a group
+    sits in bits [kW, (k+1)W) of every register (SIMD within a register:
+    Fisher & Dietz, LCPC 1998).  The layout is linear, so an affine row is
+    bias*D*ONES + sum(c*R) for all lanes at once, where ONES has a 1 in
+    every lane.  A ReLU that can clip runs on Q = R + 2**(W-1)*ONES:
+    s = (Q >> (W-1)) & ONES marks the lanes >= 0, and
+    (Q & ((s << W) - s)) - (s << (W-1)) keeps them.  The lane width W comes
+    from an interval pass over the program (_lane_bounds), which proves that
+    no lane carries into its neighbour and marks the ReLUs that cannot clip,
+    which skip the mask.  A register holds at most _REGISTER_BITS bits; a
+    group of one point, or one whose lanes are too wide for two to fit,
+    runs through eval_exact point by point.
+    """
+    prog, groups = _lane_groups(net, points)
+    _, ops, size, outputs = prog
+    results = [None] * len(points)
+    for den, (members, inputs) in groups.items():
+        lanes = 0
+        if len(members) > 1:
+            cols = list(zip(*inputs))
+            width, clips = _lane_bounds(prog, den, [min(c) for c in cols],
+                                        [max(c) for c in cols])
+            lanes = _REGISTER_BITS // width
+        if lanes < 2:
+            for k in members:
+                results[k] = eval_exact(net, points[k])
+            continue
+        shift = width - 1
+        for start in range(0, len(members), lanes):
+            chunk = inputs[start:start + lanes]
+            count = len(chunk)
+            ones = ((1 << count * width) - 1) // ((1 << width) - 1)
+            half, unit = ones << shift, den * ones
+            regs = [_pack(col, width) for col in zip(*chunk)]
+            regs += [0] * (size - len(regs))
+            for (bias, terms, _, _, dest), clip in zip(ops, clips):
+                acc = bias * unit
+                for r, c in terms:
+                    acc += c * regs[r]
+                if clip:
+                    q = acc + half
+                    s = (q >> shift) & ones
+                    acc = (q & ((s << width) - s)) - (s << shift)
+                regs[dest] = acc
+            columns = []
+            for r, e in outputs:
+                fields = _lanes(regs[r] + half, width, count)
+                # each distinct output is built once: labels and bits repeat
+                made = {v: _value(v - (1 << shift), e, den) for v in set(fields)}
+                columns.append([made[v] for v in fields])
+            for i, k in enumerate(members[start:start + lanes]):
+                results[k] = [col[i] for col in columns]
+    return results
 
 
 def check_outputs(net: LayeredNet, points, expected, debug: bool = False):

@@ -1,22 +1,26 @@
-"""Differential test: eval_exact against a plain-Fraction forward pass.
+"""Differential test: eval_exact and eval_exact_batch against a plain-Fraction
+forward pass.
 
 `reference_eval` below is the reference: it walks the layers with Fraction
-arithmetic only, with no exponent bookkeeping, aliasing or register reuse.
-eval_exact must agree with it value for value, return DyadicRational
-exactly when every input is dyadic (Fraction otherwise), and raise
-ContractViolation under debug=True exactly when the reference does.
+arithmetic only, with no exponent bookkeeping, aliasing, register reuse or
+lane packing.  Both evaluators must agree with it value for value and
+return DyadicRational exactly when every input of a point is dyadic
+(Fraction otherwise); eval_exact must raise ContractViolation under
+debug=True exactly when the reference does.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memnet import gadgets, netir
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
-from memnet.netir import (AffineLayer, ContractViolation, LayeredNet,
-                          check_outputs, eval_exact)
+from memnet.netir import (AffineLayer, ContractViolation, DimensionError, LayeredNet,
+                          check_outputs, eval_exact, eval_exact_batch)
 from memnet.pipeline import PipelineConfig, assemble_sqrt, regression_wrap
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 from test_acceptance import _corpus_specs
@@ -56,10 +60,47 @@ def assert_agrees(net: LayeredNet, xs, debug: bool = False) -> None:
         with pytest.raises(ContractViolation):
             eval_exact(net, xs, debug)
         return
-    got = eval_exact(net, xs, debug)
+    assert_outputs(net, xs, eval_exact(net, xs, debug), want)
+
+
+def assert_outputs(net, xs, got, want=None) -> None:
+    """got is the reference's output on xs, in the evaluator's type."""
+    if want is None:
+        want = reference_eval(net, xs)
     kind = DyadicRational if all(_is_dyadic(x) for x in xs) else Fraction
     assert [type(v) for v in got] == [kind] * len(want), xs
     assert [_fraction(v) for v in got] == want, xs
+
+
+def assert_batch_agrees(net: LayeredNet, points) -> None:
+    """One eval_exact_batch call against the reference, point by point."""
+    got = eval_exact_batch(net, points)
+    assert len(got) == len(points)
+    for xs, out in zip(points, got):
+        assert_outputs(net, xs, out)
+
+
+def assert_lanes_hold(net: LayeredNet, points) -> None:
+    """The lane proof, checked: for each group of the batch, every register
+    value a point realizes (inputs, and each row before its ReLU) fits in
+    W - 2 bits, and every ReLU that clips a value is marked as one that can."""
+    prog, groups = netir._lane_groups(net, points)
+    _, ops, size, _ = prog
+    for den, (_, inputs) in groups.items():
+        cols = list(zip(*inputs))
+        width, clips = netir._lane_bounds(prog, den, [min(c) for c in cols],
+                                          [max(c) for c in cols])
+        for xs in inputs:
+            regs = list(xs) + [0] * (size - len(xs))
+            seen = list(xs)
+            for (bias, terms, relu, _, dest), clip in zip(ops, clips):
+                acc = bias * den + sum(c * regs[r] for r, c in terms)
+                seen.append(acc)
+                if relu and acc < 0:
+                    assert clip, (net.provenance, dest)
+                    acc = 0
+                regs[dest] = acc
+            assert max(map(abs, seen), default=0).bit_length() <= width - 2, net.provenance
 
 
 def _input_variants(point, rng):
@@ -105,6 +146,76 @@ CORPUS = _corpus()
 @pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
 def test_corpus_nets_agree(name, net, ds):
     _check_points(net, ds.points, random.Random(name))
+
+
+@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
+def test_corpus_batches_agree(name, net, ds):
+    """Every training point and its variants in one batch: dyadic points and
+    several odd denominators, each group packed into lanes."""
+    rng = random.Random(name)
+    points = [v for p in ds.points for v in _input_variants(p, rng)]
+    assert_batch_agrees(net, points)
+    assert_lanes_hold(net, points)
+
+
+def test_oracle_bit_nets_hold_their_lanes():
+    """Each extractor net of oracle_bits(7) on its 2^n track pairs."""
+    for n in range(1, 8):
+        tracks = [gadgets._track_table(x, n) for x in range(1 << n)]
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                assert_lanes_hold(gadgets.build_bit_extractor(n, i, j),
+                                  [tracks[x][i - 1] for x in range(1 << n)])
+
+
+@pytest.mark.parametrize("register_bits", [1, 40, 100, 1 << 16])
+def test_batch_chunks_and_one_lane_fallback(monkeypatch, register_bits):
+    """A smaller register cap cuts each group into more chunks; below two
+    lanes the batch runs through eval_exact point by point."""
+    name, net, ds = CORPUS[0]
+    rng = random.Random(name)
+    points = [v for p in ds.points for v in _input_variants(p, rng)[:3]]
+    calls = []
+
+    def counted(net, xs):
+        calls.append(xs)
+        return eval_exact(net, xs)
+
+    monkeypatch.setattr(netir, "_REGISTER_BITS", register_bits)
+    monkeypatch.setattr(netir, "eval_exact", counted)
+    assert_batch_agrees(net, points)
+    if register_bits == 1:
+        assert calls == points
+    with pytest.raises(DimensionError):
+        eval_exact_batch(net, points[:2] + [[1] * (net.input_dim + 1)])
+
+
+def _cancellation_chain(layers: int) -> LayeredNet:
+    """x -> (x, x), then ReLU layers of the rows 3r - 3r' with r == r'.
+
+    Every value after the first layer is 0, but the interval bound triples
+    per layer.  (With 2r - 2r' the integer program would fold the common 2
+    into the register's exponent, and the bound would not grow.)
+    """
+    first = AffineLayer(1, 2, [((0, 1),), ((0, 1),)], [0, 0], relu=True)
+    step = AffineLayer(2, 2, [((0, 3), (1, -3))] * 2, [0, 0], relu=True)
+    last = AffineLayer(2, 1, [((0, 1),)], [0], relu=False)
+    return LayeredNet(1, [first] + [step] * layers + [last], "cancellation")
+
+
+def test_cancellation_chain_stays_bounded():
+    """A hostile net whose lane width is thousands of bits while its values
+    are 0: the batch is exact and its time stays bounded (about 1 s here for
+    3,000 layers and 48 points, at 13 lanes of 4,760 bits per register)."""
+    net = _cancellation_chain(3000)
+    points = [[x] for x in range(1, 49)]
+    start = time.perf_counter()
+    got = eval_exact_batch(net, points)
+    assert time.perf_counter() - start < 30
+    assert got == [eval_exact(net, xs) for xs in points] == [[0]] * len(points)
+    prog, groups = netir._lane_groups(net, points)
+    width, _ = netir._lane_bounds(prog, 1, [1], [48])
+    assert width > 4000
 
 
 def _mutated(net: LayeredNet, rng: random.Random) -> LayeredNet:
@@ -225,7 +336,8 @@ def _nets(draw):
 @given(st.data())
 def test_random_nets_agree(data):
     net = data.draw(_nets())
+    point = st.lists(_inputs, min_size=net.input_dim, max_size=net.input_dim)
     for _ in range(3):  # several points per net: exercises recompilation
-        xs = data.draw(st.lists(_inputs, min_size=net.input_dim,
-                                max_size=net.input_dim))
-        assert_agrees(net, xs, debug=data.draw(st.booleans()))
+        assert_agrees(net, data.draw(point), debug=data.draw(st.booleans()))
+    for size in (1, 2, data.draw(st.sampled_from([3, 5, 7]))):
+        assert_batch_agrees(net, data.draw(st.lists(point, min_size=size, max_size=size)))
