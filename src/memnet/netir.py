@@ -382,8 +382,9 @@ def _lane_bounds(prog: tuple, den: int, lows, highs) -> tuple[int, list]:
                 a += c * hi[r]
                 b += c * lo[r]
         top = max(top, b, -a)
-        clips.append(relu and a < 0)
-        if relu and a < 0:
+        clip = relu and a < 0
+        clips.append(clip)
+        if clip:
             a, b = 0, max(b, 0)
         lo[dest], hi[dest] = a, b
     return top.bit_length() + 2, clips
