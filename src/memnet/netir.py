@@ -427,7 +427,9 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     no lane carries into its neighbour and marks the ReLUs that cannot clip,
     which skip the mask.  A register holds at most _REGISTER_BITS bits; a
     group of one point, or one whose lanes are too wide for two to fit,
-    runs through eval_exact point by point.
+    runs through eval_exact point by point.  The bits and stage3 oracles
+    use it; check_outputs stays per point while the benchmark pins its
+    eval_exact calls per build point (README, "Exact evaluation").
     """
     prog, groups = _lane_groups(net, points)
     _, ops, size, outputs = prog
