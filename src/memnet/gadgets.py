@@ -230,73 +230,66 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction):
         x += step
 
 
+def _summary(suite: str, checks: int, witnesses: list) -> dict:
+    return {"suite": suite, "checks": checks, "mismatches": witnesses,
+            "pass": not witnesses}
+
+
 def oracle_triangle(max_iter: int = 6, grid_halving: int = 6) -> dict:
     """Composed triangle nets vs the scalar formula on dyadic grids of [0,1]."""
-    from .netir import compose_serial, eval_exact
+    from .netir import compose_serial, eval_exact_batch
 
-    checks = 0
+    grid = [DyadicRational(t, -grid_halving) for t in range((1 << grid_halving) + 1)]
     witnesses = []
     net = build_triangle()
     for k in range(1, max_iter + 1):
-        grid = [DyadicRational(t, -grid_halving) for t in range((1 << grid_halving) + 1)]
-        for z in grid:
-            got = eval_exact(net, [z])[0]
+        for z, (got,) in zip(grid, eval_exact_batch(net, [[t] for t in grid])):
             want = triangle_iterate(z, k)
-            checks += 1
             if got != want:
                 witnesses.append({"suite": "triangle", "k": k, "z": str(z),
                                   "got": str(got), "want": str(want)})
         net = compose_serial(net, build_triangle())
-    return {"suite": "triangle", "checks": checks, "mismatches": witnesses,
-            "pass": not witnesses}
+    return _summary("triangle", max_iter * len(grid), witnesses)
+
+
+def _window_ok(got, want, x, lo, hi) -> bool:
+    """The window_rows contract: the formula's value, in [0, 1], 1 on
+    [lo, hi] and 0 beyond the 1/2 margins."""
+    half = Fraction(1, 2)
+    return (got == want and 0 <= got <= 1 and (got == 1 or not lo <= x <= hi)
+            and (got == 0 or lo - half <= x <= hi + half))
 
 
 def oracle_indicator(pairs=((2, 5), (0, 1), (7, 19)), step=Fraction(1, 4)) -> dict:
     """Indicator nets vs formula and contract on grids over [a-3, b+3]."""
-    from .netir import eval_exact
+    from .netir import eval_exact_batch
 
     checks = 0
     witnesses = []
     for a, b in pairs:
-        net = build_indicator(a, b)
-        for x in _grid(Fraction(a - 3), Fraction(b + 3), step):
-            got = eval_exact(net, [x])[0]
+        xs = list(_grid(Fraction(a - 3), Fraction(b + 3), step))
+        checks += len(xs)
+        for x, (got,) in zip(xs, eval_exact_batch(build_indicator(a, b), [[t] for t in xs])):
             want = indicator_value(a, b, x)
-            ok = got == want and 0 <= got <= 1
-            if a <= x <= b:
-                ok = ok and got == 1
-            if x > Fraction(2 * b + 1, 2) or x < Fraction(2 * a - 1, 2):
-                ok = ok and got == 0
-            checks += 1
-            if not ok:
+            if not _window_ok(got, want, x, a, b):
                 witnesses.append({"suite": "indicator", "a": a, "b": b, "x": str(x),
                                   "got": str(got), "want": str(want)})
-    return {"suite": "indicator", "checks": checks, "mismatches": witnesses,
-            "pass": not witnesses}
+    return _summary("indicator", checks, witnesses)
 
 
 def oracle_distance(y_values=(0, 3, 10), step=Fraction(1, 4)) -> dict:
     """Distance gate vs formula and contract on 2-D grids around each y."""
-    from .netir import eval_exact
+    from .netir import eval_exact_batch
 
-    checks = 0
+    cases = [(x, y) for y in y_values for x in _grid(Fraction(y - 3), Fraction(y + 4), step)]
+    outs = eval_exact_batch(build_distance_gate(), [[x, Fraction(y)] for x, y in cases])
     witnesses = []
-    net = build_distance_gate()
-    for y in y_values:
-        for x in _grid(Fraction(y - 3), Fraction(y + 4), step):
-            got = eval_exact(net, [x, Fraction(y)])[0]
-            want = distance_value(x, Fraction(y))
-            ok = got == want and 0 <= got <= 1
-            if Fraction(y) <= x <= Fraction(y + 1):
-                ok = ok and got == 1
-            if x > Fraction(2 * y + 3, 2) or x < Fraction(2 * y - 1, 2):
-                ok = ok and got == 0
-            checks += 1
-            if not ok:
-                witnesses.append({"suite": "distance", "y": y, "x": str(x),
-                                  "got": str(got), "want": str(want)})
-    return {"suite": "distance", "checks": checks, "mismatches": witnesses,
-            "pass": not witnesses}
+    for (x, y), (got,) in zip(cases, outs):
+        want = distance_value(x, Fraction(y))
+        if not _window_ok(got, want, x, y, y + 1):
+            witnesses.append({"suite": "distance", "y": y, "x": str(x),
+                              "got": str(got), "want": str(want)})
+    return _summary("distance", len(cases), witnesses)
 
 
 def oracle_bits(n_max: int = 10) -> dict:
@@ -339,10 +332,8 @@ def oracle_bits(n_max: int = 10) -> dict:
                             "suite": "bits", "kind": "net", "n": n, "i": i, "j": j,
                             "x": x, "got": str(out[2]), "want": want_bits})
                         if len(witnesses) > 20:
-                            return {"suite": "bits", "checks": checks,
-                                    "mismatches": witnesses, "pass": False}
-    return {"suite": "bits", "checks": checks, "mismatches": witnesses,
-            "pass": not witnesses}
+                            return _summary("bits", checks, witnesses)
+    return _summary("bits", checks, witnesses)
 
 
 def oracle_stage3(seed: int = 0, trials: int = 12) -> dict:
@@ -386,5 +377,4 @@ def oracle_stage3(seed: int = 0, trials: int = 12) -> dict:
             if got != want:
                 witnesses.append({"suite": "stage3", "n": n, "rho": rho, "c": c,
                                   "x": str(x), "got": str(got), "want": want})
-    return {"suite": "stage3", "checks": checks, "mismatches": witnesses,
-            "pass": not witnesses}
+    return _summary("stage3", checks, witnesses)

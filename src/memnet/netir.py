@@ -286,37 +286,15 @@ def _scaled(x) -> tuple[int, int, int]:
 
 
 def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
-    """Exact forward pass; no rounding anywhere.
+    """Exact forward pass; no rounding anywhere: eval_exact_batch on a
+    batch of one.
 
-    Inputs are int, DyadicRational or Fraction.  A point is written as
-    integers over one denominator 2**-e0 * D (D odd) and run through the
-    net's integer program, compiled on first use and recompiled only for a
-    point that needs a lower e0.  Outputs are DyadicRational when every
-    input is dyadic (D == 1), otherwise Fraction.  With debug=True a
+    Inputs are int, DyadicRational or Fraction.  Outputs are DyadicRational
+    when every input is dyadic, otherwise Fraction.  With debug=True a
     pass-through unit of a ReLU layer that goes negative raises
     ContractViolation.
     """
-    if len(xs) != net.input_dim:
-        raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
-    parts = [_scaled(x) for x in xs]
-    den = lcm(*[d for _, _, d in parts])
-    e0 = min([e for n, e, _ in parts if n] + [0])
-    prog = net._prog
-    if prog is None or e0 < prog[0]:
-        prog = _compile(net, e0)
-    e0, ops, size, outputs = prog
-    regs = [n * (den // d) << (e - e0) for n, e, d in parts]
-    regs += [0] * (size - len(regs))
-    for bias, terms, relu, unit, dest in ops:
-        acc = bias * den
-        for r, c in terms:
-            acc += c * regs[r]
-        if relu and acc < 0:
-            if debug and unit is not None:
-                raise ContractViolation(f"pass-through unit {unit} went negative")
-            acc = 0
-        regs[dest] = acc
-    return [_value(regs[r], e, den) for r, e in outputs]
+    return eval_exact_batch(net, [xs], debug)[0]
 
 
 def _value(v: int, e: int, den: int):
@@ -335,8 +313,11 @@ _REGISTER_BITS = 1 << 16
 def _lane_groups(net: LayeredNet, points) -> tuple:
     """(program, {odd denominator D: (point indices, their input registers)}).
 
-    The program is compiled for the lowest exponent of the batch; each
-    point's input registers are integers over its own D, as in eval_exact.
+    The one place inputs are checked and scaled: each point is written as
+    integers over 2**-e0 * D, with D the odd part of its common input
+    denominator and e0 the lowest exponent of the batch.  The net's integer
+    program is compiled on first use and recompiled only for a batch that
+    needs a lower e0.
     """
     parts = []
     for xs in points:
@@ -412,9 +393,10 @@ def _lanes(q: int, width: int, count: int) -> list:
     return [q >> k * width & mask for k in range(count)]
 
 
-def eval_exact_batch(net: LayeredNet, points) -> list:
-    """[eval_exact(net, p) for p in points]: the same values and types,
-    with each register one Python int for a whole group of points.
+def eval_exact_batch(net: LayeredNet, points, debug: bool = False) -> list:
+    """[eval_exact(net, p, debug) for p in points]: the same values, types
+    and errors, with each register one Python int for a whole group of
+    points.
 
     Points are grouped by their odd denominator D, and point k of a group
     sits in bits [kW, (k+1)W) of every register (SIMD within a register:
@@ -422,14 +404,16 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     bias*D*ONES + sum(c*R) for all lanes at once, where ONES has a 1 in
     every lane.  A ReLU that can clip runs on Q = R + 2**(W-1)*ONES:
     s = (Q >> (W-1)) & ONES marks the lanes >= 0, and
-    (Q & ((s << W) - s)) - (s << (W-1)) keeps them.  The lane width W comes
-    from an interval pass over the program (_lane_bounds), which proves that
-    no lane carries into its neighbour and marks the ReLUs that cannot clip,
-    which skip the mask.  A register holds at most _REGISTER_BITS bits; a
-    group of one point, or one whose lanes are too wide for two to fit,
-    runs through eval_exact point by point.  The bits and stage3 oracles
-    use it; check_outputs stays per point while the benchmark pins its
-    eval_exact calls per build point (README, "Exact evaluation").
+    (Q & ((s << W) - s)) - (s << (W-1)) keeps them; under debug a
+    pass-through unit with s != ONES raises ContractViolation.  The lane
+    width W comes from an interval pass over the program (_lane_bounds),
+    which proves that no lane carries into its neighbour and marks the
+    ReLUs that cannot clip, which skip the mask.  A register holds at most
+    _REGISTER_BITS bits; a group of one point, or one whose lanes are too
+    wide for two to fit, runs point by point on its scaled registers.
+    eval_exact is a batch of one; check_outputs stays per point while the
+    benchmark pins its eval_exact calls per build point (README, "Exact
+    evaluation").
     """
     prog, groups = _lane_groups(net, points)
     _, ops, size, outputs = prog
@@ -442,8 +426,18 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
                                         [max(c) for c in cols])
             lanes = _REGISTER_BITS // width
         if lanes < 2:
-            for k in members:
-                results[k] = eval_exact(net, points[k])
+            for k, regs in zip(members, inputs):
+                regs += [0] * (size - len(regs))
+                for bias, terms, relu, guarded, dest in ops:
+                    acc = bias * den
+                    for r, c in terms:
+                        acc += c * regs[r]
+                    if relu and acc < 0:
+                        if debug and guarded is not None:
+                            raise ContractViolation(f"pass-through unit {guarded} went negative")
+                        acc = 0
+                    regs[dest] = acc
+                results[k] = [_value(regs[r], e, den) for r, e in outputs]
             continue
         shift = width - 1
         for start in range(0, len(members), lanes):
@@ -453,13 +447,15 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
             half, unit = ones << shift, den * ones
             regs = [_pack(col, width) for col in zip(*chunk)]
             regs += [0] * (size - len(regs))
-            for (bias, terms, _, _, dest), clip in zip(ops, clips):
+            for (bias, terms, _, guarded, dest), clip in zip(ops, clips):
                 acc = bias * unit
                 for r, c in terms:
                     acc += c * regs[r]
                 if clip:
                     q = acc + half
                     s = (q >> shift) & ones
+                    if debug and guarded is not None and s != ones:
+                        raise ContractViolation(f"pass-through unit {guarded} went negative")
                     acc = (q & ((s << width) - s)) - (s << shift)
                 regs[dest] = acc
             columns = []

@@ -551,7 +551,6 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
 class PipelineConfig:
     seed: int = 0
     bucket_count: int | None = None
-    retry_budget: int | None = None
 
 
 @dataclass
@@ -648,7 +647,7 @@ def verify_exact(net: LayeredNet, points, labels, debug: bool = False):
 
 
 def _sorted_projection(ds: Dataset, config: PipelineConfig):
-    proj, net1 = project_to_line(ds, config.seed, config.retry_budget)
+    proj, net1 = project_to_line(ds, config.seed)
     zs = projected_values(proj, ds)
     order = sorted(range(ds.n), key=lambda i: zs[i])
     z_sorted = [zs[i] for i in order]
@@ -721,9 +720,9 @@ def regression_wrap(raw_points, raw_labels, epsilon,
         raise ParameterError("labels fall outside the declared interval")
     classes = max(1, math.ceil((hi - lo) / epsilon))
     ds = regression_dataset(raw_points, labels, lo, epsilon, classes)
-    base, base_report = assemble_sqrt(ds, config)
     # class q maps back to the grid midpoint lo + (q - 1/2) * epsilon
     head = _dyadic_head(epsilon, lo - epsilon / 2)
+    base, base_report = assemble_sqrt(ds, config)
     net = compose_serial(base, head, "regression_memorizer")
     _, worst = check_outputs(net, ds.points, labels)
     if worst > epsilon / 2:
@@ -734,15 +733,10 @@ def regression_wrap(raw_points, raw_labels, epsilon,
 
 
 def _dyadic_head(epsilon: Fraction, bias: Fraction) -> LayeredNet:
+    try:
+        weight, bias = DyadicRational.from_fraction(epsilon), DyadicRational.from_fraction(bias)
+    except ValueError:
+        raise ParameterError("epsilon and label range must be dyadic rationals") from None
     t = TapeBuilder(["q"])
-    weight = DyadicRational.from_fraction(epsilon) if _is_dyadic(epsilon) else epsilon
-    bias_v = DyadicRational.from_fraction(bias) if _is_dyadic(bias) else bias
-    if not (isinstance(weight, DyadicRational) and isinstance(bias_v, DyadicRational)):
-        raise ParameterError("epsilon and label range must be dyadic rationals")
-    t.layer([("y", bias_v, {"q": weight})], relu=False)
+    t.layer([("y", bias, {"q": weight})], relu=False)
     return t.build("grid_midpoint_head")
-
-
-def _is_dyadic(fr: Fraction) -> bool:
-    den = fr.denominator
-    return not (den & (den - 1))

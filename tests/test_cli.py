@@ -440,6 +440,27 @@ class TestHostileInput:
         assert self._one_error_line(["build", "--mode", "regression", "--epsilon", "1/0",
                                      "--in", str(data)]) == 2
 
+    @pytest.mark.parametrize("epsilon,label", [("1/3", "1/2"), ("1/2", "1/3")],
+                             ids=["epsilon", "midpoint-bias"])
+    def test_non_dyadic_regression_head_exit_2(self, tmp_path, monkeypatch, epsilon, label):
+        """A non-dyadic epsilon, or a lowest label that puts the grid midpoint
+        off the dyadics, is refused before the base net is built."""
+        from memnet import pipeline
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the base net was built")
+
+        monkeypatch.setattr(pipeline, "assemble_sqrt", unreachable)
+        data = tmp_path / "reg.csv"
+        data.write_text(f"x1,label\n1,{label}\n3,1\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(["build", "--mode", "regression", "--epsilon", epsilon,
+                      "--in", str(data)])
+        assert (rc, out.getvalue()) == (2, "")
+        assert err.getvalue() == ("ParameterError: epsilon and label range must be "
+                                  "dyadic rationals\n")
+
     @pytest.mark.parametrize("rows", [["1e200,1", "3e200,2"], ["0,1", "1e-200,2"]],
                              ids=["r-past-float-range", "delta-below-float-range"])
     def test_dataset_past_the_float_range(self, tmp_path, rows):

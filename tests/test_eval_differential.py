@@ -5,8 +5,8 @@ forward pass.
 arithmetic only, with no exponent bookkeeping, aliasing, register reuse or
 lane packing.  Both evaluators must agree with it value for value and
 return DyadicRational exactly when every input of a point is dyadic
-(Fraction otherwise); eval_exact must raise ContractViolation under
-debug=True exactly when the reference does.
+(Fraction otherwise); under debug=True each must raise ContractViolation
+exactly when the reference does for some point of its input.
 """
 
 import random
@@ -72,12 +72,20 @@ def assert_outputs(net, xs, got, want=None) -> None:
     assert [_fraction(v) for v in got] == want, xs
 
 
-def assert_batch_agrees(net: LayeredNet, points) -> None:
-    """One eval_exact_batch call against the reference, point by point."""
-    got = eval_exact_batch(net, points)
+def assert_batch_agrees(net: LayeredNet, points, debug: bool = False) -> None:
+    """One eval_exact_batch call against the reference, point by point; under
+    debug it raises ContractViolation exactly when the reference does for
+    some point."""
+    try:
+        wants = [reference_eval(net, xs, debug) for xs in points]
+    except ContractViolation:
+        with pytest.raises(ContractViolation):
+            eval_exact_batch(net, points, debug)
+        return
+    got = eval_exact_batch(net, points, debug)
     assert len(got) == len(points)
-    for xs, out in zip(points, got):
-        assert_outputs(net, xs, out)
+    for xs, out, want in zip(points, got, wants):
+        assert_outputs(net, xs, out, want)
 
 
 def assert_lanes_hold(net: LayeredNet, points) -> None:
@@ -171,21 +179,21 @@ def test_oracle_bit_nets_hold_their_lanes():
 @pytest.mark.parametrize("register_bits", [1, 40, 100, 1 << 16])
 def test_batch_chunks_and_one_lane_fallback(monkeypatch, register_bits):
     """A smaller register cap cuts each group into more chunks; below two
-    lanes the batch runs through eval_exact point by point."""
+    lanes no register is packed and the batch runs point by point."""
     name, net, ds = CORPUS[0]
     rng = random.Random(name)
     points = [v for p in ds.points for v in _input_variants(p, rng)[:3]]
-    calls = []
+    packed = []
 
-    def counted(net, xs):
-        calls.append(xs)
-        return eval_exact(net, xs)
+    def counted(values, width):
+        packed.append(width)
+        return real_pack(values, width)
 
+    real_pack = netir._pack
     monkeypatch.setattr(netir, "_REGISTER_BITS", register_bits)
-    monkeypatch.setattr(netir, "eval_exact", counted)
+    monkeypatch.setattr(netir, "_pack", counted)
     assert_batch_agrees(net, points)
-    if register_bits == 1:
-        assert calls == points
+    assert bool(packed) == (register_bits > 1)
     with pytest.raises(DimensionError):
         eval_exact_batch(net, points[:2] + [[1] * (net.input_dim + 1)])
 
@@ -239,19 +247,45 @@ def test_mutated_weight_nets_agree(name, net, ds):
         _check_points(_mutated(net, rng), ds.points[:4], rng)
 
 
-def test_negative_first_layer_inputs_under_debug():
-    """A pass-through ReLU layer on the raw inputs, in front of a corpus net."""
-    name, net, ds = CORPUS[-2]
+def _guarded(net: LayeredNet) -> LayeredNet:
+    """net behind a pass-through ReLU layer on its raw inputs."""
     d = net.input_dim
     carrier = AffineLayer(d, d, [((i, 1),) for i in range(d)], [0] * d, relu=True,
                           passthrough=range(d))
-    guarded = LayeredNet(d, (carrier,) + net.layers)
+    return LayeredNet(d, (carrier,) + net.layers)
+
+
+def test_negative_first_layer_inputs_under_debug():
+    """A pass-through ReLU layer on the raw inputs, in front of a corpus net."""
+    name, net, ds = CORPUS[-2]
+    guarded = _guarded(net)
     for x in (-1, Fraction(-1, 3), DyadicRational(-5, -3)):
         xs = [x] + list(ds.points[0][1:])
         with pytest.raises(ContractViolation):
             eval_exact(guarded, xs, debug=True)
         assert_agrees(guarded, xs)
     _check_points(guarded, ds.points[:4], random.Random(name))
+
+
+@pytest.mark.parametrize("register_bits", [1, 1 << 16], ids=["one-lane", "packed"])
+def test_negative_first_layer_lanes_under_debug(monkeypatch, register_bits):
+    """The guarded first layer on batches whose dyadic group and odd-D group
+    each have several negative lanes: under debug the batch raises exactly
+    when the reference does, point by point or packed."""
+    name, net, ds = CORPUS[-2]
+    guarded = _guarded(net)
+    rest = [list(p[1:]) for p in ds.points[:4]]
+    dyadic = [[x] + r for x, r in zip((-1, DyadicRational(-5, -3), -2, 3), rest)]
+    odd = [[x] + r for x, r in zip((Fraction(-1, 3), Fraction(-7, 9), Fraction(4, 3)), rest)]
+    clean = ([list(p) for p in ds.points[:4]]
+             + [[Fraction(k, 3)] + r for k, r in zip((1, 2, 4), rest)])
+    monkeypatch.setattr(netir, "_REGISTER_BITS", register_bits)
+    for points in (clean, clean + dyadic, clean + odd, odd + dyadic, dyadic[-1:] + odd[-1:]):
+        assert_batch_agrees(guarded, points, debug=True)
+        assert_batch_agrees(guarded, points)
+    for points in (clean + dyadic, clean + odd):
+        with pytest.raises(ContractViolation):
+            eval_exact_batch(guarded, points, debug=True)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +323,7 @@ def test_check_outputs_matches_plain_loop(name, net, ds):
 
 def test_check_outputs_debug_raises_contract_violation():
     name, net, ds = CORPUS[-2]
-    d = net.input_dim
-    carrier = AffineLayer(d, d, [((i, 1),) for i in range(d)], [0] * d, relu=True,
-                          passthrough=range(d))
-    guarded = LayeredNet(d, (carrier,) + net.layers)
+    guarded = _guarded(net)
     points = [list(ds.points[0]), [Fraction(-1, 3)] + list(ds.points[1][1:])]
     labels = ds.labels[:2]
     with pytest.raises(ContractViolation):
@@ -340,4 +371,10 @@ def test_random_nets_agree(data):
     for _ in range(3):  # several points per net: exercises recompilation
         assert_agrees(net, data.draw(point), debug=data.draw(st.booleans()))
     for size in (1, 2, data.draw(st.sampled_from([3, 5, 7]))):
-        assert_batch_agrees(net, data.draw(st.lists(point, min_size=size, max_size=size)))
+        assert_batch_agrees(net, data.draw(st.lists(point, min_size=size, max_size=size)),
+                            debug=data.draw(st.booleans()))
+    # one D == 1 group: several lanes of one packed register
+    dyadic = st.lists(st.one_of(st.integers(-20, 20), _dyadics),
+                      min_size=net.input_dim, max_size=net.input_dim)
+    assert_batch_agrees(net, data.draw(st.lists(dyadic, min_size=4, max_size=6)),
+                        debug=data.draw(st.booleans()))
