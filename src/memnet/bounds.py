@@ -148,18 +148,25 @@ class AuditReport:
 _KNOWN = {"sqrt", "bounded_depth", "bounded_bits", "regression"}
 
 
-def audit(net: LayeredNet, ds: "Dataset", theorem: str, info: "BuildInfo") -> AuditReport:
-    """Fill every ceiling and lower bound relevant to `theorem`.
+def audit(net: LayeredNet, ds: "Dataset", info: "BuildInfo") -> AuditReport:
+    """Fill every ceiling and lower bound relevant to info.theorem.
 
+    The ceilings come from the builder record, so it must describe ds: a
+    ValueError names the fields of N, d, C, delta_sq and r_sq that differ.
     Memorization is re-verified here by exact evaluation: against the
     labels, or for a regression build against the grid midpoints
     label_lo + (q - 1/2) * epsilon of the quantized labels q.
     """
+    theorem = info.theorem
     if theorem not in _KNOWN:
         raise ProvenanceError(f"unknown construction {theorem!r}")
-    if info.theorem != theorem:
-        raise ProvenanceError(
-            f"builder info says {info.theorem!r}, audit asked for {theorem!r}")
+    differ = [key for key, recorded, real in (
+        ("N", info.n, ds.n), ("d", info.dim, ds.dim), ("C", info.num_classes, ds.num_classes),
+        ("delta_sq", info.delta_sq, ds.delta_sq), ("r_sq", info.r_sq, ds.r_sq))
+        if recorded != real]
+    if differ:
+        raise ValueError("the builder record does not describe this dataset: "
+                         f"its {', '.join(differ)} differ")
     real = metrics(net)
     ebits = effective_bits(net)
     expected = ds.labels

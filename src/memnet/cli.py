@@ -125,9 +125,8 @@ def cmd_eval(args) -> int:
     for idx, p in enumerate(points):
         if args.precision == "exact":
             out = eval_exact(net, list(p))[0]
-            got = out if isinstance(out, Fraction) else out.as_fraction()
             # str() is a ValueError past the interpreter's int-to-decimal limit
-            _emit({"event": "eval", "index": idx, "output": str(got)})
+            _emit({"event": "eval", "index": idx, "output": str(out)})
         else:
             out = eval_float(net, [bounds.to_float(c) for c in p])[0]
             _emit({"event": "eval", "index": idx, "output": out})
@@ -145,7 +144,7 @@ def cmd_audit(args) -> int:
                                          info.epsilon, info.num_classes)
     else:
         ds = pipeline.load_dataset(args.infile)
-    report = bounds.audit(net, ds, info.theorem, info)
+    report = bounds.audit(net, ds, info)
     if args.report:
         _write_report(report, args.report)
     _emit({"event": "audit", "theorem": report.theorem,

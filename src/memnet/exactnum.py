@@ -1,10 +1,12 @@
-"""Exact dyadic-rational arithmetic and big-integer bit utilities.
+"""The stored form of a weight, and big-integer bit utilities.
 
-Every weight and (for dyadic inputs) every activation in this package is a
-dyadic rational m * 2**e.  The type below keeps a canonical form -- odd
-mantissa, or the zero triple -- so equality is structural and serialization
-is bit-exact.  Bit-string helpers treat integers as fixed-width, MSB-first
-bit blocks (bit 1 is the most significant bit of the padded string).
+Every weight and bias in this package is a dyadic rational m * 2**e, held
+as a DyadicRational: a canonical triple (odd mantissa, or the zero triple),
+so equality is structural and serialization is bit-exact.  It is only a
+storage form; computed values (activations, outputs, the oracles' formulas)
+are Fraction and int.  Bit-string helpers treat integers as fixed-width,
+MSB-first bit blocks (bit 1 is the most significant bit of the padded
+string).
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ def _canon(num: int, exp: int) -> tuple[int, int]:
 
 
 class DyadicRational:
-    """Value sign * mantissa * 2**exponent with odd mantissa (or exact zero).
+    """The stored form of a weight: sign * mantissa * 2**exponent with odd
+    mantissa (or exact zero).
 
-    Closed under +, -, * and multiplication by powers of two; comparison is
-    exact.  There is no general division: the constructions here only ever
-    scale by integers and powers of two.
+    It holds no arithmetic: the evaluators compile the triple into integer
+    programs, and every computed value is a Fraction or an int.
     """
 
     __slots__ = ("sign", "mantissa", "exponent")
@@ -136,21 +138,11 @@ class DyadicRational:
 
     # -- views --------------------------------------------------------
 
-    @property
-    def numerator(self) -> int:
-        """Signed mantissa; value = numerator * 2**exponent."""
-        return self.sign * self.mantissa
-
     def as_fraction(self) -> Fraction:
         n = self.sign * self.mantissa
         if self.exponent >= 0:
             return Fraction(n << self.exponent, 1)
         return Fraction(n, 1 << -self.exponent)
-
-    def as_int(self) -> int:
-        if self.sign and self.exponent < 0:
-            raise ValueError(f"{self!r} is not an integer")
-        return self.sign * (self.mantissa << self.exponent)
 
     def to_float(self) -> float:
         import math
@@ -159,75 +151,6 @@ class DyadicRational:
             return math.ldexp(self.sign * float(self.mantissa), self.exponent)
         except OverflowError:
             return self.sign * math.inf
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _pair(self) -> tuple[int, int]:
-        return self.sign * self.mantissa, self.exponent
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, DyadicRational):
-            return other
-        if isinstance(other, int):
-            return DyadicRational(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, ae = self._pair()
-        b, be = o._pair()
-        if ae >= be:
-            return DyadicRational((a << (ae - be)) + b, be)
-        return DyadicRational(a + (b << (be - ae)), ae)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, Fraction):
-                return self.as_fraction() - other
-            return NotImplemented
-        return self + (-o)
-
-    def __neg__(self):
-        return DyadicRational(-self.sign * self.mantissa, self.exponent)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DyadicRational(
-            self.sign * o.sign * self.mantissa * o.mantissa,
-            self.exponent + o.exponent,
-        )
-
-    __rmul__ = __mul__
-
-    def mul_pow2(self, k: int) -> "DyadicRational":
-        if self.sign == 0:
-            return self
-        return DyadicRational(self.sign * self.mantissa, self.exponent + k)
-
-    # -- comparison ---------------------------------------------------
-
-    def _cmp(self, other) -> int:
-        """Sign of self - other, from the two numerators shifted to one exponent."""
-        if isinstance(other, DyadicRational):
-            b, be = other.sign * other.mantissa, other.exponent
-        elif isinstance(other, int):
-            b, be = other, 0
-        else:
-            raise TypeError(f"cannot compare DyadicRational with {type(other)!r}")
-        a, ae = self.sign * self.mantissa, self.exponent
-        if ae > be:
-            a <<= ae - be
-        else:
-            b <<= be - ae
-        return (a > b) - (a < b)
 
     def __eq__(self, other):
         if isinstance(other, DyadicRational):
@@ -245,28 +168,8 @@ class DyadicRational:
             return self.as_fraction() == other
         return NotImplemented
 
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __bool__(self):
-        return self.sign != 0
-
     def __repr__(self):
         return f"DyadicRational({self.sign * self.mantissa}, {self.exponent})"
-
-    def __str__(self):
-        if self.exponent >= 0:
-            return str(self.sign * (self.mantissa << self.exponent))
-        return f"{self.sign * self.mantissa}/2^{-self.exponent}"
 
     # -- parsing (netir.net_to_json_bytes writes the cells) -----------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ZERO, DyadicRational, bin_range
+from .exactnum import bin_range
 from .netir import LayeredNet, TapeBuilder
 
 __all__ = [
@@ -48,14 +48,11 @@ class ParameterError(ValueError):
     """Gadget parameters violate the construction's preconditions."""
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 def _relu(v):
-    """sigma(v); a zero of the argument's kind (DyadicRational for an int)."""
-    if isinstance(v, Fraction):
-        return v if v > 0 else _FRACTION_ZERO
-    return v if v > ZERO else ZERO
+    """sigma(v) of a Fraction or int, in the argument's type."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"sigma needs a Fraction or int, got {type(v).__name__}")
+    return v if v > 0 else v * 0
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +154,10 @@ def triangle_step_rows(p: str, q: str, t: str, prefix: str):
     return first, second
 
 
-def tap_weight(n: int, k: int, left: int) -> DyadicRational:
+def tap_weight(n: int, k: int, left: int) -> int:
     """Weight on the tap of bit k (MSB-first, width n) when `left` more bits
     of the same block follow it: it scales the bit to 2^left."""
-    return DyadicRational(1, left + n + 2 - k)
+    return 1 << (left + n + 2 - k)
 
 
 def _track_table(x: int, n: int) -> list:
@@ -172,26 +169,30 @@ def _track_table(x: int, n: int) -> list:
     a in those units: triangle_value is sigma(sigma(2a) - sigma(4a - 2u))
     with u = 2^(n+2).
     """
-    u, e = 1 << (n + 2), -(n + 2)
+    u = 1 << (n + 2)
 
     def step(a: int) -> int:
         return max(max(2 * a, 0) - max(4 * a - 2 * u, 0), 0)
 
     p, q = (x << 2) + 2, (x << 2) + 1
-    table = [(DyadicRational(p, e), DyadicRational(q, e))]
+    table = [(Fraction(p, u), Fraction(q, u))]
     for _ in range(n):
         p, q = step(p), step(q)
-        table.append((DyadicRational(p, e), DyadicRational(q, e)))
+        table.append((Fraction(p, u), Fraction(q, u)))
     return table
 
 
-def _tap_bit(p: DyadicRational, q: DyadicRational, n: int, i: int) -> int:
+def _tap_bit(p: Fraction, q: Fraction, n: int, i: int) -> int:
     """Bit i from the stage-(i+1) track pair: 2^(n+2-i) * sigma(q - p).
 
     This is the iterated-triangle identity
     bit_i = 2^(n+2-i) * sigma(phi^(i)(x/2^n + 1/2^(n+2)) - phi^(i)(x/2^n + 1/2^(n+1))).
+    A tap that is not an integer is a ValueError, never rounded.
     """
-    return _relu(q - p).mul_pow2(n + 2 - i).as_int()
+    tap = _relu(q - p) * 2 ** (n + 2 - i)
+    if tap.denominator != 1:
+        raise ValueError(f"the tap of bit {i} is {tap}, not an integer")
+    return tap.numerator
 
 
 def build_bit_extractor(n: int, i: int, j: int) -> LayeredNet:
@@ -239,7 +240,7 @@ def oracle_triangle(max_iter: int = 6, grid_halving: int = 6) -> dict:
     """Composed triangle nets vs the scalar formula on dyadic grids of [0,1]."""
     from .netir import compose_serial, eval_exact_batch
 
-    grid = [DyadicRational(t, -grid_halving) for t in range((1 << grid_halving) + 1)]
+    grid = [Fraction(t, 2 ** grid_halving) for t in range((1 << grid_halving) + 1)]
     witnesses = []
     net = build_triangle()
     for k in range(1, max_iter + 1):
@@ -325,8 +326,11 @@ def oracle_bits(n_max: int = 10) -> dict:
                     want_tracks = tracks[x][j]
                     want_bits = bin_range(x, i, j, n)
                     checks += 1
-                    ok = (out[2] == want_bits and out[0] == want_tracks[0]
-                          and out[1] == want_tracks[1])
+                    # normalized Fractions are equal when their ratios are;
+                    # comparing those skips Fraction.__eq__'s type dispatch
+                    ok = (out[2] == want_bits
+                          and out[0].as_integer_ratio() == want_tracks[0].as_integer_ratio()
+                          and out[1].as_integer_ratio() == want_tracks[1].as_integer_ratio())
                     if not ok:
                         witnesses.append({
                             "suite": "bits", "kind": "net", "n": n, "i": i, "j": j,

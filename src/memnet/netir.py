@@ -277,30 +277,27 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
 
 def _scaled(x) -> tuple[int, int, int]:
     """(n, e, d) with x == n * 2**e / d and d odd."""
-    if isinstance(x, DyadicRational) or not isinstance(x, Fraction):
-        d = _as_dyadic(x)
-        return d.sign * d.mantissa, d.exponent, 1
-    den = x.denominator
-    twos = (den & -den).bit_length() - 1
-    return x.numerator, -twos, den >> twos
+    if isinstance(x, Fraction):
+        n, den = x.as_integer_ratio()
+        twos = (den & -den).bit_length() - 1
+        return n, -twos, den >> twos
+    d = _as_dyadic(x)
+    return d.sign * d.mantissa, d.exponent, 1
 
 
 def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
     """Exact forward pass; no rounding anywhere: eval_exact_batch on a
     batch of one.
 
-    Inputs are int, DyadicRational or Fraction.  Outputs are DyadicRational
-    when every input is dyadic, otherwise Fraction.  With debug=True a
-    pass-through unit of a ReLU layer that goes negative raises
+    Inputs are int, DyadicRational or Fraction; outputs are Fraction.  With
+    debug=True a pass-through unit of a ReLU layer that goes negative raises
     ContractViolation.
     """
     return eval_exact_batch(net, [xs], debug)[0]
 
 
-def _value(v: int, e: int, den: int):
-    """v * 2**e / den: a DyadicRational when den == 1, otherwise a Fraction."""
-    if den == 1:
-        return DyadicRational(v, e)
+def _value(v: int, e: int, den: int) -> Fraction:
+    """v * 2**e / den."""
     return Fraction(v << e, den) if e >= 0 else Fraction(v, den << -e)
 
 
@@ -478,8 +475,7 @@ def check_outputs(net: LayeredNet, points, expected, debug: bool = False):
     """
     bad, worst = [], Fraction(0)
     for idx, (p, want) in enumerate(zip(points, expected)):
-        out = eval_exact(net, list(p), debug=debug)[0]
-        got = out if isinstance(out, Fraction) else out.as_fraction()
+        got = eval_exact(net, list(p), debug=debug)[0]
         if got != want:
             bad.append(idx)
             worst = max(worst, abs(got - want))

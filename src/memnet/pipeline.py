@@ -121,8 +121,6 @@ def _to_fraction(value) -> Fraction:
             value = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"{value!r} divides by zero") from None
-    elif isinstance(value, DyadicRational):
-        value = value.as_fraction()
     elif isinstance(value, int) and not isinstance(value, bool):
         value = Fraction(value)
     elif not isinstance(value, Fraction):
@@ -530,9 +528,8 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
         hold = ["x", "pu", "qu", "pw", "qw", "y"] + carries
         t.layer(gate_out + [("bw", 0, {"bw": 1})]
                 + t.passthrough_rows(hold), passthrough=["x", "bw"] + carries)
-        gate_scale = DyadicRational(1, c + 1)
-        t.layer([("g", -gate_scale.mul_pow2(1),
-                  {"g1": gate_scale, "g2": gate_scale, "bw": 1})]
+        t.layer([("g", -(1 << (c + 2)),
+                  {"g1": 1 << (c + 1), "g2": 1 << (c + 1), "bw": 1})]
                 + t.passthrough_rows(hold), passthrough=["x"] + carries)
     if carry:
         final = [("x", 0, {"x": 1}),
@@ -550,7 +547,6 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    bucket_count: int | None = None
 
 
 @dataclass
@@ -671,7 +667,7 @@ def _verified_build(net: LayeredNet, ds: Dataset, config: PipelineConfig,
         R_realized=proj.R_realized, delta_sq=ds.delta_sq, r_sq=ds.r_sq,
         **mode_fields,
     )
-    return net, bounds.audit(net, ds, theorem, info)
+    return net, bounds.audit(net, ds, info)
 
 
 def assemble_sqrt(ds: Dataset, config: PipelineConfig | None = None):
@@ -682,8 +678,8 @@ def assemble_sqrt(ds: Dataset, config: PipelineConfig | None = None):
     """
     config = config or PipelineConfig()
     proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
-    m = config.bucket_count or min(ds.n, default_bucket_count(ds.n))
-    code = craft_codes(z_sorted, labels_sorted, m, ds.num_classes)
+    code = craft_codes(z_sorted, labels_sorted, min(ds.n, default_bucket_count(ds.n)),
+                       ds.num_classes)
     net2 = build_stage2(code)
     net3 = build_stage3(code.bucket_size, code.rho, code.c)
     net = compose_serial(compose_serial(net1, net2), net3, "sqrt_memorizer")
@@ -729,7 +725,7 @@ def regression_wrap(raw_points, raw_labels, epsilon,
         raise MemorizationError(f"regression error {worst} exceeds epsilon/2")
     info = replace(base_report.info, theorem="regression", epsilon=epsilon, label_lo=lo,
                    extra={"max_abs_error": str(worst)})
-    return net, bounds.audit(net, ds, "regression", info)
+    return net, bounds.audit(net, ds, info)
 
 
 def _dyadic_head(epsilon: Fraction, bias: Fraction) -> LayeredNet:

@@ -31,8 +31,7 @@ def _check_budget(budget: int, n: int) -> None:
         raise ParameterError(f"budget {budget} outside 1..ceil(sqrt(N))={limit}")
 
 
-def _subset_codes(ds: Dataset, z_sorted, labels_sorted, subset_size: int,
-                  config: PipelineConfig):
+def _subset_codes(ds: Dataset, z_sorted, labels_sorted, subset_size: int):
     """Contiguous subsets with a shared sentinel band above every floor."""
     n = ds.n
     global_max_floor = max(z.numerator // z.denominator for z in z_sorted)
@@ -40,9 +39,8 @@ def _subset_codes(ds: Dataset, z_sorted, labels_sorted, subset_size: int,
     for lo in range(0, n, subset_size):
         hi = min(lo + subset_size, n)
         size = hi - lo
-        m = config.bucket_count or min(size, default_bucket_count(size))
         codes.append(craft_codes(z_sorted[lo:hi], labels_sorted[lo:hi],
-                                 min(m, size), ds.num_classes,
+                                 min(size, default_bucket_count(size)), ds.num_classes,
                                  sentinel_base=global_max_floor))
     return codes
 
@@ -69,7 +67,7 @@ def assemble_bounded_depth(ds: Dataset, L: int,
     config = config or PipelineConfig()
     _check_budget(L, ds.n)
     proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
-    codes = _subset_codes(ds, z_sorted, labels_sorted, L * L, config)
+    codes = _subset_codes(ds, z_sorted, labels_sorted, L * L)
     subnets = [
         compose_serial(build_stage2(code),
                        build_stage3(code.bucket_size, code.rho, code.c))
@@ -97,7 +95,7 @@ def assemble_bounded_bits(ds: Dataset, B: int,
     config = config or PipelineConfig()
     _check_budget(B, ds.n)
     proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
-    codes = _subset_codes(ds, z_sorted, labels_sorted, B * B, config)
+    codes = _subset_codes(ds, z_sorted, labels_sorted, B * B)
     net = _with_zero_outputs(net1, 1)
     for code in codes:
         block = compose_serial(

@@ -1,23 +1,24 @@
-"""The scalar bit-extraction formula, stepped on DyadicRationals.
+"""The scalar bit-extraction formula, stepped on Fractions.
 
 `extractor_track_inputs` iterates the triangle function on the two track
-offsets one DyadicRational step at a time, and `bin_bit_formula` reads a
-bit from them.  They are the reference of tests/test_gadgets.py for
+offsets one Fraction step at a time, and `bin_bit_formula` reads a bit
+from them.  They are the reference of tests/test_gadgets.py for
 gadgets._track_table, which steps the same tracks on plain integers for
 the bit oracle and the extractor inputs.
 """
 
-from memnet.exactnum import DyadicRational
+from fractions import Fraction
+
 from memnet.gadgets import _relu, triangle_iterate
 
 
-def extractor_track_inputs(x: int, n: int, i: int) -> tuple[DyadicRational, DyadicRational]:
+def extractor_track_inputs(x: int, n: int, i: int) -> tuple[Fraction, Fraction]:
     """The two triangle-track values expected by a bit extractor at stage i.
 
     Returns (phi^(i-1)(x/2^n + 1/2^(n+1)), phi^(i-1)(x/2^n + 1/2^(n+2))).
     """
-    base_p = DyadicRational((x << 2) + 2, -(n + 2))
-    base_q = DyadicRational((x << 2) + 1, -(n + 2))
+    base_p = Fraction(x, 1 << n) + Fraction(1, 1 << (n + 1))
+    base_q = Fraction(x, 1 << n) + Fraction(1, 1 << (n + 2))
     return triangle_iterate(base_p, i - 1), triangle_iterate(base_q, i - 1)
 
 
@@ -31,4 +32,7 @@ def bin_bit_formula(x: int, n: int, i: int) -> int:
     if x.bit_length() > n:
         raise OverflowError(f"{x} does not fit in {n} bits")
     p, q = extractor_track_inputs(x, n, i + 1)  # phi^(i) of both offsets
-    return _relu(q - p).mul_pow2(n + 2 - i).as_int()
+    value = _relu(q - p) * 2 ** (n + 2 - i)
+    if value.denominator != 1:
+        raise ValueError(f"the tap of bit {i} is {value}, not an integer")
+    return int(value)

@@ -102,7 +102,7 @@ def test_criterion_2_width_claim(corpus):
     sample = corpus[2]
     net, builder = load_net(sample["net_path"])
     info = BuildInfo.from_json(builder)
-    report = audit(net, load_dataset(sample["data_path"]), "sqrt", info)
+    report = audit(net, load_dataset(sample["data_path"]), info)
     assert report.passes["width"]
     print(f"\nACCEPTANCE 2 width<=12+s (s=0): PASS (max realized width "
           f"{max(widths)})")

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -101,28 +102,35 @@ class TestAudit:
 
     def test_audit_is_pure(self, built):
         ds, net, report = built
-        again = audit(net, ds, "sqrt", report.info)
+        again = audit(net, ds, report.info)
         assert again.to_json() == report.to_json()
 
     def test_corrupted_weight_fails_memorization(self, built):
         ds, net, report = built
         last = net.layers[-1]
         bad_rows = tuple(
-            tuple((i, w + 1) for i, w in row) if row else ((0, DyadicRational(1)),)
+            tuple((i, DyadicRational.from_fraction(w.as_fraction() + 1)) for i, w in row)
+            if row else ((0, DyadicRational(1)),)
             for row in last.rows
         )
         bad_last = AffineLayer(last.in_dim, last.out_dim, bad_rows, last.biases,
                                relu=False)
         broken = LayeredNet(net.input_dim, net.layers[:-1] + (bad_last,),
                             net.provenance, net.output_nonneg)
-        again = audit(broken, ds, "sqrt", report.info)
+        again = audit(broken, ds, report.info)
         assert not again.memorized
         assert not again.passed
+
+    def test_record_of_other_data_is_refused(self, built):
+        ds, net, report = built
+        other = random_dataset(ds.n + 2, ds.dim, ds.num_classes, seed=5)
+        with pytest.raises(ValueError, match="does not describe this dataset: its N, "):
+            audit(net, other, report.info)
 
     def test_unknown_theorem(self, built):
         ds, net, report = built
         with pytest.raises(ProvenanceError):
-            audit(net, ds, "unheard_of", report.info)
+            audit(net, ds, replace(report.info, theorem="unheard_of"))
 
     def test_report_json_schema(self, built):
         _, _, report = built

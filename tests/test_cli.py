@@ -141,9 +141,11 @@ class TestEvalAuditOracle:
         def sabotaged(n, i, j):
             net = real(n, i, j)
             last = net.layers[-1]
+            from memnet.exactnum import DyadicRational
             from memnet.netir import AffineLayer, LayeredNet
             rows = list(last.rows)
-            rows[2] = tuple((idx, w.mul_pow2(1)) for idx, w in rows[2])
+            rows[2] = tuple((idx, DyadicRational(w.sign * w.mantissa, w.exponent + 1))
+                            for idx, w in rows[2])
             bad = AffineLayer(last.in_dim, last.out_dim, rows, last.biases, False)
             return LayeredNet(net.input_dim, net.layers[:-1] + (bad,),
                               net.provenance, net.output_nonneg)
@@ -406,6 +408,32 @@ class TestHostileInput:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
         return rc
+
+    def test_audit_against_a_subset_of_the_data_exit_2(self, saved, tmp_path):
+        """The ceilings come from the builder record, so audit refuses data
+        the record does not describe: here two of the six training points."""
+        _, data, obj = saved
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        subset = tmp_path / "subset.csv"
+        with open(data) as fh:
+            subset.write_text("".join(fh.readlines()[:3]))
+        assert self._one_error_line(["audit", "--net", str(net), "--in", str(subset)]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("N", 7), ("d", 3), ("C", 3), ("delta_sq", "1/1000000000000"), ("r_sq", "1/2")])
+    def test_audit_of_a_record_for_other_data_exit_2(self, saved, tmp_path, capsys,
+                                                     field, value):
+        _, data, obj = saved
+        obj = copy.deepcopy(obj)
+        obj["builder"][field] = value
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        assert run(["audit", "--net", str(net), "--in", data]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "ValueError: the builder record does not describe this dataset: "
+            f"its {field} differ"]
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     @pytest.mark.parametrize("command", ["build", "verify", "eval", "audit"])

@@ -4,9 +4,9 @@ forward pass.
 `reference_eval` below is the reference: it walks the layers with Fraction
 arithmetic only, with no exponent bookkeeping, aliasing, register reuse or
 lane packing.  Both evaluators must agree with it value for value and
-return DyadicRational exactly when every input of a point is dyadic
-(Fraction otherwise); under debug=True each must raise ContractViolation
-exactly when the reference does for some point of its input.
+return Fraction for every input kind (int, DyadicRational, Fraction);
+under debug=True each must raise ContractViolation exactly when the
+reference does for some point of its input.
 """
 
 import random
@@ -48,11 +48,6 @@ def reference_eval(net: LayeredNet, xs, debug: bool = False) -> list:
     return vals
 
 
-def _is_dyadic(x) -> bool:
-    den = _fraction(x).denominator
-    return not den & (den - 1)
-
-
 def assert_agrees(net: LayeredNet, xs, debug: bool = False) -> None:
     try:
         want = reference_eval(net, xs, debug)
@@ -64,12 +59,11 @@ def assert_agrees(net: LayeredNet, xs, debug: bool = False) -> None:
 
 
 def assert_outputs(net, xs, got, want=None) -> None:
-    """got is the reference's output on xs, in the evaluator's type."""
+    """got is the reference's output on xs, as Fractions."""
     if want is None:
         want = reference_eval(net, xs)
-    kind = DyadicRational if all(_is_dyadic(x) for x in xs) else Fraction
-    assert [type(v) for v in got] == [kind] * len(want), xs
-    assert [_fraction(v) for v in got] == want, xs
+    assert [type(v) for v in got] == [Fraction] * len(want), xs
+    assert got == want, xs
 
 
 def assert_batch_agrees(net: LayeredNet, points, debug: bool = False) -> None:
@@ -111,15 +105,19 @@ def assert_lanes_hold(net: LayeredNet, points) -> None:
             assert max(map(abs, seen), default=0).bit_length() <= width - 2, net.provenance
 
 
+def _shifted(k: int, a: int, e: int) -> DyadicRational:
+    """The dyadic input k + a/2^e."""
+    return DyadicRational((k << e) + a, -e)
+
+
 def _input_variants(point, rng):
     """The point as given, and dyadic, non-dyadic and mixed shifts of it."""
     return [
         list(point),
         [c + Fraction(rng.randint(-7, 7), 8) for c in point],
-        [DyadicRational(rng.randint(-40, 40), -rng.randint(1, 6)) + c.numerator
-         for c in point],
+        [_shifted(c.numerator, rng.randint(-40, 40), rng.randint(1, 6)) for c in point],
         [c + Fraction(rng.randint(1, 8), 3 * rng.randint(1, 5)) for c in point],
-        [c + Fraction(1, 3) if k % 2 else DyadicRational(3, -2) + c.numerator
+        [c + Fraction(1, 3) if k % 2 else _shifted(c.numerator, 3, 2)
          for k, c in enumerate(point)],
     ]
 

@@ -114,54 +114,40 @@ class TestDyadicRational:
                 (v.sign, v.mantissa, v.exponent)
 
     def test_agrees_with_fraction_oracle_bulk(self):
+        # the value of (n, e) is n * 2**e, and from_fraction inverts as_fraction
         rng = random.Random(11)
         for _ in range(10_000):
-            a = DyadicRational(rng.randint(-500, 500), rng.randint(-12, 12))
-            b = DyadicRational(rng.randint(-500, 500), rng.randint(-12, 12))
-            fa, fb = a.as_fraction(), b.as_fraction()
-            assert (a + b).as_fraction() == fa + fb
-            assert (a - b).as_fraction() == fa - fb
-            assert (a * b).as_fraction() == fa * fb
-            assert (a < b) == (fa < fb)
-            assert (a == b) == (fa == fb)
-
-    @given(st.integers(-10**12, 10**12), st.integers(-64, 64),
-           st.integers(-10**12, 10**12), st.integers(-64, 64))
-    def test_ring_ops_property(self, na, ea, nb, eb):
-        a, b = DyadicRational(na, ea), DyadicRational(nb, eb)
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-        assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
+            n, e = rng.randint(-500, 500), rng.randint(-12, 12)
+            a = DyadicRational(n, e)
+            want = Fraction(n) * Fraction(2) ** e
+            assert a.as_fraction() == want and a == want
+            assert DyadicRational.from_fraction(want) == a
+            assert a.to_float() == float(want)
 
     @settings(max_examples=300, deadline=None)
     @given(_dyadics, st.one_of(_dyadics, _numerators))
     def test_comparisons_match_fractions(self, a, b):
+        # equality is the only comparison; it agrees with the Fraction values
         fa = a.as_fraction()
         fb = b.as_fraction() if isinstance(b, DyadicRational) else Fraction(b)
-        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == \
-            (fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb, fa != fb)
-        assert (b < a, b <= a, b > a, b >= a, b == a) == \
-            (fb < fa, fb <= fa, fb > fa, fb >= fa, fb == fa)
+        assert (a == b, a != b, b == a, b != a) == (fa == fb, fa != fb, fb == fa, fb != fa)
         assert a == fa and (a == fb) == (fa == fb)
 
     def test_comparison_with_a_fraction_is_refused(self):
-        with pytest.raises(TypeError):
-            DyadicRational(1) < Fraction(1, 2)  # noqa: B015
-        with pytest.raises(TypeError):
-            Fraction(1, 2) >= DyadicRational(1)  # noqa: B015
+        # a dyadic has no ordering: computed values are Fraction and int
+        for other in (Fraction(1, 2), 0, DyadicRational(3)):
+            with pytest.raises(TypeError):
+                DyadicRational(1) < other  # noqa: B015
+            with pytest.raises(TypeError):
+                other >= DyadicRational(1)  # noqa: B015
         assert DyadicRational(1, -1) == Fraction(1, 2) != DyadicRational(1)
 
     def test_int_interop(self):
-        v = DyadicRational(3, -1)
-        assert v + 1 == DyadicRational(5, -1)
-        assert 2 * v == 3
-        assert v - Fraction(1, 2) == Fraction(1)
-        # < against an int needs __lt__: the reflected __gt__ serves dyadics only
-        assert (v < 0, 0 > v, -v < 0, 0 > -v) == (False, False, True, True)
-
-    def test_mul_pow2(self):
-        v = DyadicRational(3, -2)
-        assert v.mul_pow2(4) == 12
-        assert ZERO.mul_pow2(5) == ZERO
+        v = DyadicRational(3, 1)
+        assert v == 6 and 6 == v and v != 3 and v != 12
+        assert DyadicRational(3, -1) != 1 and ZERO == 0 and DyadicRational(-1) == -1
+        with pytest.raises(TypeError):
+            v + 1  # noqa: B018
 
     def test_json_round_trip(self):
         for v in (ZERO, DyadicRational(-12345, -7), DyadicRational(1, 99)):

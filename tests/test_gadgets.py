@@ -16,15 +16,12 @@ from bitformula_reference import bin_bit_formula, extractor_track_inputs
 
 class TestRelu:
     @pytest.mark.parametrize("v,want", [
-        (DyadicRational(3, -2), DyadicRational(3, -2)),
-        (DyadicRational(-3, -2), DyadicRational(0)),
-        (DyadicRational(0), DyadicRational(0)),
         (Fraction(1, 3), Fraction(1, 3)),
         (Fraction(-1, 3), Fraction(0)),
         (Fraction(0), Fraction(0)),
         (5, 5),
-        (-5, DyadicRational(0)),
-        (0, DyadicRational(0)),
+        (-5, 0),
+        (0, 0),
     ], ids=repr)
     def test_values_and_types(self, v, want):
         got = _relu(v)
@@ -33,8 +30,10 @@ class TestRelu:
             assert got is v
 
     def test_other_types_are_refused(self):
-        with pytest.raises(TypeError):
-            _relu(0.5)
+        # a float would round, and a dyadic is only a weight's stored form
+        for v in (0.5, DyadicRational(3, -2), DyadicRational(-3, -2), DyadicRational(0)):
+            with pytest.raises(TypeError):
+                _relu(v)
 
 
 class TestTriangle:
@@ -43,7 +42,7 @@ class TestTriangle:
         assert eval_exact(net, [0])[0] == 0
         assert eval_exact(net, [DyadicRational(1, -1)])[0] == 1
         assert eval_exact(net, [1])[0] == 0
-        assert eval_exact(net, [DyadicRational(1, -2)])[0] == DyadicRational(1, -1)
+        assert eval_exact(net, [DyadicRational(1, -2)])[0] == Fraction(1, 2)
 
     def test_metrics(self):
         m = metrics(build_triangle())
@@ -54,17 +53,21 @@ class TestTriangle:
         step = Fraction(1, 64)
         for k in range(64):
             lo, hi = k * step, (k + 1) * step
-            rise = (eval_exact(net, [hi])[0] - eval_exact(net, [lo])[0]).as_fraction()
+            rise = eval_exact(net, [hi])[0] - eval_exact(net, [lo])[0]
             assert abs(rise / step) == 2
 
     def test_iterate_zero_fixed_point(self):
-        assert triangle_iterate(DyadicRational(0), 10) == 0
+        assert triangle_iterate(0, 10) == 0 == triangle_iterate(Fraction(0), 10)
 
     def test_scalar_formula_agrees_with_fraction(self):
+        # an int and the equal Fraction give one value: the closed form
+        # 2z on [0, 1/2], 2 - 2z on [1/2, 1] and 0 elsewhere
         for num in range(-4, 9):
             z = Fraction(num, 4)
-            assert triangle_value(z) == \
-                triangle_value(DyadicRational(num, -2)).as_fraction()
+            want = max(0, min(2 * z, 2 - 2 * z))
+            assert triangle_value(z) == want
+            if num % 4 == 0:
+                assert triangle_value(num // 4) == want
 
 
 class TestIndicator:
@@ -199,7 +202,7 @@ class TestOracles:
     def test_oracle_catches_sabotaged_exponent(self, monkeypatch):
         # mutation check: a wrong power in the bit tap must produce a witness
         def bad_tap(p, q, n, i):
-            wrong = _relu(q - p).mul_pow2(n + 1 - i)  # off by one power
+            wrong = _relu(q - p) * 2 ** (n + 1 - i)  # off by one power
             return 1 if wrong == 1 else 0
 
         monkeypatch.setattr(gadgets, "_tap_bit", bad_tap)
@@ -215,9 +218,8 @@ class TestOracles:
                 for i in range(n + 1):
                     assert table[i] == extractor_track_inputs(x, n, i + 1)
                     for v in table[i]:
-                        assert type(v) is DyadicRational
-                        assert (v.sign, v.mantissa, v.exponent) == (0, 0, 0) or (
-                            v.sign in (-1, 1) and v.mantissa & 1)
+                        # a normalized Fraction on the grid of 2^-(n+2)
+                        assert type(v) is Fraction and (v * (1 << (n + 2))).denominator == 1
 
     def test_oracle_catches_sabotaged_tap_helper(self, monkeypatch):
         # a tap wrong on the last bit only: the formula sweep catches it

@@ -48,7 +48,7 @@ class TestEval:
         for num in range(-8, 40):
             d = eval_exact(net, [DyadicRational(num, -2)])[0]
             f = eval_exact(net, [Fraction(3 * num, 12)])[0]
-            assert d.as_fraction() == (f if isinstance(f, Fraction) else f.as_fraction())
+            assert d == f and type(d) is type(f) is Fraction
 
     def test_summation_order_invariant(self):
         rng = random.Random(5)
@@ -67,8 +67,8 @@ class TestEval:
     def test_passthrough_values(self):
         net = passthrough_net()
         out = eval_exact(net, [DyadicRational(7, -1), 3])
-        assert out == [DyadicRational(7, -1), 6]
-        assert all(isinstance(v, DyadicRational) for v in out)
+        assert out == [Fraction(7, 2), 6]
+        assert all(isinstance(v, Fraction) for v in out)
         out = eval_exact(net, [Fraction(7, 3), 3])
         assert out == [Fraction(7, 3), 6]
         assert all(isinstance(v, Fraction) for v in out)
@@ -94,7 +94,7 @@ class TestEval:
         net = t.build("wide")
         exact = eval_exact(net, [1])[0]
         approx = eval_float(net, [1.0])[0]
-        assert approx != exact.as_fraction()
+        assert approx != exact
 
     def test_float_inf_propagates(self):
         t = TapeBuilder(["x"])
@@ -120,8 +120,8 @@ class TestCompose:
         for k in range(2, 5):
             net = compose_serial(net, build_triangle())
             for num in range(0, 33):
-                z = DyadicRational(num, -5)
-                assert eval_exact(net, [z])[0] == triangle_iterate(z, k)
+                want = triangle_iterate(Fraction(num, 32), k)
+                assert eval_exact(net, [DyadicRational(num, -5)])[0] == want
 
     def test_matches_sequential_evaluation(self):
         a = build_indicator(2, 5)
