@@ -52,28 +52,27 @@ def _write_report(report, path) -> None:
         fh.write("\n")
 
 
-# mode -> (budget flag, builder(ds, budget, config)).  The lambdas look each
+# mode -> (budget flag, builder(ds, budget, seed)).  The lambdas look each
 # builder up on its module at call time, so a rebound attribute is called.
 _BUILDERS = {
-    "sqrt": (None, lambda ds, budget, config: pipeline.assemble_sqrt(ds, config)),
-    "depth": ("L", lambda ds, L, config: variants.assemble_bounded_depth(ds, L, config)),
-    "bits": ("B", lambda ds, B, config: variants.assemble_bounded_bits(ds, B, config)),
+    "sqrt": (None, lambda ds, budget, seed: pipeline.assemble_sqrt(ds, seed)),
+    "depth": ("L", lambda ds, L, seed: variants.assemble_bounded_depth(ds, L, seed)),
+    "bits": ("B", lambda ds, B, seed: variants.assemble_bounded_bits(ds, B, seed)),
 }
 
 
 def cmd_build(args) -> int:
-    config = pipeline.PipelineConfig(seed=args.seed)
     if args.mode == "regression":
         if args.epsilon is None:
             raise ValueError("--epsilon is required for --mode regression")
         points, labels, _ = pipeline.read_dataset(args.infile)
-        net, report = pipeline.regression_wrap(points, labels, args.epsilon, config)
+        net, report = pipeline.regression_wrap(points, labels, args.epsilon, args.seed)
     else:
         flag, builder = _BUILDERS[args.mode]
         budget = getattr(args, flag) if flag else None
         if flag and budget is None:
             raise ValueError(f"--{flag} is required for --mode {args.mode}")
-        net, report = builder(pipeline.load_dataset(args.infile), budget, config)
+        net, report = builder(pipeline.load_dataset(args.infile), budget, args.seed)
     # a record number past the interpreter's int-to-decimal limit is a ValueError
     if args.out:
         save_net(net, args.out, builder=report.info.to_json())
@@ -140,8 +139,7 @@ def cmd_audit(args) -> int:
     info = pipeline.BuildInfo.from_json(builder)
     if info.theorem == "regression":
         points, labels, _ = pipeline.read_dataset(args.infile)
-        ds = pipeline.regression_dataset(points, labels, info.label_lo,
-                                         info.epsilon, info.num_classes)
+        ds = pipeline.regression_dataset(points, labels, info.label_lo, info.epsilon)
     else:
         ds = pipeline.load_dataset(args.infile)
     report = bounds.audit(net, ds, info)
@@ -176,7 +174,7 @@ def _sweep_rows(args):
     for n in args.N or [64]:
         ds = datagen.random_dataset(n, args.d, args.C, args.seed)
         for budget in budgets:
-            _, report = builder(ds, budget, pipeline.PipelineConfig(seed=args.seed))
+            _, report = builder(ds, budget, args.seed)
             real = report.realized
             yield {
                 "mode": args.mode, "N": n, "param": "" if budget is None else budget,

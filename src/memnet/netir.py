@@ -47,9 +47,7 @@ class DimensionError(ValueError):
 
 
 class ContractViolation(RuntimeError):
-    """A nonnegativity contract is broken: a pass-through channel went
-    negative in debug evaluation, or a net without a nonnegative-output
-    certificate was composed or padded."""
+    """A net without a nonnegative-output certificate was composed or padded."""
 
 
 # One shared immutable value per small integer weight or bias: identity rows
@@ -71,8 +69,8 @@ class AffineLayer:
 
     rows[k] is a tuple of (input_index, weight) pairs for output unit k;
     zero weights are never stored, and a row names a column at most once.
-    `passthrough` marks units that are plain sigma(identity) channels,
-    checked in debug evaluation.
+    `passthrough` marks units that are plain sigma(identity) channels; it is
+    recorded in the network file and evaluation does not read it.
     """
 
     __slots__ = ("in_dim", "out_dim", "rows", "biases", "relu", "passthrough")
@@ -209,8 +207,8 @@ def _plan(net: LayeredNet) -> tuple:
     bias 0) aliases its source register when ReLU cannot clip it: the source
     is a ReLU output or the row applies no ReLU.  A slot is reused once its
     register's last reader has run, so a pass holds about one layer of
-    values.  Ops: (bias, source slots, weights, relu, guarded unit or None,
-    destination slot); outputs: slots.
+    values.  Ops: (bias, source slots, weights, relu, destination slot);
+    outputs: slots.
     """
     if net._plan is not None:
         return net._plan
@@ -218,15 +216,14 @@ def _plan(net: LayeredNet) -> tuple:
     ops = []
     nonneg = False  # the channels in `chan` are ReLU outputs
     for layer in net.layers:
-        guarded = frozenset(layer.passthrough)
         regs = []
-        for k, (row, bias) in enumerate(zip(layer.rows, layer.biases)):
+        for row, bias in zip(layer.rows, layer.biases):
             if (len(row) == 1 and not bias.sign and (nonneg or not layer.relu)
                     and (w := row[0][1]).exponent == 0 and w.mantissa == 1 and w.sign == 1):
                 regs.append(chan[row[0][0]])
                 continue
             ops.append((bias, [chan[i] for i, _ in row], tuple([w for _, w in row]),
-                        layer.relu, k if layer.relu and k in guarded else None))
+                        layer.relu))
             regs.append(net.input_dim + len(ops) - 1)
         chan = regs
         nonneg = layer.relu
@@ -238,13 +235,13 @@ def _plan(net: LayeredNet) -> tuple:
     for r in chan:
         last[r] = len(ops)
     slot, free, size = list(range(net.input_dim)), [], net.input_dim
-    for t, (bias, srcs, weights, relu, unit) in enumerate(ops):
+    for t, (bias, srcs, weights, relu) in enumerate(ops):
         free.extend({slot[r] for r in srcs if last[r] == t})
         slot.append(free.pop() if free else size)
         size = max(size, slot[-1] + 1)
         if last[net.input_dim + t] < 0:  # never read: reuse at once
             free.append(slot[-1])
-        ops[t] = (bias, tuple([slot[r] for r in srcs]), weights, relu, unit, slot[-1])
+        ops[t] = (bias, tuple([slot[r] for r in srcs]), weights, relu, slot[-1])
     object.__setattr__(net, "_plan", (tuple(ops), size, tuple([slot[r] for r in chan])))
     return net._plan
 
@@ -262,13 +259,13 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
     plan, size, outputs = _plan(net)
     exps = [e0] * size  # static exponent of the register each slot holds
     ops = []
-    for bias, slots, weights, relu, unit, dest in plan:
+    for bias, slots, weights, relu, dest in plan:
         ts = [w.exponent + exps[s] for s, w in zip(slots, weights)]
         e = min([*ts, bias.exponent] if bias.sign else ts, default=0)
         ops.append((bias.sign * bias.mantissa << (bias.exponent - e) if bias.sign else 0,
                     tuple([(s, w.sign * w.mantissa << (t - e))
                            for s, w, t in zip(slots, weights, ts)]),
-                    relu, unit, dest))
+                    relu, dest))
         exps[dest] = e
     prog = (e0, tuple(ops), size, tuple([(s, exps[s]) for s in outputs]))
     object.__setattr__(net, "_prog", prog)
@@ -276,24 +273,21 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
 
 
 def _scaled(x) -> tuple[int, int, int]:
-    """(n, e, d) with x == n * 2**e / d and d odd."""
-    if isinstance(x, Fraction):
-        n, den = x.as_integer_ratio()
-        twos = (den & -den).bit_length() - 1
-        return n, -twos, den >> twos
-    d = _as_dyadic(x)
-    return d.sign * d.mantissa, d.exponent, 1
+    """(n, e, d) with x == n * 2**e / d and d odd, for an int or Fraction x."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"input must be int or Fraction, got {type(x)!r}")
+    n, den = x.as_integer_ratio()
+    twos = (den & -den).bit_length() - 1
+    return n, -twos, den >> twos
 
 
-def eval_exact(net: LayeredNet, xs: Sequence, debug: bool = False) -> list:
+def eval_exact(net: LayeredNet, xs: Sequence) -> list:
     """Exact forward pass; no rounding anywhere: eval_exact_batch on a
     batch of one.
 
-    Inputs are int, DyadicRational or Fraction; outputs are Fraction.  With
-    debug=True a pass-through unit of a ReLU layer that goes negative raises
-    ContractViolation.
+    Inputs are int or Fraction; outputs are Fraction.
     """
-    return eval_exact_batch(net, [xs], debug)[0]
+    return eval_exact_batch(net, [xs])[0]
 
 
 def _value(v: int, e: int, den: int) -> Fraction:
@@ -350,7 +344,7 @@ def _lane_bounds(prog: tuple, den: int, lows, highs) -> tuple[int, list]:
     hi = [*highs, *[0] * (size - len(highs))]
     top = max([*highs, *[-v for v in lows]], default=0)
     clips = []
-    for bias, terms, relu, _, dest in ops:
+    for bias, terms, relu, dest in ops:
         a = b = bias * den
         for r, c in terms:
             if c > 0:
@@ -390,10 +384,9 @@ def _lanes(q: int, width: int, count: int) -> list:
     return [q >> k * width & mask for k in range(count)]
 
 
-def eval_exact_batch(net: LayeredNet, points, debug: bool = False) -> list:
-    """[eval_exact(net, p, debug) for p in points]: the same values, types
-    and errors, with each register one Python int for a whole group of
-    points.
+def eval_exact_batch(net: LayeredNet, points) -> list:
+    """[eval_exact(net, p) for p in points]: the same values, types and
+    errors, with each register one Python int for a whole group of points.
 
     Points are grouped by their odd denominator D, and point k of a group
     sits in bits [kW, (k+1)W) of every register (SIMD within a register:
@@ -401,11 +394,10 @@ def eval_exact_batch(net: LayeredNet, points, debug: bool = False) -> list:
     bias*D*ONES + sum(c*R) for all lanes at once, where ONES has a 1 in
     every lane.  A ReLU that can clip runs on Q = R + 2**(W-1)*ONES:
     s = (Q >> (W-1)) & ONES marks the lanes >= 0, and
-    (Q & ((s << W) - s)) - (s << (W-1)) keeps them; under debug a
-    pass-through unit with s != ONES raises ContractViolation.  The lane
-    width W comes from an interval pass over the program (_lane_bounds),
-    which proves that no lane carries into its neighbour and marks the
-    ReLUs that cannot clip, which skip the mask.  A register holds at most
+    (Q & ((s << W) - s)) - (s << (W-1)) keeps them.  The lane width W
+    comes from an interval pass over the program (_lane_bounds), which
+    proves that no lane carries into its neighbour and marks the ReLUs
+    that cannot clip, which skip the mask.  A register holds at most
     _REGISTER_BITS bits; a group of one point, or one whose lanes are too
     wide for two to fit, runs point by point on its scaled registers.
     eval_exact is a batch of one; check_outputs stays per point while the
@@ -425,13 +417,11 @@ def eval_exact_batch(net: LayeredNet, points, debug: bool = False) -> list:
         if lanes < 2:
             for k, regs in zip(members, inputs):
                 regs += [0] * (size - len(regs))
-                for bias, terms, relu, guarded, dest in ops:
+                for bias, terms, relu, dest in ops:
                     acc = bias * den
                     for r, c in terms:
                         acc += c * regs[r]
                     if relu and acc < 0:
-                        if debug and guarded is not None:
-                            raise ContractViolation(f"pass-through unit {guarded} went negative")
                         acc = 0
                     regs[dest] = acc
                 results[k] = [_value(regs[r], e, den) for r, e in outputs]
@@ -444,15 +434,13 @@ def eval_exact_batch(net: LayeredNet, points, debug: bool = False) -> list:
             half, unit = ones << shift, den * ones
             regs = [_pack(col, width) for col in zip(*chunk)]
             regs += [0] * (size - len(regs))
-            for (bias, terms, _, guarded, dest), clip in zip(ops, clips):
+            for (bias, terms, _, dest), clip in zip(ops, clips):
                 acc = bias * unit
                 for r, c in terms:
                     acc += c * regs[r]
                 if clip:
                     q = acc + half
                     s = (q >> shift) & ones
-                    if debug and guarded is not None and s != ones:
-                        raise ContractViolation(f"pass-through unit {guarded} went negative")
                     acc = (q & ((s << width) - s)) - (s << shift)
                 regs[dest] = acc
             columns = []
@@ -466,7 +454,7 @@ def eval_exact_batch(net: LayeredNet, points, debug: bool = False) -> list:
     return results
 
 
-def check_outputs(net: LayeredNet, points, expected, debug: bool = False):
+def check_outputs(net: LayeredNet, points, expected):
     """Evaluate every point exactly against its expected first output.
 
     Returns (indices of the points whose output differs, the largest
@@ -475,7 +463,7 @@ def check_outputs(net: LayeredNet, points, expected, debug: bool = False):
     """
     bad, worst = [], Fraction(0)
     for idx, (p, want) in enumerate(zip(points, expected)):
-        got = eval_exact(net, list(p), debug=debug)[0]
+        got = eval_exact(net, list(p))[0]
         if got != want:
             bad.append(idx)
             worst = max(worst, abs(got - want))
@@ -497,7 +485,7 @@ def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
         plan, size, outputs = _plan(net)
         object.__setattr__(net, "_flt", (tuple(
             (bias.to_float(), tuple(zip(slots, [w.to_float() for w in weights])), relu, dest)
-            for bias, slots, weights, relu, _, dest in plan), size, outputs))
+            for bias, slots, weights, relu, dest in plan), size, outputs))
     ops, size, outputs = net._flt
     regs = [float(x) + 0.0 for x in xs] + [0.0] * (size - len(xs))
     for acc, terms, relu, dest in ops:  # acc starts at the row's bias

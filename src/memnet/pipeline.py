@@ -37,7 +37,6 @@ __all__ = [
     "Dataset",
     "Projection1D",
     "CraftedCode",
-    "PipelineConfig",
     "load_and_validate",
     "read_dataset",
     "load_dataset",
@@ -295,17 +294,16 @@ def _truncated_unit_vector(coords: list[int], frac_bits: int) -> list[DyadicRati
     return out
 
 
-def project_to_line(ds: Dataset, seed: int = 0,
-                    retry_budget: int | None = None) -> tuple[Projection1D, LayeredNet]:
+def project_to_line(ds: Dataset, seed: int = 0) -> tuple[Projection1D, LayeredNet]:
     """Search directions until the projected gaps verify, then scale.
 
     A direction is accepted when all projections are distinct and the
     smallest gap is at least 2*delta/(N^2*sqrt(3d)) (checked exactly on
     squares), which caps R_realized below the audit ceiling.  The scale is
-    the smallest power of two making every gap at least 2.
+    the smallest power of two making every gap at least 2.  The search
+    tries MEMNET_RETRY_BUDGET directions (default 200).
     """
-    if retry_budget is None:
-        retry_budget = int(os.environ.get("MEMNET_RETRY_BUDGET", DEFAULT_RETRY_BUDGET))
+    retry_budget = int(os.environ.get("MEMNET_RETRY_BUDGET", DEFAULT_RETRY_BUDGET))
     n, d = ds.n, ds.dim
     frac_bits = ceil_log2(2 * d * n * n) + 2
     rng = random.Random(seed)
@@ -545,11 +543,6 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
 
 
 @dataclass
-class PipelineConfig:
-    seed: int = 0
-
-
-@dataclass
 class BuildInfo:
     """Realized construction quantities, serialized next to the network."""
 
@@ -636,14 +629,14 @@ _MODE_KEYS = {key for keys in _MODE_FIELDS.values() for key in keys}
 _RECORD_RATIONAL = re.compile(r"-?\d+(/\d*[1-9]\d*)?")
 
 
-def verify_exact(net: LayeredNet, points, labels, debug: bool = False):
+def verify_exact(net: LayeredNet, points, labels):
     """Evaluate every point exactly; return (all_equal, mismatched indices)."""
-    bad, _ = check_outputs(net, points, labels, debug)
+    bad, _ = check_outputs(net, points, labels)
     return not bad, bad
 
 
-def _sorted_projection(ds: Dataset, config: PipelineConfig):
-    proj, net1 = project_to_line(ds, config.seed)
+def _sorted_projection(ds: Dataset, seed: int):
+    proj, net1 = project_to_line(ds, seed)
     zs = projected_values(proj, ds)
     order = sorted(range(ds.n), key=lambda i: zs[i])
     z_sorted = [zs[i] for i in order]
@@ -651,17 +644,16 @@ def _sorted_projection(ds: Dataset, config: PipelineConfig):
     return proj, net1, z_sorted, labels_sorted
 
 
-def _verified_build(net: LayeredNet, ds: Dataset, config: PipelineConfig,
-                    proj: Projection1D, codes, theorem: str, debug: bool = False,
-                    **mode_fields):
+def _verified_build(net: LayeredNet, ds: Dataset, seed: int, proj: Projection1D,
+                    codes, theorem: str, **mode_fields):
     """Every builder's tail: verify each training point exactly, record the
     realized quantities of the codes, and audit.  Returns (net, report)."""
-    ok, bad = verify_exact(net, ds.points, ds.labels, debug)
+    ok, bad = verify_exact(net, ds.points, ds.labels)
     if not ok:
         raise MemorizationError(f"training points {bad[:5]} not reproduced")
     info = BuildInfo(
         theorem=theorem, n=ds.n, dim=ds.dim, num_classes=ds.num_classes,
-        seed=config.seed, rho=max(c.rho for c in codes), c=codes[0].c,
+        seed=seed, rho=max(c.rho for c in codes), c=codes[0].c,
         bucket_count=max(c.bucket_count for c in codes),
         bucket_size=max(c.bucket_size for c in codes),
         R_realized=proj.R_realized, delta_sq=ds.delta_sq, r_sq=ds.r_sq,
@@ -670,34 +662,35 @@ def _verified_build(net: LayeredNet, ds: Dataset, config: PipelineConfig,
     return net, bounds.audit(net, ds, info)
 
 
-def assemble_sqrt(ds: Dataset, config: PipelineConfig | None = None):
+def assemble_sqrt(ds: Dataset, seed: int = 0):
     """Build and exactly verify the square-root-size memorizer.
 
     Returns (net, audit_report); raises MemorizationError if any training
     point fails exact verification (which would indicate a bug, not data).
     """
-    config = config or PipelineConfig()
-    proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
+    proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, seed)
     code = craft_codes(z_sorted, labels_sorted, min(ds.n, default_bucket_count(ds.n)),
                        ds.num_classes)
     net2 = build_stage2(code)
     net3 = build_stage3(code.bucket_size, code.rho, code.c)
     net = compose_serial(compose_serial(net1, net2), net3, "sqrt_memorizer")
-    return _verified_build(net, ds, config, proj, [code], "sqrt", extra={
+    return _verified_build(net, ds, seed, proj, [code], "sqrt", extra={
         "stage_widths": [metrics(net1).width, metrics(net2).width, metrics(net3).width]})
 
 
-def regression_dataset(points, labels, lo, epsilon, classes: int) -> Dataset:
+def regression_dataset(points, labels, lo, epsilon, hi=None) -> Dataset:
     """The points with their real labels (exact_labels) put on the grid of
-    width epsilon from lo: label y becomes class
-    min(classes, floor((y - lo) / epsilon) + 1)."""
-    quantized = [min(classes - 1, int((y - lo) // epsilon)) + 1 for y in exact_labels(labels)]
+    width epsilon from lo up to hi (default: the largest label): C is
+    max(1, ceil((hi - lo) / epsilon)), and label y becomes class
+    min(C, floor((y - lo) / epsilon) + 1)."""
+    ys = exact_labels(labels)
+    hi = max(ys, default=lo) if hi is None else hi
+    classes = max(1, math.ceil((hi - lo) / epsilon))
+    quantized = [min(classes - 1, int((y - lo) // epsilon)) + 1 for y in ys]
     return load_and_validate(points, quantized, classes)
 
 
-def regression_wrap(raw_points, raw_labels, epsilon,
-                    config: PipelineConfig | None = None,
-                    lo=None, hi=None):
+def regression_wrap(raw_points, raw_labels, epsilon, seed: int = 0, lo=None, hi=None):
     """Quantize real labels to a grid of width epsilon and memorize the bins.
 
     The returned network satisfies |F(x_i) - y_i| <= epsilon/2 exactly; the
@@ -705,7 +698,6 @@ def regression_wrap(raw_points, raw_labels, epsilon,
     log(1/epsilon).  lo/hi declare the label interval and default to the
     observed extremes.
     """
-    config = config or PipelineConfig()
     epsilon = _to_fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
@@ -714,11 +706,10 @@ def regression_wrap(raw_points, raw_labels, epsilon,
     hi = max(labels) if hi is None else _to_fraction(hi)
     if any(not lo <= y <= hi for y in labels):
         raise ParameterError("labels fall outside the declared interval")
-    classes = max(1, math.ceil((hi - lo) / epsilon))
-    ds = regression_dataset(raw_points, labels, lo, epsilon, classes)
+    ds = regression_dataset(raw_points, labels, lo, epsilon, hi)
     # class q maps back to the grid midpoint lo + (q - 1/2) * epsilon
     head = _dyadic_head(epsilon, lo - epsilon / 2)
-    base, base_report = assemble_sqrt(ds, config)
+    base, base_report = assemble_sqrt(ds, seed)
     net = compose_serial(base, head, "regression_memorizer")
     _, worst = check_outputs(net, ds.points, labels)
     if worst > epsilon / 2:

@@ -14,7 +14,7 @@ from .exactnum import ZERO, ceil_sqrt
 from .gadgets import ParameterError
 from .netir import (AffineLayer, LayeredNet, TapeBuilder, compose_serial,
                     stack_parallel)
-from .pipeline import (Dataset, PipelineConfig, build_stage2, build_stage3,
+from .pipeline import (Dataset, build_stage2, build_stage3,
                        craft_codes, default_bucket_count, _sorted_projection,
                        _verified_build)
 
@@ -56,17 +56,15 @@ def _with_zero_outputs(net: LayeredNet, extra: int) -> LayeredNet:
                       net.provenance, net.output_nonneg)
 
 
-def assemble_bounded_depth(ds: Dataset, L: int,
-                           config: PipelineConfig | None = None):
+def assemble_bounded_depth(ds: Dataset, L: int, seed: int = 0):
     """Parallel subset memorizers under a summation head.
 
     ceil(N/L^2) subsets of L^2 points each become independent width-12
     chains stacked side by side behind the shared projection; every training
     point activates exactly one of them.
     """
-    config = config or PipelineConfig()
     _check_budget(L, ds.n)
-    proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
+    proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, seed)
     codes = _subset_codes(ds, z_sorted, labels_sorted, L * L)
     subnets = [
         compose_serial(build_stage2(code),
@@ -80,21 +78,19 @@ def assemble_bounded_depth(ds: Dataset, L: int,
                          head.build("sum_head", output_nonneg=True),
                          f"depth_budget_memorizer[L={L}]")
     sizes = [len(c.block_values) * c.bucket_size - len(c.sentinels) for c in codes]
-    return _verified_build(net, ds, config, proj, codes, "bounded_depth",
+    return _verified_build(net, ds, seed, proj, codes, "bounded_depth",
                            L=L, subnet_count=len(codes), extra={"subset_sizes": sizes})
 
 
-def assemble_bounded_bits(ds: Dataset, B: int,
-                          config: PipelineConfig | None = None):
+def assemble_bounded_bits(ds: Dataset, B: int, seed: int = 0):
     """Sequential subset memorizers threading one label accumulator.
 
     Each block maps (x, y) to (x, y + out_k(x)); out_k is the subset's
     memorizer, zero off-subset.  Payload integers only cover B^2 points, so
     every weight stays within the bit budget while depth grows with N/B^2.
     """
-    config = config or PipelineConfig()
     _check_budget(B, ds.n)
-    proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, config)
+    proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, seed)
     codes = _subset_codes(ds, z_sorted, labels_sorted, B * B)
     net = _with_zero_outputs(net1, 1)
     for code in codes:
@@ -106,5 +102,5 @@ def assemble_bounded_bits(ds: Dataset, B: int,
     tail.layer([("out", 0, {"y": 1})], relu=False)
     net = compose_serial(net, tail.build("accumulator_readout", output_nonneg=True),
                          f"bit_budget_memorizer[B={B}]")
-    return _verified_build(net, ds, config, proj, codes, "bounded_bits", debug=True,
+    return _verified_build(net, ds, seed, proj, codes, "bounded_bits",
                            B=B, subnet_count=len(codes))

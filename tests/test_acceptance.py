@@ -17,7 +17,7 @@ from memnet.bounds import vc_upper_bits
 from memnet.datagen import (random_dataset, random_regression_labels,
                             random_separated_points, write_csv)
 from memnet.gadgets import oracle_bits, oracle_distance, oracle_indicator
-from memnet.pipeline import PipelineConfig, assemble_sqrt, regression_wrap
+from memnet.pipeline import assemble_sqrt, regression_wrap
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 
 WIDTH_CEILING = 12  # documented slack s = 0
@@ -113,7 +113,7 @@ def test_criterion_3_parameter_scaling():
     params = {}
     for n in (16, 64, 256, 1024):
         ds = random_dataset(n, 1, 16, seed=11)
-        _, report = assemble_sqrt(ds, PipelineConfig(seed=11))
+        _, report = assemble_sqrt(ds, seed=11)
         assert report.memorized
         params[n] = report.realized.params
     xs = [math.log(n) for n in params]
@@ -144,7 +144,7 @@ def test_criterion_5_bounded_depth(n256):
     prev_depth = 0
     reports = {}
     for L in (2, 4, 8, 16):
-        _, report = assemble_bounded_depth(ds, L, PipelineConfig(seed=3))
+        _, report = assemble_bounded_depth(ds, L, seed=3)
         assert report.memorized, f"L={L}"
         subsets = math.ceil(256 / L ** 2)
         width_constant = max(width_constant, report.realized.width / subsets)
@@ -164,7 +164,7 @@ def test_criterion_6_bounded_bits(n256):
     bit_constant = 0.0
     seen = {}
     for B in (2, 4, 8, 16):
-        _, report = assemble_bounded_bits(ds, B, PipelineConfig(seed=3))
+        _, report = assemble_bounded_bits(ds, B, seed=3)
         assert report.memorized, f"B={B}"
         ebits = report.effective_bits
         assert ebits >= prev_bits  # nondecreasing in B
@@ -208,7 +208,7 @@ def test_criterion_8_regression_wrapper():
     params = {}
     for eps in (Fraction(1, 4), Fraction(1, 16)):
         net, report = regression_wrap(pts, labels, eps,
-                                      PipelineConfig(seed=21), lo=0, hi=1)
+                                      seed=21, lo=0, hi=1)
         worst = Fraction(report.info.extra["max_abs_error"])
         assert worst <= eps / 2, f"eps={eps}: max error {worst}"
         assert report.memorized and report.passed

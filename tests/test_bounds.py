@@ -11,7 +11,7 @@ from memnet.bounds import (ProvenanceError, audit, lower_bound_params,
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.netir import AffineLayer, LayeredNet
-from memnet.pipeline import PipelineConfig, assemble_sqrt
+from memnet.pipeline import assemble_sqrt
 
 
 class TestVcUpperBits:
@@ -72,7 +72,7 @@ class TestFloatRange:
 @pytest.fixture(scope="module")
 def built():
     ds = random_dataset(32, 2, 4, seed=1)
-    net, report = assemble_sqrt(ds, PipelineConfig(seed=1))
+    net, report = assemble_sqrt(ds, seed=1)
     return ds, net, report
 
 

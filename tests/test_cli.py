@@ -435,6 +435,25 @@ class TestHostileInput:
             "ValueError: the builder record does not describe this dataset: "
             f"its {field} differ"]
 
+    @pytest.mark.parametrize("edit", [False, True], ids=["untouched", "edited"])
+    def test_audit_derives_a_regression_class_count(self, regression_saved, tmp_path,
+                                                    capsys, edit):
+        """audit computes a regression dataset's C from its labels and the
+        record's epsilon and label_lo, so a record with an edited C is refused."""
+        obj = json.loads(open(regression_saved).read())
+        if edit:
+            obj["builder"]["C"] = 1000
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        data = os.path.join(os.path.dirname(regression_saved), "reg.csv")
+        rc = run(["audit", "--net", str(net), "--in", data])
+        out, err = capsys.readouterr()
+        if edit:
+            assert rc == 2 and out == "" and err.splitlines() == [
+                "ValueError: the builder record does not describe this dataset: its C differ"]
+        else:
+            assert rc == 0 and err == "" and json.loads(out)["pass"] is True
+
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     @pytest.mark.parametrize("command", ["build", "verify", "eval", "audit"])
     def test_coordinate_dividing_by_zero_exit_2(self, saved, tmp_path, command, suffix):

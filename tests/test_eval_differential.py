@@ -4,9 +4,8 @@ forward pass.
 `reference_eval` below is the reference: it walks the layers with Fraction
 arithmetic only, with no exponent bookkeeping, aliasing, register reuse or
 lane packing.  Both evaluators must agree with it value for value and
-return Fraction for every input kind (int, DyadicRational, Fraction);
-under debug=True each must raise ContractViolation exactly when the
-reference does for some point of its input.
+return Fraction for every input kind (int, dyadic and non-dyadic
+Fraction).
 """
 
 import random
@@ -19,67 +18,42 @@ from hypothesis import given, settings, strategies as st
 from memnet import gadgets, netir
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
-from memnet.netir import (AffineLayer, ContractViolation, DimensionError, LayeredNet,
-                          check_outputs, eval_exact, eval_exact_batch)
-from memnet.pipeline import PipelineConfig, assemble_sqrt, regression_wrap
+from memnet.netir import (AffineLayer, DimensionError, LayeredNet, check_outputs,
+                          eval_exact, eval_exact_batch)
+from memnet.pipeline import assemble_sqrt, regression_wrap
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 from test_acceptance import _corpus_specs
 
 
-def _fraction(x) -> Fraction:
-    if isinstance(x, DyadicRational):
-        return x.as_fraction()
-    return Fraction(x)
-
-
-def reference_eval(net: LayeredNet, xs, debug: bool = False) -> list:
-    vals = [_fraction(x) for x in xs]
+def reference_eval(net: LayeredNet, xs) -> list:
+    vals = [Fraction(x) for x in xs]
     for layer in net.layers:
         out = []
-        for k, (row, bias) in enumerate(zip(layer.rows, layer.biases)):
+        for row, bias in zip(layer.rows, layer.biases):
             acc = bias.as_fraction() + sum((w.as_fraction() * vals[i] for i, w in row),
                                            Fraction(0))
-            if layer.relu and acc < 0:
-                if debug and k in layer.passthrough:
-                    raise ContractViolation(f"pass-through unit {k} went negative")
-                acc = Fraction(0)
-            out.append(acc)
+            out.append(max(acc, Fraction(0)) if layer.relu else acc)
         vals = out
     return vals
 
 
-def assert_agrees(net: LayeredNet, xs, debug: bool = False) -> None:
-    try:
-        want = reference_eval(net, xs, debug)
-    except ContractViolation:
-        with pytest.raises(ContractViolation):
-            eval_exact(net, xs, debug)
-        return
-    assert_outputs(net, xs, eval_exact(net, xs, debug), want)
+def assert_agrees(net: LayeredNet, xs) -> None:
+    assert_outputs(net, xs, eval_exact(net, xs))
 
 
-def assert_outputs(net, xs, got, want=None) -> None:
+def assert_outputs(net, xs, got) -> None:
     """got is the reference's output on xs, as Fractions."""
-    if want is None:
-        want = reference_eval(net, xs)
+    want = reference_eval(net, xs)
     assert [type(v) for v in got] == [Fraction] * len(want), xs
     assert got == want, xs
 
 
-def assert_batch_agrees(net: LayeredNet, points, debug: bool = False) -> None:
-    """One eval_exact_batch call against the reference, point by point; under
-    debug it raises ContractViolation exactly when the reference does for
-    some point."""
-    try:
-        wants = [reference_eval(net, xs, debug) for xs in points]
-    except ContractViolation:
-        with pytest.raises(ContractViolation):
-            eval_exact_batch(net, points, debug)
-        return
-    got = eval_exact_batch(net, points, debug)
+def assert_batch_agrees(net: LayeredNet, points) -> None:
+    """One eval_exact_batch call against the reference, point by point."""
+    got = eval_exact_batch(net, points)
     assert len(got) == len(points)
-    for xs, out, want in zip(points, got, wants):
-        assert_outputs(net, xs, out, want)
+    for xs, out in zip(points, got):
+        assert_outputs(net, xs, out)
 
 
 def assert_lanes_hold(net: LayeredNet, points) -> None:
@@ -95,7 +69,7 @@ def assert_lanes_hold(net: LayeredNet, points) -> None:
         for xs in inputs:
             regs = list(xs) + [0] * (size - len(xs))
             seen = list(xs)
-            for (bias, terms, relu, _, dest), clip in zip(ops, clips):
+            for (bias, terms, relu, dest), clip in zip(ops, clips):
                 acc = bias * den + sum(c * regs[r] for r, c in terms)
                 seen.append(acc)
                 if relu and acc < 0:
@@ -105,9 +79,9 @@ def assert_lanes_hold(net: LayeredNet, points) -> None:
             assert max(map(abs, seen), default=0).bit_length() <= width - 2, net.provenance
 
 
-def _shifted(k: int, a: int, e: int) -> DyadicRational:
+def _shifted(k: int, a: int, e: int) -> Fraction:
     """The dyadic input k + a/2^e."""
-    return DyadicRational((k << e) + a, -e)
+    return Fraction((k << e) + a, 1 << e)
 
 
 def _input_variants(point, rng):
@@ -123,11 +97,11 @@ def _input_variants(point, rng):
 
 
 def _check_points(net, points, rng):
-    """Each point as given, plus one rotating variant, with and without debug."""
+    """Each point as given, plus one rotating variant."""
     for k, p in enumerate(points):
         variants = _input_variants(p, rng)
         assert_agrees(net, variants[0])
-        assert_agrees(net, variants[1 + k % 4], debug=k % 2 == 1)
+        assert_agrees(net, variants[1 + k % 4])
 
 
 def _corpus():
@@ -137,7 +111,7 @@ def _corpus():
         if n > 16:
             continue
         ds = random_dataset(n, d, c, seed=seed, coord_kind=kind)
-        nets.append((f"sqrt-{seed}", assemble_sqrt(ds, PipelineConfig(seed=seed))[0], ds))
+        nets.append((f"sqrt-{seed}", assemble_sqrt(ds, seed=seed)[0], ds))
     ds = random_dataset(16, 2, 4, seed=11)
     nets.append(("depth", assemble_bounded_depth(ds, 2)[0], ds))
     nets.append(("bits", assemble_bounded_bits(ds, 2)[0], ds))
@@ -162,6 +136,21 @@ def test_corpus_batches_agree(name, net, ds):
     points = [v for p in ds.points for v in _input_variants(p, rng)]
     assert_batch_agrees(net, points)
     assert_lanes_hold(net, points)
+
+
+@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
+def test_passthrough_units_alias_relu_outputs(name, net, ds):
+    """Every pass-through unit a builder marks is an identity row (one term
+    of weight 1, bias 0) behind a ReLU layer, so its register is an alias of
+    a ReLU output and can never be negative."""
+    marked = 0
+    for k, layer in enumerate(net.layers):
+        for u in layer.passthrough:
+            (col, weight), = layer.rows[u]
+            assert k >= 1 and net.layers[k - 1].relu, (name, k, u)
+            assert weight == DyadicRational(1) and not layer.biases[u].sign, (name, k, u)
+            marked += 1
+    assert marked
 
 
 def test_oracle_bit_nets_hold_their_lanes():
@@ -246,7 +235,9 @@ def test_mutated_weight_nets_agree(name, net, ds):
 
 
 def _guarded(net: LayeredNet) -> LayeredNet:
-    """net behind a pass-through ReLU layer on its raw inputs."""
+    """net behind a pass-through ReLU layer on its raw inputs: the one kind
+    of pass-through unit no builder makes, an identity row that is not an
+    alias, so the ReLU clips negative inputs."""
     d = net.input_dim
     carrier = AffineLayer(d, d, [((i, 1),) for i in range(d)], [0] * d, relu=True,
                           passthrough=range(d))
@@ -254,46 +245,39 @@ def _guarded(net: LayeredNet) -> LayeredNet:
 
 
 def test_negative_first_layer_inputs_under_debug():
-    """A pass-through ReLU layer on the raw inputs, in front of a corpus net."""
+    """A pass-through ReLU layer on the raw inputs, in front of a corpus net,
+    on negative inputs that it clips."""
     name, net, ds = CORPUS[-2]
     guarded = _guarded(net)
-    for x in (-1, Fraction(-1, 3), DyadicRational(-5, -3)):
-        xs = [x] + list(ds.points[0][1:])
-        with pytest.raises(ContractViolation):
-            eval_exact(guarded, xs, debug=True)
-        assert_agrees(guarded, xs)
+    for x in (-1, Fraction(-1, 3), Fraction(-5, 8)):
+        assert_agrees(guarded, [x] + list(ds.points[0][1:]))
     _check_points(guarded, ds.points[:4], random.Random(name))
 
 
 @pytest.mark.parametrize("register_bits", [1, 1 << 16], ids=["one-lane", "packed"])
 def test_negative_first_layer_lanes_under_debug(monkeypatch, register_bits):
     """The guarded first layer on batches whose dyadic group and odd-D group
-    each have several negative lanes: under debug the batch raises exactly
-    when the reference does, point by point or packed."""
+    each have several negative lanes, point by point or packed."""
     name, net, ds = CORPUS[-2]
     guarded = _guarded(net)
     rest = [list(p[1:]) for p in ds.points[:4]]
-    dyadic = [[x] + r for x, r in zip((-1, DyadicRational(-5, -3), -2, 3), rest)]
+    dyadic = [[x] + r for x, r in zip((-1, Fraction(-5, 8), -2, 3), rest)]
     odd = [[x] + r for x, r in zip((Fraction(-1, 3), Fraction(-7, 9), Fraction(4, 3)), rest)]
     clean = ([list(p) for p in ds.points[:4]]
              + [[Fraction(k, 3)] + r for k, r in zip((1, 2, 4), rest)])
     monkeypatch.setattr(netir, "_REGISTER_BITS", register_bits)
     for points in (clean, clean + dyadic, clean + odd, odd + dyadic, dyadic[-1:] + odd[-1:]):
-        assert_batch_agrees(guarded, points, debug=True)
         assert_batch_agrees(guarded, points)
-    for points in (clean + dyadic, clean + odd):
-        with pytest.raises(ContractViolation):
-            eval_exact_batch(guarded, points, debug=True)
 
 
 # ---------------------------------------------------------------------------
 # check_outputs against a plain loop over the reference evaluator
 
 
-def plain_check(net: LayeredNet, points, expected, debug: bool = False):
+def plain_check(net: LayeredNet, points, expected):
     bad, worst = [], Fraction(0)
     for idx, (p, want) in enumerate(zip(points, expected)):
-        err = abs(reference_eval(net, list(p), debug)[0] - want)
+        err = abs(reference_eval(net, list(p))[0] - want)
         if err:
             bad.append(idx)
             worst = max(worst, err)
@@ -319,13 +303,11 @@ def test_check_outputs_matches_plain_loop(name, net, ds):
     assert found[1]  # labels moved by thirds always mismatch
 
 
-def test_check_outputs_debug_raises_contract_violation():
+def test_check_outputs_on_negative_first_layer_inputs():
     name, net, ds = CORPUS[-2]
     guarded = _guarded(net)
     points = [list(ds.points[0]), [Fraction(-1, 3)] + list(ds.points[1][1:])]
     labels = ds.labels[:2]
-    with pytest.raises(ContractViolation):
-        check_outputs(guarded, points, labels, debug=True)
     assert check_outputs(guarded, points, labels) == plain_check(guarded, points, labels)
 
 
@@ -333,9 +315,10 @@ def test_check_outputs_debug_raises_contract_violation():
 # random nets: identity rows, pass-through marks and every input kind
 
 _dyadics = st.builds(DyadicRational, st.integers(-9, 9), st.integers(-5, 5))
+_dyadic_inputs = _dyadics.map(DyadicRational.as_fraction)
 _inputs = st.one_of(
     st.integers(-20, 20),
-    _dyadics,
+    _dyadic_inputs,
     st.builds(Fraction, st.integers(-40, 40), st.integers(1, 24)),
 )
 
@@ -367,12 +350,10 @@ def test_random_nets_agree(data):
     net = data.draw(_nets())
     point = st.lists(_inputs, min_size=net.input_dim, max_size=net.input_dim)
     for _ in range(3):  # several points per net: exercises recompilation
-        assert_agrees(net, data.draw(point), debug=data.draw(st.booleans()))
+        assert_agrees(net, data.draw(point))
     for size in (1, 2, data.draw(st.sampled_from([3, 5, 7]))):
-        assert_batch_agrees(net, data.draw(st.lists(point, min_size=size, max_size=size)),
-                            debug=data.draw(st.booleans()))
+        assert_batch_agrees(net, data.draw(st.lists(point, min_size=size, max_size=size)))
     # one D == 1 group: several lanes of one packed register
-    dyadic = st.lists(st.one_of(st.integers(-20, 20), _dyadics),
+    dyadic = st.lists(st.one_of(st.integers(-20, 20), _dyadic_inputs),
                       min_size=net.input_dim, max_size=net.input_dim)
-    assert_batch_agrees(net, data.draw(st.lists(dyadic, min_size=4, max_size=6)),
-                        debug=data.draw(st.booleans()))
+    assert_batch_agrees(net, data.draw(st.lists(dyadic, min_size=4, max_size=6)))

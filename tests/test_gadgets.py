@@ -47,9 +47,9 @@ class TestTriangle:
     def test_landmarks(self):
         net = build_triangle()
         assert eval_exact(net, [0])[0] == 0
-        assert eval_exact(net, [DyadicRational(1, -1)])[0] == 1
+        assert eval_exact(net, [Fraction(1, 2)])[0] == 1
         assert eval_exact(net, [1])[0] == 0
-        assert eval_exact(net, [DyadicRational(1, -2)])[0] == Fraction(1, 2)
+        assert eval_exact(net, [Fraction(1, 4)])[0] == Fraction(1, 2)
 
     def test_metrics(self):
         m = metrics(build_triangle())

@@ -15,7 +15,7 @@ from memnet import gadgets
 from memnet.datagen import (random_dataset, random_regression_labels,
                             random_separated_points)
 from memnet.netir import net_to_json_bytes
-from memnet.pipeline import (MemorizationError, PipelineConfig, assemble_sqrt,
+from memnet.pipeline import (MemorizationError, assemble_sqrt,
                              regression_wrap)
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 
@@ -38,17 +38,16 @@ def _digest(net, builder=None):
 
 
 def _build(mode):
-    cfg = PipelineConfig(seed=5)
     if mode == "regression":
         return regression_wrap(random_separated_points(24, 2, seed=5),
                                random_regression_labels(24, seed=5), Fraction(1, 8),
-                               cfg, lo=0, hi=1)
+                               seed=5, lo=0, hi=1)
     ds = random_dataset(24, 2, 4, seed=5)
     if mode == "sqrt":
-        return assemble_sqrt(ds, cfg)
+        return assemble_sqrt(ds, seed=5)
     if mode == "depth":
-        return assemble_bounded_depth(ds, 2, cfg)
-    return assemble_bounded_bits(ds, 2, cfg)
+        return assemble_bounded_depth(ds, 2, seed=5)
+    return assemble_bounded_bits(ds, 2, seed=5)
 
 
 @pytest.mark.parametrize("mode", sorted(BUILD_DIGESTS))
@@ -78,7 +77,7 @@ def test_sabotaged_window_fails_oracle_and_build(monkeypatch):
     assert not gadgets.oracle_indicator()["pass"]
     assert not gadgets.oracle_distance()["pass"]
     with pytest.raises(MemorizationError):
-        assemble_sqrt(random_dataset(16, 2, 4, seed=5), PipelineConfig(seed=5))
+        assemble_sqrt(random_dataset(16, 2, 4, seed=5), seed=5)
 
 
 def test_sabotaged_triangle_step_fails_oracle_and_build(monkeypatch):
@@ -94,4 +93,4 @@ def test_sabotaged_triangle_step_fails_oracle_and_build(monkeypatch):
     monkeypatch.setattr(gadgets, "triangle_step_rows", sabotaged)
     assert not gadgets.oracle_bits(3)["pass"]
     with pytest.raises(MemorizationError):
-        assemble_sqrt(random_dataset(16, 2, 4, seed=5), PipelineConfig(seed=5))
+        assemble_sqrt(random_dataset(16, 2, 4, seed=5), seed=5)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from memnet.exactnum import DyadicRational
-from memnet.gadgets import build_triangle, build_indicator, triangle_iterate
+from memnet.gadgets import build_triangle, build_indicator, indicator_value, triangle_iterate
 from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
                           ContractViolation, DimensionError, LayeredNet,
                           TapeBuilder, compose_serial, deserialize_net,
@@ -35,26 +35,35 @@ def identity_net(dim=1):
 class TestEval:
     def test_identity(self):
         net = identity_net()
-        assert eval_exact(net, [DyadicRational(3, -1)])[0] == DyadicRational(3, -1)
+        assert eval_exact(net, [Fraction(3, 2)])[0] == Fraction(3, 2)
         assert eval_float(net, [1.5]) == [1.5]
 
     def test_triangle_quarter(self):
         net = build_triangle()
-        assert eval_exact(net, [DyadicRational(1, -2)])[0] == DyadicRational(1, -1)
+        assert eval_exact(net, [Fraction(1, 4)])[0] == Fraction(1, 2)
         assert eval_float(net, [0.25]) == [0.5]
 
     def test_fraction_path_matches_dyadic_path(self):
+        # odd denominators scale the integer program by D; both match the formula
         net = build_indicator(2, 5)
         for num in range(-8, 40):
-            d = eval_exact(net, [DyadicRational(num, -2)])[0]
-            f = eval_exact(net, [Fraction(3 * num, 12)])[0]
-            assert d == f and type(d) is type(f) is Fraction
+            d = eval_exact(net, [Fraction(num, 4)])[0]
+            f = eval_exact(net, [Fraction(num, 3)])[0]
+            assert d == indicator_value(2, 5, Fraction(num, 4))
+            assert f == indicator_value(2, 5, Fraction(num, 3))
+            assert type(d) is type(f) is Fraction
+
+    @pytest.mark.parametrize("x", [DyadicRational(1, -1), 0.5, "1"], ids=repr)
+    def test_inputs_other_than_int_or_fraction_are_refused(self, x):
+        # a dyadic is only a weight's stored form; a float would round
+        with pytest.raises(TypeError):
+            eval_exact(identity_net(), [x])
 
     def test_summation_order_invariant(self):
         rng = random.Random(5)
         terms = {f"x{k}": DyadicRational(rng.randint(-9, 9), rng.randint(-4, 4))
                  for k in range(6)}
-        xs = [DyadicRational(rng.randint(-9, 9), rng.randint(-4, 4)) for _ in range(6)]
+        xs = [rng.randint(-9, 9) * Fraction(2) ** rng.randint(-4, 4) for _ in range(6)]
         results = []
         for _ in range(4):
             items = list(terms.items())
@@ -66,21 +75,20 @@ class TestEval:
 
     def test_passthrough_values(self):
         net = passthrough_net()
-        out = eval_exact(net, [DyadicRational(7, -1), 3])
+        out = eval_exact(net, [Fraction(7, 2), 3])
         assert out == [Fraction(7, 2), 6]
         assert all(isinstance(v, Fraction) for v in out)
         out = eval_exact(net, [Fraction(7, 3), 3])
         assert out == [Fraction(7, 3), 6]
         assert all(isinstance(v, Fraction) for v in out)
 
-    def test_negative_passthrough_trips_debug(self):
+    def test_negative_passthrough_is_clipped(self):
+        # the first layer's pass-through unit reads a raw input, so its ReLU
+        # clips a negative value like any other unit's
         net = passthrough_net()
-        for x in (-1, Fraction(-1), Fraction(-1, 3), DyadicRational(-1, -4)):
-            with pytest.raises(ContractViolation):
-                eval_exact(net, [x, 3], debug=True)
+        for x in (-1, Fraction(-1), Fraction(-1, 3), Fraction(-1, 16)):
             assert eval_exact(net, [x, 3]) == [0, 6]
-        # a negative non-pass-through unit is clipped, not a violation
-        assert eval_exact(net, [1, -5], debug=True) == [1, 1]
+        assert eval_exact(net, [1, -5]) == [1, 1]
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
@@ -121,7 +129,7 @@ class TestCompose:
             net = compose_serial(net, build_triangle())
             for num in range(0, 33):
                 want = triangle_iterate(Fraction(num, 32), k)
-                assert eval_exact(net, [DyadicRational(num, -5)])[0] == want
+                assert eval_exact(net, [Fraction(num, 32)])[0] == want
 
     def test_matches_sequential_evaluation(self):
         a = build_indicator(2, 5)
@@ -209,7 +217,7 @@ class TestMetricsAndSerialization:
         again = deserialize_net(json.loads(net_to_json_bytes(net)))
         rng = random.Random(2)
         for _ in range(25):
-            x = DyadicRational(rng.randint(-64, 64), rng.randint(-5, 2))
+            x = rng.randint(-64, 64) * Fraction(2) ** rng.randint(-5, 2)
             assert eval_exact(again, [x]) == eval_exact(net, [x])
         assert metrics(again) == metrics(net)
 

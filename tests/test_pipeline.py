@@ -8,12 +8,11 @@ from memnet.datagen import random_dataset
 from memnet.gadgets import ParameterError
 from memnet.netir import eval_exact, metrics, net_to_json_bytes
 from memnet.pipeline import (DuplicatePointError, LabelRangeError,
-                             PipelineConfig,
                              ProjectionSearchExhausted, assemble_sqrt,
                              build_stage2, build_stage3, craft_codes,
                              default_bucket_count, load_and_validate,
                              project_to_line, projected_values,
-                             regression_wrap, verify_exact)
+                             regression_dataset, regression_wrap, verify_exact)
 
 
 class TestLoadAndValidate:
@@ -85,10 +84,11 @@ class TestProjection:
         zs = sorted(projected_values(proj, ds))
         assert all(b - a >= 2 for a, b in zip(zs, zs[1:]))
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setenv("MEMNET_RETRY_BUDGET", "0")
         ds = load_and_validate([("0",), ("3",)], [1, 2])
         with pytest.raises(ProjectionSearchExhausted):
-            project_to_line(ds, seed=0, retry_budget=0)
+            project_to_line(ds, seed=0)
 
 
 class TestCraftCodes:
@@ -185,21 +185,21 @@ class TestAssemble:
         for (n, d, c, seed) in ((1, 1, 2, 0), (2, 2, 2, 1), (16, 3, 16, 2),
                                 (64, 1, 4, 3)):
             ds = random_dataset(n, d, c, seed=seed)
-            net, report = assemble_sqrt(ds, PipelineConfig(seed=seed))
+            net, report = assemble_sqrt(ds, seed=seed)
             assert report.memorized and report.passed
             assert report.realized.width <= 12
-            ok, _ = verify_exact(net, ds.points, ds.labels, debug=True)
+            ok, _ = verify_exact(net, ds.points, ds.labels)
             assert ok
 
     def test_memorization_across_seeds(self):
         ds = random_dataset(24, 2, 4, seed=5)
         for seed in range(3):
-            net, report = assemble_sqrt(ds, PipelineConfig(seed=seed))
+            net, report = assemble_sqrt(ds, seed=seed)
             assert report.memorized
 
     def test_depth_formula_exact(self):
         ds = random_dataset(48, 2, 4, seed=8)
-        net, report = assemble_sqrt(ds, PipelineConfig(seed=8))
+        net, report = assemble_sqrt(ds, seed=8)
         info = report.info
         want = 2 + (3 * info.bucket_count + 2) + \
             (3 * info.bucket_size * max(info.rho, info.c) + 2 * info.bucket_size + 2)
@@ -207,8 +207,8 @@ class TestAssemble:
 
     def test_deterministic_bytes(self):
         ds = random_dataset(20, 2, 4, seed=5)
-        a, _ = assemble_sqrt(ds, PipelineConfig(seed=5))
-        b, _ = assemble_sqrt(ds, PipelineConfig(seed=5))
+        a, _ = assemble_sqrt(ds, seed=5)
+        b, _ = assemble_sqrt(ds, seed=5)
         assert net_to_json_bytes(a) == net_to_json_bytes(b)
 
     def test_weights_are_walked_once_per_build(self, monkeypatch):
@@ -218,21 +218,21 @@ class TestAssemble:
         monkeypatch.setattr(netir, "_stored_values",
                             lambda net: walked.append(net) or stored_values(net))
         ds = random_dataset(20, 2, 4, seed=5)
-        net, report = assemble_sqrt(ds, PipelineConfig(seed=5))
+        net, report = assemble_sqrt(ds, seed=5)
         net_to_json_bytes(net, report.info.to_json())
         assert report.realized == metrics(net) and report.effective_bits > 0
         assert sum(w is net for w in walked) == 1
 
     def test_dyadic_inputs_give_dyadic_outputs(self):
         ds = random_dataset(8, 2, 2, seed=3, coord_kind="dyadic")
-        net, report = assemble_sqrt(ds, PipelineConfig(seed=3))
+        net, report = assemble_sqrt(ds, seed=3)
         out = eval_exact(net, list(ds.points[0]))[0]
         # a Fraction whose denominator is a power of two
         assert isinstance(out, Fraction) and not out.denominator & (out.denominator - 1)
 
     def test_decimal_inputs_ride_rational_path(self):
         ds = random_dataset(8, 2, 3, seed=4, coord_kind="decimal")
-        net, report = assemble_sqrt(ds, PipelineConfig(seed=4))
+        net, report = assemble_sqrt(ds, seed=4)
         assert report.memorized
 
 
@@ -242,7 +242,7 @@ class TestRegression:
         pts = [(str(3 * k),) for k in range(8)]
         labels = [Fraction(k % 4, 4) + Fraction(1, 8) for k in range(8)]
         net, report = regression_wrap(pts, labels, Fraction(1, 4),
-                                      PipelineConfig(seed=0), lo=0, hi=1)
+                                      seed=0, lo=0, hi=1)
         for p, y in zip(pts, labels):
             assert eval_exact(net, [Fraction(p[0])])[0] == y  # midpoints of the grid cells
 
@@ -250,9 +250,17 @@ class TestRegression:
         pts = [(str(5 * k),) for k in range(12)]
         labels = [Fraction((7 * k) % 9, 8) for k in range(12)]
         net, report = regression_wrap(pts, labels, Fraction(1, 8),
-                                      PipelineConfig(seed=1))
+                                      seed=1)
         assert report.info.num_classes == 8
         assert Fraction(report.info.extra["max_abs_error"]) <= Fraction(1, 16)
+
+    def test_class_count_comes_from_the_label_range(self):
+        pts = [(str(3 * k),) for k in range(4)]
+        labels = ["1/8", "3/8", "5/8", "15/16"]
+        # ceil((15/16 - 1/8) / (1/8)) = 7 classes; a declared hi of 2 gives 15
+        assert regression_dataset(pts, labels, Fraction(1, 8), Fraction(1, 8)).num_classes == 7
+        ds = regression_dataset(pts, labels, Fraction(1, 8), Fraction(1, 8), hi=2)
+        assert ds.num_classes == 15 and ds.labels == (1, 3, 5, 7)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -263,6 +271,6 @@ class TestRegression:
         labels = [Fraction(k, 16) for k in range(16)]
         p = {}
         for eps in (Fraction(1, 4), Fraction(1, 16)):
-            _, report = regression_wrap(pts, labels, eps, PipelineConfig(seed=2))
+            _, report = regression_wrap(pts, labels, eps, seed=2)
             p[eps] = report.realized.params
         assert p[Fraction(1, 16)] > p[Fraction(1, 4)]

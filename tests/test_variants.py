@@ -3,7 +3,7 @@ import pytest
 from memnet.datagen import random_dataset
 from memnet.gadgets import ParameterError
 from memnet.netir import compose_serial, eval_exact, metrics
-from memnet.pipeline import (PipelineConfig, build_stage2, build_stage3,
+from memnet.pipeline import (build_stage2, build_stage3,
                              craft_codes, default_bucket_count,
                              project_to_line, projected_values, verify_exact)
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
@@ -26,13 +26,13 @@ class TestBoundedDepth:
     def test_memorizes(self):
         ds = random_dataset(64, 2, 4, seed=1)
         for L in (2, 4, 8):
-            net, report = assemble_bounded_depth(ds, L, PipelineConfig(seed=1))
+            net, report = assemble_bounded_depth(ds, L, seed=1)
             assert report.memorized and report.passed
             assert report.info.subnet_count == -(-64 // (L * L))
 
     def test_degenerate_budget_is_single_subset(self):
         ds = random_dataset(36, 1, 2, seed=2)
-        net, report = assemble_bounded_depth(ds, 6, PipelineConfig(seed=2))
+        net, report = assemble_bounded_depth(ds, 6, seed=2)
         assert report.info.subnet_count == 1
         assert report.realized.width <= 12
 
@@ -41,7 +41,7 @@ class TestBoundedDepth:
         widths = {}
         depths = {}
         for L in (2, 4, 8):
-            _, report = assemble_bounded_depth(ds, L, PipelineConfig(seed=3))
+            _, report = assemble_bounded_depth(ds, L, seed=3)
             k = report.info.subnet_count
             assert report.realized.width <= 12 * k
             widths[L] = report.realized.width
@@ -51,7 +51,6 @@ class TestBoundedDepth:
 
     def test_off_subset_points_contribute_exact_zero(self):
         ds = random_dataset(18, 1, 3, seed=4)
-        config = PipelineConfig(seed=4)
         proj, _ = project_to_line(ds, seed=4)
         zs = projected_values(proj, ds)
         order = sorted(range(ds.n), key=lambda i: zs[i])
@@ -77,7 +76,7 @@ class TestBoundedDepth:
 
     def test_partition_is_contiguous_and_complete(self):
         ds = random_dataset(50, 2, 2, seed=5)
-        _, report = assemble_bounded_depth(ds, 4, PipelineConfig(seed=5))
+        _, report = assemble_bounded_depth(ds, 4, seed=5)
         sizes = report.info.extra["subset_sizes"]
         assert sum(sizes) == 50
         assert all(s == 16 for s in sizes[:-1]) and 0 < sizes[-1] <= 16
@@ -87,13 +86,13 @@ class TestBoundedBits:
     def test_memorizes(self):
         ds = random_dataset(64, 2, 4, seed=6)
         for B in (2, 4, 8):
-            net, report = assemble_bounded_bits(ds, B, PipelineConfig(seed=6))
+            net, report = assemble_bounded_bits(ds, B, seed=6)
             assert report.memorized and report.passed
             assert report.realized.width <= 13
 
     def test_degenerate_budget_matches_single_chain(self):
         ds = random_dataset(25, 1, 2, seed=7)
-        net, report = assemble_bounded_bits(ds, 5, PipelineConfig(seed=7))
+        net, report = assemble_bounded_bits(ds, 5, seed=7)
         assert report.info.subnet_count == 1
         assert report.memorized
 
@@ -102,20 +101,21 @@ class TestBoundedBits:
         bits = {}
         depths = {}
         for B in (2, 8):
-            _, report = assemble_bounded_bits(ds, B, PipelineConfig(seed=8))
+            _, report = assemble_bounded_bits(ds, B, seed=8)
             bits[B] = report.effective_bits
             depths[B] = report.realized.depth
         assert bits[2] < bits[8]
         assert depths[2] > depths[8]
 
     def test_accumulator_stays_nonnegative(self):
-        # verify_exact(..., debug=True) walks every pass-through channel
+        # the accumulator rides pass-through units, which alias ReLU outputs
+        # (test_eval_differential.py::test_passthrough_units_alias_relu_outputs)
         ds = random_dataset(20, 2, 3, seed=9)
-        net, _ = assemble_bounded_bits(ds, 2, PipelineConfig(seed=9))
-        ok, bad = verify_exact(net, ds.points, ds.labels, debug=True)
+        net, _ = assemble_bounded_bits(ds, 2, seed=9)
+        ok, bad = verify_exact(net, ds.points, ds.labels)
         assert ok and not bad
 
     def test_metrics_width_never_exceeds_chain_limit(self):
         ds = random_dataset(30, 3, 4, seed=10)
-        net, report = assemble_bounded_bits(ds, 3, PipelineConfig(seed=10))
+        net, report = assemble_bounded_bits(ds, 3, seed=10)
         assert metrics(net).width <= 14
