@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ProvenanceError",
     "WIDTH_LIMIT",
-    "WIDTH_SLACK",
     "CHAIN_WIDTH_LIMIT",
     "AuditReport",
     "vc_upper_bits",
@@ -32,9 +31,8 @@ __all__ = [
 ]
 
 # Width ceilings fixed once for the whole artifact (see docs/FORMATS.md):
-# every single-chain build must fit in WIDTH_LIMIT + WIDTH_SLACK channels.
+# every single-chain build must fit in WIDTH_LIMIT channels.
 WIDTH_LIMIT = 12
-WIDTH_SLACK = 0
 # The bit-budget chain threads one global accumulator through the core.
 CHAIN_WIDTH_LIMIT = WIDTH_LIMIT + 2
 
@@ -187,9 +185,8 @@ def audit(net: LayeredNet, ds: "Dataset", info: "BuildInfo") -> AuditReport:
         ratios[name] = realized_value / ceiling_value if ceiling_value else math.inf
 
     if theorem in ("sqrt", "regression"):
-        width_limit = WIDTH_LIMIT + WIDTH_SLACK
-        ceilings["width"] = width_limit
-        passes["width"] = real.width <= width_limit
+        ceilings["width"] = WIDTH_LIMIT
+        passes["width"] = real.width <= WIDTH_LIMIT
         ceilings["depth_construction"] = construction_depth(info)
         passes["depth_construction"] = real.depth == ceilings["depth_construction"]
         ceilings["projection_range"] = projection_ceiling(info)

@@ -5,9 +5,13 @@ forward pass.
 arithmetic only, with no exponent bookkeeping, aliasing, register reuse or
 lane packing.  Both evaluators must agree with it value for value and
 return Fraction for every input kind (int, dyadic and non-dyadic
-Fraction).
+Fraction).  The per-point loop's seam memo is also checked against
+`plain_loop`, the same integer program run op by op with no memo, under
+natural, forced and wrong choices of where to cut and what to share.
 """
 
+import functools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -357,3 +361,153 @@ def test_random_nets_agree(data):
     dyadic = st.lists(st.one_of(st.integers(-20, 20), _dyadic_inputs),
                       min_size=net.input_dim, max_size=net.input_dim)
     assert_batch_agrees(net, data.draw(st.lists(dyadic, min_size=4, max_size=6)))
+
+
+# ---------------------------------------------------------------------------
+# the seam memo of the per-point loop against the loop without it
+
+
+def plain_loop(net: LayeredNet, points) -> list:
+    """Per-point evaluation without the seam memo: every op of the integer
+    program, in order, for each point; compiled for a copy of the net, so
+    the net's own program and memo are left as they are."""
+    prog, groups = netir._lane_groups(_fresh(net), points)
+    _, ops, size, outputs = prog
+    results = [None] * len(points)
+    for den, (members, inputs) in groups.items():
+        for k, xs in zip(members, inputs):
+            regs = list(xs) + [0] * (size - len(xs))
+            for bias, terms, relu, dest in ops:
+                acc = bias * den + sum(c * regs[r] for r, c in terms)
+                regs[dest] = max(acc, 0) if relu else acc
+            results[k] = [netir._value(regs[r], e, den) for r, e in outputs]
+    return results
+
+
+def _fresh(net: LayeredNet) -> LayeredNet:
+    """The same layers in a new net object, so its memo starts empty."""
+    return LayeredNet(net.input_dim, net.layers, net.provenance, net.output_nonneg)
+
+
+def assert_memo_agrees(net: LayeredNet, points) -> None:
+    """eval_exact on every point, which runs the memo path, equals the loop
+    without the memo, value for value and type for type."""
+    want = plain_loop(net, points)
+    for xs, out, ref in zip(points, [eval_exact(net, xs) for xs in points], want):
+        assert [type(v) for v in out] == [Fraction] * len(ref), xs
+        assert out == ref, (net.provenance, xs)
+
+
+def _memo_entries(net: LayeredNet) -> int:
+    """The entries of every memo of the net's per-point program."""
+    return sum(len(memo) for keys, _, _, _, memo in net._seams.segments if keys is not None)
+
+
+@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
+def test_seam_memo_matches_plain_loop(name, net, ds):
+    """Passes on one net object over the training points and their dyadic,
+    decimal and mixed shifts (several odd D).  The first pass ends at the
+    lowest e0 of the points, so the pass after the second stores nothing."""
+    rng = random.Random(name)
+    net = _fresh(net)
+    points = [v for p in ds.points for v in _input_variants(p, rng)]
+    assert_memo_agrees(net, points)
+    assert_memo_agrees(net, points)
+    seams, stored = net._seams, (_memo_entries(net), net._seams.bits)
+    assert_memo_agrees(net, points)
+    assert net._seams is seams and (_memo_entries(net), seams.bits) == stored
+
+
+def test_seam_memo_shares_each_bucket():
+    """One pass over the training points of a sqrt build keeps at most
+    bucket_count entries in each memo, all for D = 1, and the memo is
+    dropped when the program is recompiled."""
+    ds = random_dataset(64, 2, 4, seed=5)
+    built, report = assemble_sqrt(ds, seed=5)
+    net = _fresh(built)
+    assert_memo_agrees(net, ds.points)
+    memos = [memo for keys, _, _, _, memo in net._seams.segments if keys is not None]
+    assert memos
+    for memo in memos:
+        assert {key[0] for key in memo} == {1}
+        assert len(memo) <= report.info.bucket_count < ds.n
+    seams = net._seams
+    assert_memo_agrees(net, [[c + Fraction(1, 1 << 40) for c in p] for p in ds.points[:6]])
+    assert net._prog[0] < 0 and net._seams is not seams  # recompiled at a lower e0
+
+
+def _key_per_point_net() -> LayeredNet:
+    """(x, y) -> the pairwise sums of ReLU(kx + k), k = 1..6, plus ReLU(y).
+    Past its first seams a segment has 9 ops that read x and not y, so the
+    memo key is a function of x alone: each distinct x is one more entry."""
+    first = AffineLayer(2, 7, [((0, k),) for k in range(1, 7)] + [((1, 1),)],
+                        [*range(1, 7), 0], relu=True)
+    pairs = AffineLayer(7, 6, [((k, 1), (k + 1, 1)) for k in range(5)] + [((6, 1),)],
+                        [0] * 6, relu=True)
+    last = AffineLayer(6, 1, [tuple((k, 1) for k in range(6))], [0], relu=False)
+    return LayeredNet(2, [first, pairs, last], "key-per-point")
+
+
+def test_seam_memo_stops_at_its_cap(monkeypatch):
+    """Points with distinct keys fill the memo up to its cap and no further,
+    and every result stays exact."""
+    monkeypatch.setattr(netir, "_MEMO_BITS", 4000)
+    net = _key_per_point_net()
+    points = [[x, y] for x in range(40) for y in (1, 2)]
+    assert_memo_agrees(net, points)
+    seams = net._seams
+    entries = _memo_entries(net)
+    assert 0 < entries < 40 and 0 < seams.bits <= 4000
+    assert_memo_agrees(net, [[x + 100, 1] for x in range(40)])
+    assert _memo_entries(net) == entries and seams.bits <= 4000
+
+
+def _read(supports) -> int:
+    return functools.reduce(operator.or_, supports, 0)
+
+
+# Choices of the dynamic register other than _dynamic_bit's: the lowest or
+# the highest register read, or none (every op static, keyed on all it reads).
+WRONG_SPLITS = {
+    "lowest-read": lambda supports: _read(supports) & -_read(supports),
+    "highest-read": lambda supports: 1 << _read(supports).bit_length() >> 1,
+    "none": lambda supports: 0,
+}
+
+
+@pytest.mark.parametrize("split", [None, *WRONG_SPLITS], ids=["natural", *WRONG_SPLITS])
+@pytest.mark.parametrize("seam_width", [4, 1 << 30], ids=["seams", "every-boundary"])
+def test_seam_memo_under_forced_cuts(monkeypatch, seam_width, split):
+    """Every segment memoized, with a cut at every boundary or at the seams,
+    and the dynamic register chosen well or wrongly: results stay exact."""
+    monkeypatch.setattr(netir, "_SEAM_WIDTH", seam_width)
+    monkeypatch.setattr(netir, "_MIN_STATIC", 0)
+    if split:
+        monkeypatch.setattr(netir, "_dynamic_bit", WRONG_SPLITS[split])
+    for name, net, ds in [CORPUS[0], CORPUS[-4], *CORPUS[-3:]]:
+        rng = random.Random(name)
+        net = _fresh(net)
+        points = [_input_variants(p, rng)[k % 5] for k, p in enumerate(ds.points[:8])]
+        assert_memo_agrees(net, points + points[::-1])
+        low = [Fraction(1, 1 << 40)] * net.input_dim  # recompiles at a lower e0
+        assert_memo_agrees(net, [low] + points)
+    net = _key_per_point_net()
+    assert_memo_agrees(net, [[x, y] for x in range(-3, 4) for y in (-1, 1, 2)] * 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_nets_seam_memo(data):
+    """Random nets, every segment memoized, under every cut and split rule,
+    on points drawn so that some share coordinates and some repeat."""
+    net = data.draw(_nets())
+    point = st.lists(_inputs, min_size=net.input_dim, max_size=net.input_dim)
+    points = data.draw(st.lists(point, min_size=1, max_size=5))
+    points += [p[:1] + q[1:] for p, q in zip(points, points[1:])] + points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netir, "_MIN_STATIC", 0)
+        mp.setattr(netir, "_SEAM_WIDTH", data.draw(st.sampled_from([1, 2, 4, 1 << 30])))
+        split = data.draw(st.sampled_from([None, *WRONG_SPLITS]))
+        if split:
+            mp.setattr(netir, "_dynamic_bit", WRONG_SPLITS[split])
+        assert_memo_agrees(_fresh(net), points)
