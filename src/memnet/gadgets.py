@@ -209,14 +209,10 @@ def build_bit_extractor(n: int, i: int, j: int) -> LayeredNet:
     for k in range(i, j + 1):  # global bit tapped by this block
         carry = ["y"] if k > i else []
         for rows in triangle_step_rows("p", "q", "t", "h"):
-            t.layer(rows + t.passthrough_rows(carry), passthrough=carry)
+            t.layer(rows + t.passthrough_rows(carry))
         y_terms = {"t": tap_weight(n, k, j - k), **dict.fromkeys(carry, 1)}
-        last = k == j
-        t.layer(
-            [("p", 0, {"p": 1}), ("q", 0, {"q": 1}), ("y", 0, y_terms)],
-            relu=not last,
-            passthrough=() if last else ("p", "q"),
-        )
+        t.layer([("p", 0, {"p": 1}), ("q", 0, {"q": 1}), ("y", 0, y_terms)],
+                relu=k < j)
     return t.build(f"bit_extractor[n={n},{i}:{j}]", output_nonneg=True)
 
 

@@ -69,13 +69,11 @@ class AffineLayer:
 
     rows[k] is a tuple of (input_index, weight) pairs for output unit k;
     zero weights are never stored, and a row names a column at most once.
-    `passthrough` marks units that are plain sigma(identity) channels; it is
-    recorded in the network file and evaluation does not read it.
     """
 
-    __slots__ = ("in_dim", "out_dim", "rows", "biases", "relu", "passthrough")
+    __slots__ = ("in_dim", "out_dim", "rows", "biases", "relu")
 
-    def __init__(self, in_dim, out_dim, rows, biases, relu, passthrough=()):
+    def __init__(self, in_dim, out_dim, rows, biases, relu):
         rows = tuple([tuple([(int(i), d) for i, w in row if (d := _as_dyadic(w)).sign])
                       for row in rows])
         for row in rows:
@@ -84,20 +82,16 @@ class AffineLayer:
                     raise DimensionError(f"column {i} out of range for in_dim {in_dim}")
             if len(row) > 1 and len({i for i, _ in row}) != len(row):
                 raise DimensionError("a row names a column twice")
-        self._fill(in_dim, out_dim, rows, tuple(map(_as_dyadic, biases)), bool(relu),
-                   tuple(passthrough))
+        self._fill(in_dim, out_dim, rows, tuple(map(_as_dyadic, biases)), bool(relu))
 
-    def _fill(self, in_dim, out_dim, rows, biases, relu, passthrough) -> AffineLayer:
+    def _fill(self, in_dim, out_dim, rows, biases, relu) -> AffineLayer:
         """Set the fields from checked rows (tuples of (column in range, nonzero
         dyadic), each column once); deserialize_net calls it on a bare
         AffineLayer.__new__."""
         if len(rows) != out_dim or len(biases) != out_dim:
             raise DimensionError("row/bias count does not match out_dim")
-        for u in passthrough:
-            if not 0 <= u < out_dim:
-                raise DimensionError(f"passthrough unit {u} out of range for out_dim {out_dim}")
         self.in_dim, self.out_dim, self.rows = in_dim, out_dim, rows
-        self.biases, self.relu, self.passthrough = biases, relu, passthrough
+        self.biases, self.relu = biases, relu
         return self
 
     def nonzero_params(self) -> int:
@@ -273,6 +267,22 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
     return prog
 
 
+def _program(net: LayeredNet, e0: int) -> tuple:
+    """The net's integer program for inputs of exponent at least e0:
+    compiled on first use and recompiled only for a lower e0."""
+    prog = net._prog
+    if prog is None or e0 < prog[0]:
+        prog = _compile(net, e0)
+    return prog
+
+
+def _least_exponent(points) -> int:
+    """The e0 _lane_groups gives a batch of all the points, found without
+    scaling them, so a per-point loop can compile for it once up front."""
+    return -max([(x.denominator & -x.denominator).bit_length() - 1 for p in points
+                 for x in p if isinstance(x, Fraction) and x] + [0])
+
+
 def _scaled(x) -> tuple[int, int, int]:
     """(n, e, d) with x == n * 2**e / d and d odd, for an int or Fraction x."""
     if type(x) is int:
@@ -309,19 +319,14 @@ def _lane_groups(net: LayeredNet, points) -> tuple:
 
     The one place inputs are checked and scaled: each point is written as
     integers over 2**-e0 * D, with D the odd part of its common input
-    denominator and e0 the lowest exponent of the batch.  The net's integer
-    program is compiled on first use and recompiled only for a batch that
-    needs a lower e0.
+    denominator and e0 the lowest exponent of the batch (_program).
     """
     parts = []
     for xs in points:
         if len(xs) != net.input_dim:
             raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
         parts.append([_scaled(x) for x in xs])
-    e0 = min([e for p in parts for n, e, _ in p if n] + [0])
-    prog = net._prog
-    if prog is None or e0 < prog[0]:
-        prog = _compile(net, e0)
+    prog = _program(net, min([e for p in parts for n, e, _ in p if n] + [0]))
     e0, groups = prog[0], {}
     for k, p in enumerate(parts):
         den = 1
@@ -644,6 +649,7 @@ def check_outputs(net: LayeredNet, points, expected):
     absolute error as a Fraction).  This is the one loop that checks
     eval_exact outputs: build verification, the audit and `verify` use it.
     """
+    _program(net, _least_exponent(points))
     bad, worst = [], Fraction(0)
     for idx, (p, want) in enumerate(zip(points, expected)):
         got = eval_exact(net, list(p))[0]
@@ -695,8 +701,7 @@ def _relu_seam_layers(a: LayeredNet) -> list[AffineLayer]:
             f"{a.provenance or 'net'} has no nonnegative-output certificate, "
             "so a ReLU cannot follow its final affine layer")
     last = a.layers[-1]
-    seam = AffineLayer(last.in_dim, last.out_dim, last.rows, last.biases,
-                       relu=True, passthrough=last.passthrough)
+    seam = AffineLayer(last.in_dim, last.out_dim, last.rows, last.biases, relu=True)
     return list(a.layers[:-1]) + [seam]
 
 
@@ -720,7 +725,7 @@ def compose_serial(a: LayeredNet, b: LayeredNet, provenance: str = "") -> Layere
 
 def _identity_layer(dim: int, relu: bool) -> AffineLayer:
     rows = tuple(((i, 1),) for i in range(dim))
-    return AffineLayer(dim, dim, rows, (0,) * dim, relu, passthrough=tuple(range(dim)))
+    return AffineLayer(dim, dim, rows, (0,) * dim, relu)
 
 
 def _padded_layers(net: LayeredNet, depth: int) -> list[AffineLayer]:
@@ -763,19 +768,15 @@ def stack_parallel(nets: Sequence[LayeredNet], provenance: str = "") -> LayeredN
             raise DimensionError("stacked nets disagree on ReLU at aligned layers")
         rows = []
         biases = []
-        passthrough = []
         offset_in = 0
-        offset_out = 0
         for p in parts:
             shift = 0 if k == 0 else offset_in
             for row in p.rows:
                 rows.append(tuple((i + shift, w) for i, w in row))
             biases.extend(p.biases)
-            passthrough.extend(u + offset_out for u in p.passthrough)
             offset_in += p.in_dim
-            offset_out += p.out_dim
         in_dim = input_dim if k == 0 else offset_in
-        stacked.append(AffineLayer(in_dim, offset_out, rows, biases, relu, passthrough))
+        stacked.append(AffineLayer(in_dim, len(rows), rows, biases, relu))
     return LayeredNet(
         input_dim,
         stacked,
@@ -838,7 +839,6 @@ def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
                     for row in layer.rows]
             w = f'{{"in_dim":{_dumps(layer.in_dim)},"sparse":[' + ",".join(rows) + "]}"
         layers.append(f'{{"b":[{",".join([cell(b) for b in layer.biases])}],'
-                      f'"passthrough":{_dumps(list(layer.passthrough))},'
                       f'"relu":{_dumps(layer.relu)},"w":{w}}}')
     head = "" if builder is None else f'"builder":{_dumps(builder)},'
     return (f'{{{head}"format_version":{FORMAT_VERSION},"input_dim":{_dumps(net.input_dim)},'
@@ -916,11 +916,14 @@ def deserialize_net(obj: dict) -> LayeredNet:
                     rows.append(tuple([(i, d) for i, wt in enumerate(row) if not (
                         wt["m"] == "0" and wt["s"] is _INT_ZERO and wt["e"] is _INT_ZERO)
                         and (d := capped(wt)).sign]))
-            passthrough = tuple([_typed(u, int, "a passthrough unit")
-                                 for u in spec.get("passthrough", ())])
+            # older writers listed a layer's identity units: checked, then dropped
+            marks = [_typed(u, int, "a passthrough unit") for u in spec.get("passthrough", ())]
             layers.append(AffineLayer.__new__(AffineLayer)._fill(
-                in_dim, len(biases), tuple(rows), biases, _typed(spec["relu"], bool, "relu"),
-                passthrough))
+                in_dim, len(biases), tuple(rows), biases, _typed(spec["relu"], bool, "relu")))
+            for u in marks:
+                if not 0 <= u < len(biases):
+                    raise DimensionError(
+                        f"passthrough unit {u} out of range for out_dim {len(biases)}")
         return LayeredNet(input_dim, layers, _typed(obj.get("provenance", ""), str, "provenance"),
                           _typed(obj.get("output_nonneg", False), bool, "output_nonneg"))
     except (TypeError, AttributeError, KeyError, OverflowError) as exc:
@@ -972,7 +975,7 @@ class TapeBuilder:
         self.input_dim = len(self.names)
         self.layers: list[AffineLayer] = []
 
-    def layer(self, rows, relu=True, passthrough=()):
+    def layer(self, rows, relu=True):
         index = {name: i for i, name in enumerate(self.names)}
         out_rows = []
         biases = []
@@ -988,9 +991,7 @@ class TapeBuilder:
             new_names.append(name)
         if len(set(new_names)) != len(new_names):
             raise ValueError("duplicate output channel names")
-        pt = tuple(new_names.index(p) for p in passthrough)
-        self.layers.append(
-            AffineLayer(len(self.names), len(out_rows), out_rows, biases, relu, pt))
+        self.layers.append(AffineLayer(len(self.names), len(out_rows), out_rows, biases, relu))
         self.names = new_names
 
     def passthrough_rows(self, names):

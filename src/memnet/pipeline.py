@@ -435,33 +435,33 @@ def craft_codes(z_sorted, labels_sorted, m: int, num_classes: int,
                        tuple(intervals), tuple(block_values), tuple(label_blocks))
 
 
-def build_stage2(code: CraftedCode, carry: int = 0) -> LayeredNet:
+def build_stage2(code: CraftedCode, carry: bool = False) -> LayeredNet:
     """Bucket selector: z -> (z, w_j, u_j) for z in bucket j's plateau.
 
     Bucket j's indicator (gadgets.window_rows on [a_j, b_j]) gates both
     payload accumulators, so the realized width is 5 (the scalar selector of
-    the contract is width 4) plus any carry channels.  Depth is 3*bucket_count + 2.
+    the contract is width 4) plus the carry channel k0 when carry is set.
+    Depth is 3*bucket_count + 2.
     """
-    carries = [f"k{t}" for t in range(carry)]
+    carries = ["k0"] if carry else []
     t = TapeBuilder(["z"] + carries)
     t.layer([("x", 0, {"z": 1}), ("yw", 0, {}), ("yu", 0, {})]
-            + t.passthrough_rows(carries),
-            passthrough=["x"] + carries)
+            + t.passthrough_rows(carries))
     keep = ["x", "yw", "yu"] + carries
     for j in range(code.bucket_count):
         a, b = code.intervals[j]
         for rows in gadgets.window_rows("x", (a, {}), (b, {})):
-            t.layer(rows + t.passthrough_rows(keep), passthrough=keep)
+            t.layer(rows + t.passthrough_rows(keep))
         t.layer([
             ("x", 0, {"x": 1}),
             ("yw", -code.w[j], {"yw": 1, "g1": code.w[j], "g2": code.w[j]}),
             ("yu", -code.u[j], {"yu": 1, "g1": code.u[j], "g2": code.u[j]}),
-        ] + t.passthrough_rows(carries), passthrough=["x"] + carries)
+        ] + t.passthrough_rows(carries))
     t.layer(t.passthrough_rows(keep), relu=False)
     return t.build(f"bucket_selector[m={code.bucket_count}]", output_nonneg=True)
 
 
-def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
+def build_stage3(n_blocks: int, rho: int, c: int, carry: bool = False) -> LayeredNet:
     """Block matcher: (x, w, u) -> label block of w whose u block equals floor(x).
 
     Walks the n_blocks rho-bit blocks of u and c-bit blocks of w with two
@@ -471,12 +471,12 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
     0 when x is farther than 3/2 from every block value.  Width 12; depth
     3*n_blocks*max(rho, c) + 2*n_blocks + 2.
 
-    With one carry channel the net maps (x, w, u, y) -> (x, y + result),
+    With the carry channel the net maps (x, w, u, y) -> (x, y + result),
     which is how the bit-budget chain threads its accumulator.
     """
     if n_blocks < 1 or rho < 1 or c < 1:
         raise ParameterError("block counts and widths must be positive")
-    carries = [f"k{t}" for t in range(carry)]
+    carries = ["k0"] if carry else []
     nr = n_blocks * rho
     nc = n_blocks * c
     steps = max(rho, c)
@@ -488,7 +488,7 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
         ("pw", DyadicRational(1, -(nc + 1)), {"w": DyadicRational(1, -nc)}),
         ("qw", DyadicRational(1, -(nc + 2)), {"w": DyadicRational(1, -nc)}),
         ("y", 0, {}),
-    ] + t.passthrough_rows(carries), passthrough=["x"] + carries)
+    ] + t.passthrough_rows(carries))
 
     def track(v, active):
         """Both layers of one step on payload v's tracks; idle tracks hold."""
@@ -512,7 +512,7 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
             for layer, (u_rows, w_rows) in enumerate(tracks):
                 y = y_in if step == 1 and layer == 0 else {"y": 1}
                 t.layer([("x", 0, {"x": 1})] + u_rows + w_rows + sums + [("y", 0, y)]
-                        + t.passthrough_rows(carries), passthrough=["x"] + carries)
+                        + t.passthrough_rows(carries))
             # advance the accumulators; on the last step open the distance gate
             bu = accumulator("u", step, rho, nr)
             bw = accumulator("w", step, c, nc)
@@ -522,16 +522,15 @@ def build_stage3(n_blocks: int, rho: int, c: int, carry: int = 0) -> LayeredNet:
             else:
                 gate, gate_out = gadgets.window_rows("x", (0, bu), (1, bu))
                 rows += [("bw", 0, bw)] + gate
-            t.layer(rows + t.passthrough_rows(carries), passthrough=["x"] + carries)
+            t.layer(rows + t.passthrough_rows(carries))
         hold = ["x", "pu", "qu", "pw", "qw", "y"] + carries
-        t.layer(gate_out + [("bw", 0, {"bw": 1})]
-                + t.passthrough_rows(hold), passthrough=["x", "bw"] + carries)
+        t.layer(gate_out + [("bw", 0, {"bw": 1})] + t.passthrough_rows(hold))
         t.layer([("g", -(1 << (c + 2)),
                   {"g1": 1 << (c + 1), "g2": 1 << (c + 1), "bw": 1})]
-                + t.passthrough_rows(hold), passthrough=["x"] + carries)
+                + t.passthrough_rows(hold))
     if carry:
         final = [("x", 0, {"x": 1}),
-                 ("y", 0, {carries[0]: 1, "y": 1, "g": 1})]
+                 ("y", 0, {"k0": 1, "y": 1, "g": 1})]
     else:
         final = [("out", 0, {"y": 1, "g": 1})]
     t.layer(final, relu=False)

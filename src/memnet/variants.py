@@ -51,7 +51,7 @@ def _with_zero_outputs(net: LayeredNet, extra: int) -> LayeredNet:
     new_last = AffineLayer(last.in_dim, last.out_dim + extra,
                            last.rows + ((),) * extra,
                            last.biases + (ZERO,) * extra,
-                           relu=False, passthrough=last.passthrough)
+                           relu=False)
     return LayeredNet(net.input_dim, net.layers[:-1] + (new_last,),
                       net.provenance, net.output_nonneg)
 
@@ -95,8 +95,8 @@ def assemble_bounded_bits(ds: Dataset, B: int, seed: int = 0):
     net = _with_zero_outputs(net1, 1)
     for code in codes:
         block = compose_serial(
-            build_stage2(code, carry=1),
-            build_stage3(code.bucket_size, code.rho, code.c, carry=1))
+            build_stage2(code, carry=True),
+            build_stage3(code.bucket_size, code.rho, code.c, carry=True))
         net = compose_serial(net, block)
     tail = TapeBuilder(["x", "y"])
     tail.layer([("out", 0, {"y": 1})], relu=False)

@@ -11,7 +11,7 @@ import json
 
 from memnet.exactnum import DyadicRational, ZERO
 from memnet.netir import (FORMAT_VERSION, MAX_EXPONENT, MAX_MANTISSA_BITS,
-                          AffineLayer, LayeredNet, metrics)
+                          AffineLayer, DimensionError, LayeredNet, metrics)
 
 
 def cell_json(w: DyadicRational) -> dict:
@@ -35,7 +35,6 @@ def reference_dict(net: LayeredNet, builder: dict | None = None) -> dict:
             "w": w,
             "b": [cell_json(b) for b in layer.biases],
             "relu": layer.relu,
-            "passthrough": list(layer.passthrough),
         })
     out = {
         "format_version": FORMAT_VERSION,
@@ -93,8 +92,10 @@ def reference_deserialize(obj: dict) -> LayeredNet:
                 in_dim = len(w[0]) if w else 0
                 rows = [tuple((i, _capped(wt)) for i, wt in enumerate(row) if wt["s"] != 0)
                         for row in w]
-            layers.append(AffineLayer(in_dim, len(biases), rows, biases,
-                                      spec["relu"], tuple(spec.get("passthrough", ()))))
+            layers.append(AffineLayer(in_dim, len(biases), rows, biases, spec["relu"]))
+            for u in spec.get("passthrough", ()):  # identity units an older writer listed
+                if not 0 <= u < len(biases):
+                    raise DimensionError(f"passthrough unit {u} out of range")
         return LayeredNet(obj["input_dim"], layers, obj.get("provenance", ""),
                           obj.get("output_nonneg", False))
     except (TypeError, AttributeError, KeyError, OverflowError) as exc:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from memnet import cli
+from memnet import cli, netir
 from memnet.datagen import random_dataset, random_regression_labels, \
     random_separated_points, write_csv
 from memnet.netir import MAX_EXPONENT, MAX_MANTISSA_BITS, load_net, save_net
@@ -105,6 +105,36 @@ class TestEvalAuditOracle:
         with open(dataset_csv) as fh:
             labels = [row["label"] for row in csv.DictReader(fh)]
         assert [line["output"] for line in lines] == labels
+
+    @pytest.mark.parametrize("via", ["check_outputs", "eval"])
+    def test_falling_exponents_compile_once(self, dataset_csv, tmp_path, capsys,
+                                            monkeypatch, via):
+        """Row k shifted by 2^-(k+1): each row needs a lower input exponent
+        than the rows before it.  The integer program is still compiled once,
+        for the lowest exponent, and the outputs equal those of the same rows
+        in reverse order (one compile in any order)."""
+        net_path = str(tmp_path / "net.json")
+        run(["build", "--mode", "sqrt", "--in", dataset_csv, "--out", net_path])
+        capsys.readouterr()
+        points, labels, _ = read_dataset(dataset_csv)
+        rows = [[x + Fraction(1, 2 ** (k + 1)) for x in p] for k, p in enumerate(points)]
+        want = netir.eval_exact_batch(load_net(net_path)[0], rows)
+        compiles = []
+        real = netir._compile
+        monkeypatch.setattr(netir, "_compile", lambda net, e0: compiles.append(e0) or real(net, e0))
+        for order in (range(len(rows)), range(len(rows) - 1, -1, -1)):
+            compiles.clear()
+            if via == "eval":
+                shifted = tmp_path / "shifted.csv"
+                write_csv(shifted, [rows[k] for k in order], [labels[k] for k in order])
+                assert run(["eval", "--net", net_path, "--in", str(shifted)]) == 0
+                got = [json.loads(s)["output"] for s in capsys.readouterr().out.splitlines()]
+                assert got == [str(want[k][0]) for k in order]
+            else:
+                net, _ = load_net(net_path)
+                outs = [want[k][0] for k in order]
+                assert netir.check_outputs(net, [rows[k] for k in order], outs) == ([], 0)
+            assert compiles == [-len(rows)]
 
     def test_audit_from_file(self, dataset_csv, tmp_path, capsys):
         net = str(tmp_path / "net.json")
@@ -314,7 +344,7 @@ class TestHostileInput:
         lambda obj: _edit_dense_cell(obj, False, lambda c: {**c, "e": float(c["e"])}),
         lambda obj: obj["layers"][0].update(relu=1) or obj,
         lambda obj: obj["layers"][0].update(relu="no") or obj,
-        lambda obj: _edit_passthrough(obj, lambda u: True),
+        lambda obj: obj["layers"][0].update(passthrough=[True]) or obj,
         lambda obj: obj.update(output_nonneg="yes") or obj,
         lambda obj: obj.update(provenance=5) or obj,
         lambda obj: obj.update(format_version=True) or obj,
@@ -795,13 +825,6 @@ def _split_sparse_term(obj):
                for row in spec["w"]["sparse"] if row)
     column, cell = row[0]
     row[0:1] = [[column, {**cell, "e": cell["e"] - 1}] for _ in range(2)]
-    return obj
-
-
-def _edit_passthrough(obj, edit):
-    """obj with the first passthrough unit u of its layers replaced by edit(u)."""
-    units = next(spec["passthrough"] for spec in obj["layers"] if spec["passthrough"])
-    units[0] = edit(units[0])
     return obj
 
 

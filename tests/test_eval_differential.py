@@ -144,17 +144,18 @@ def test_corpus_batches_agree(name, net, ds):
 
 @pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
 def test_passthrough_units_alias_relu_outputs(name, net, ds):
-    """Every pass-through unit a builder marks is an identity row (one term
-    of weight 1, bias 0) behind a ReLU layer, so its register is an alias of
-    a ReLU output and can never be negative."""
-    marked = 0
+    """Every identity row a builder makes (one term of weight 1, bias 0)
+    reads a ReLU output or applies no ReLU, so its register is an alias of
+    its source and can never be clipped: the register plan runs an op for
+    every other row and for no identity row."""
+    identity = 0
     for k, layer in enumerate(net.layers):
-        for u in layer.passthrough:
-            (col, weight), = layer.rows[u]
-            assert k >= 1 and net.layers[k - 1].relu, (name, k, u)
-            assert weight == DyadicRational(1) and not layer.biases[u].sign, (name, k, u)
-            marked += 1
-    assert marked
+        for u, (row, bias) in enumerate(zip(layer.rows, layer.biases)):
+            if len(row) == 1 and row[0][1] == 1 and not bias.sign:
+                assert not layer.relu or k >= 1 and net.layers[k - 1].relu, (name, k, u)
+                identity += 1
+    assert identity
+    assert len(netir._plan(net)[0]) == sum(l.out_dim for l in net.layers) - identity
 
 
 def test_oracle_bit_nets_hold_their_lanes():
@@ -226,8 +227,7 @@ def _mutated(net: LayeredNet, rng: random.Random) -> LayeredNet:
     t = rng.randrange(len(rows[u]))
     weight = DyadicRational(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(-4, 4))
     rows[u] = rows[u][:t] + ((rows[u][t][0], weight),) + rows[u][t + 1:]
-    new = AffineLayer(layer.in_dim, layer.out_dim, rows, layer.biases, layer.relu,
-                      layer.passthrough)
+    new = AffineLayer(layer.in_dim, layer.out_dim, rows, layer.biases, layer.relu)
     return LayeredNet(net.input_dim, net.layers[:k] + (new,) + net.layers[k + 1:])
 
 
@@ -243,8 +243,7 @@ def _guarded(net: LayeredNet) -> LayeredNet:
     of pass-through unit no builder makes, an identity row that is not an
     alias, so the ReLU clips negative inputs."""
     d = net.input_dim
-    carrier = AffineLayer(d, d, [((i, 1),) for i in range(d)], [0] * d, relu=True,
-                          passthrough=range(d))
+    carrier = AffineLayer(d, d, [((i, 1),) for i in range(d)], [0] * d, relu=True)
     return LayeredNet(d, (carrier,) + net.layers)
 
 
@@ -343,8 +342,7 @@ def _nets(draw):
                 rows.append(tuple((i, draw(_dyadics)) for i in cols))
                 biases.append(draw(_dyadics))
         relu = k < len(dims) - 2
-        passthrough = draw(st.lists(st.integers(0, n_out - 1), unique=True))
-        layers.append(AffineLayer(n_in, n_out, rows, biases, relu, passthrough))
+        layers.append(AffineLayer(n_in, n_out, rows, biases, relu))
     return LayeredNet(input_dim, layers, "random")
 
 

@@ -20,16 +20,16 @@ from memnet.pipeline import (MemorizationError, assemble_sqrt,
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 
 BUILD_DIGESTS = {
-    "sqrt": "709c61cf772e46dcf224f2b7c2e9109160c34541a4e5db4291e16b91b657ea6b",
-    "depth": "dc295358fb41b2e4a002ac1f434e738f5e0a162c4da856b843e498e750de07f7",
-    "bits": "eda6c26f8150ec9ed379dbe9e02418c1e49a59359e5cdc7e4d4b8b37e415b626",
-    "regression": "fc87832ad73fb1ad9a714858986977fb8bc44363b5a58c916ef622d1b7df597d",
+    "sqrt": "2247bfba36a8dd7d9f7484452c85cb3b10b0cc2113fc840ccc0410cc7e1def23",
+    "depth": "ab54e6eb058d65644b884f7eda383e5d84c7fea6bd7a4986e433e93caa4e3605",
+    "bits": "655b674baba229713401dde3ed4b5de9bc0c3cc655db4487196ea00973a6e272",
+    "regression": "533ca52dea683a575c767ce88ffeb770495b0a23f23860e1451cd970210549c4",
 }
 
 GADGET_DIGESTS = {
-    "indicator": "d241c848ae50ecac46252cecc243167c831e911c50503190a0a5e00423811ac4",
-    "distance_gate": "570bb4f3c403530508d55a77903d46d0a89231b89b1d5992ecdf880a36d63510",
-    "bit_extractor": "8ad15a0cb5412346751ea8976de96cf906b2d95cab9f6873f2a93adc93fd4b5e",
+    "indicator": "da411c43f20be34ac69f301c152b3bbedca7a88a66ba9e1b12416b6bfdb56090",
+    "distance_gate": "9cdf6d052be97f7577e34e3818e9d26ee9022065391c02261c07f9985cdea94a",
+    "bit_extractor": "52520a4c7db5314d3b25feeac1864aa479bcfe1e41b0db769c688bc7b15cd5d3",
 }
 
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from memnet.exactnum import DyadicRational
 from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
-                          LayeredNet, deserialize_net, net_to_json_bytes)
+                          LayeredNet, deserialize_net, eval_exact, eval_float,
+                          net_to_json_bytes)
 from netfile_reference import reference_bytes, reference_deserialize
 from test_cli import _edit_dense_row, _split_sparse_term
 from test_eval_differential import CORPUS, _nets
@@ -47,7 +48,7 @@ def _layer(in_dim, out_dim, weight, relu=True):
     """Row k holds `weight` in column k % in_dim; every other row is empty."""
     rows = [((k % in_dim, weight),) if k % 3 == 0 else () for k in range(out_dim)]
     biases = [weight if k % 4 == 1 else 0 for k in range(out_dim)]
-    return AffineLayer(in_dim, out_dim, rows, biases, relu, passthrough=range(0, out_dim, 5))
+    return AffineLayer(in_dim, out_dim, rows, biases, relu)
 
 
 @pytest.mark.parametrize("dims", [(16, 16, 1), (16, 17, 1), (17, 16, 1), (1, 16, 17),
@@ -323,13 +324,33 @@ def test_malformed_shapes_are_refused(shape):
 
 
 @pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
+def test_legacy_passthrough_marks_load(name, net, ds):
+    """Older files list each layer's identity units under "passthrough".
+    Such a file is the new bytes with the lists put back; it loads to the
+    same layers and evaluates to the same outputs, exactly and in float64."""
+    new = net_to_json_bytes(net)
+    obj = json.loads(new)
+    for spec, layer in zip(obj["layers"], net.layers):
+        spec["passthrough"] = [u for u, (row, b) in enumerate(zip(layer.rows, layer.biases))
+                               if len(row) == 1 and row[0][1] == 1 and not b.sign]
+    assert any(spec["passthrough"] for spec in obj["layers"])
+    legacy = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert re.sub(r'"passthrough":\[[0-9,]*\],', "", legacy).encode() == new
+    old, again = deserialize_net(json.loads(legacy)), deserialize_net(json.loads(new))
+    assert ([(l.in_dim, l.out_dim, l.rows, l.biases, l.relu) for l in old.layers]
+            == [(l.in_dim, l.out_dim, l.rows, l.biases, l.relu) for l in again.layers])
+    points = [list(p) for p in ds.points]
+    assert [eval_exact(old, p) for p in points] == [eval_exact(again, p) for p in points]
+    floats = [[float(x) for x in p] for p in points]
+    assert [eval_float(old, p) for p in floats] == [eval_float(again, p) for p in floats]
+
+
+@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
 def test_loaded_layers_equal_the_checking_constructor(name, net, ds):
     """deserialize_net checks its rows itself and skips AffineLayer.__init__;
     the checking constructor, given the same tuples, must change nothing."""
     loaded = deserialize_net(json.loads(net_to_json_bytes(net)))
     for layer in loaded.layers:
-        again = AffineLayer(layer.in_dim, layer.out_dim, layer.rows, layer.biases,
-                            layer.relu, layer.passthrough)
-        assert ((layer.rows, layer.biases, layer.relu, layer.passthrough)
-                == (again.rows, again.biases, again.relu, again.passthrough))
+        again = AffineLayer(layer.in_dim, layer.out_dim, layer.rows, layer.biases, layer.relu)
+        assert (layer.rows, layer.biases, layer.relu) == (again.rows, again.biases, again.relu)
         assert type(layer.relu) is bool

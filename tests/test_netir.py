@@ -19,8 +19,8 @@ def passthrough_net():
     """Hand-built net on (x, v): output 0 carries x through pass-through
     units in every layer, output 1 is sigma(2v - 1) + 1."""
     layers = [
-        AffineLayer(2, 2, [((0, 1),), ((1, 2),)], [0, -1], relu=True, passthrough=[0]),
-        AffineLayer(2, 2, [((0, 1),), ((1, 1),)], [0, 0], relu=True, passthrough=[0, 1]),
+        AffineLayer(2, 2, [((0, 1),), ((1, 2),)], [0, -1], relu=True),
+        AffineLayer(2, 2, [((0, 1),), ((1, 1),)], [0, 0], relu=True),
         AffineLayer(2, 2, [((0, 1),), ((1, 1),)], [0, 1], relu=False),
     ]
     return LayeredNet(2, layers, "passthrough")

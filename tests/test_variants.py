@@ -108,7 +108,7 @@ class TestBoundedBits:
         assert depths[2] > depths[8]
 
     def test_accumulator_stays_nonnegative(self):
-        # the accumulator rides pass-through units, which alias ReLU outputs
+        # the accumulator rides identity rows, which alias ReLU outputs
         # (test_eval_differential.py::test_passthrough_units_alias_relu_outputs)
         ds = random_dataset(20, 2, 3, seed=9)
         net, _ = assemble_bounded_bits(ds, 2, seed=9)
