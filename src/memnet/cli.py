@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     net, points, _ = _net_and_points(args)
     if args.precision == "exact":
-        netir._program(net, netir._least_exponent(points))
+        netir._lower_e0(net, points)
     for idx, p in enumerate(points):
         if args.precision == "exact":
             out = eval_exact(net, list(p))[0]

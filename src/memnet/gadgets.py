@@ -18,10 +18,11 @@ is the figure their contracts quote.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from .exactnum import bin_range
-from .netir import LayeredNet, TapeBuilder
+from .exactnum import bin_range, pack_blocks
+from .netir import LayeredNet, TapeBuilder, compose_serial, eval_exact_batch
 
 __all__ = [
     "ParameterError",
@@ -234,8 +235,6 @@ def _summary(suite: str, checks: int, witnesses: list) -> dict:
 
 def oracle_triangle(max_iter: int = 6, grid_halving: int = 6) -> dict:
     """Composed triangle nets vs the scalar formula on dyadic grids of [0,1]."""
-    from .netir import compose_serial, eval_exact_batch
-
     grid = [Fraction(t, 2 ** grid_halving) for t in range((1 << grid_halving) + 1)]
     witnesses = []
     net = build_triangle()
@@ -259,8 +258,6 @@ def _window_ok(got, want, x, lo, hi) -> bool:
 
 def oracle_indicator(pairs=((2, 5), (0, 1), (7, 19)), step=Fraction(1, 4)) -> dict:
     """Indicator nets vs formula and contract on grids over [a-3, b+3]."""
-    from .netir import eval_exact_batch
-
     checks = 0
     witnesses = []
     for a, b in pairs:
@@ -276,8 +273,6 @@ def oracle_indicator(pairs=((2, 5), (0, 1), (7, 19)), step=Fraction(1, 4)) -> di
 
 def oracle_distance(y_values=(0, 3, 10), step=Fraction(1, 4)) -> dict:
     """Distance gate vs formula and contract on 2-D grids around each y."""
-    from .netir import eval_exact_batch
-
     cases = [(x, y) for y in y_values for x in _grid(Fraction(y - 3), Fraction(y + 4), step)]
     outs = eval_exact_batch(build_distance_gate(), [[x, Fraction(y)] for x, y in cases])
     witnesses = []
@@ -297,8 +292,6 @@ def oracle_bits(n_max: int = 10) -> dict:
     tap formula is swept on the same domain, on the track pairs of the
     per-(n, x) table the net sweep uses.
     """
-    from .netir import eval_exact_batch
-
     if not 1 <= n_max <= 14:
         raise ParameterError(f"n_max must be in 1..14 (above 14 would take too long), "
                              f"got {n_max}")
@@ -343,11 +336,7 @@ def oracle_stage3(seed: int = 0, trials: int = 12) -> dict:
     the matcher net returns the paired label block at gated inputs and exact
     zero far from every block value.
     """
-    import random
-
-    from .exactnum import pack_blocks
-    from .netir import eval_exact_batch
-    from .pipeline import build_stage3
+    from .pipeline import build_stage3  # lazy: pipeline imports this module
 
     rng = random.Random(seed)
     checks = 0

@@ -108,7 +108,7 @@ class LayeredNet:
     """
 
     __slots__ = ("input_dim", "layers", "provenance", "output_nonneg",
-                 "_plan", "_prog", "_seams", "_flt", "_stats")
+                 "_plan", "_prog", "_seams", "_flt", "_stats", "_e0")
 
     def __init__(self, input_dim, layers, provenance="", output_nonneg=False):
         layers = tuple(layers)
@@ -127,6 +127,7 @@ class LayeredNet:
         object.__setattr__(self, "output_nonneg", bool(output_nonneg))
         for cache in ("_plan", "_prog", "_seams", "_flt", "_stats"):
             object.__setattr__(self, cache, None)
+        object.__setattr__(self, "_e0", 0)  # lowest input exponent seen (_lower_e0)
 
     def __setattr__(self, name, value):
         raise AttributeError("LayeredNet is immutable")
@@ -240,18 +241,23 @@ def _plan(net: LayeredNet) -> tuple:
     return net._plan
 
 
-def _compile(net: LayeredNet, e0: int) -> tuple:
-    """The plan as an integer program for inputs scaled to exponent e0.
+def _compile(net: LayeredNet) -> tuple:
+    """The plan as an integer program, compiled on the net's first exact
+    evaluation and never rebuilt.
 
-    Register values are integers v standing for v * 2**E / D, where D is
-    the odd part of the point's common input denominator and E is a static
-    exponent: e0 for inputs, and for a computed row the smallest exponent
-    among its terms and bias, so weights and biases fold into integer
-    coefficients.  A slot holds one register from its write to its last
-    read, so exponents are kept per slot.
+    Register values are integers v standing for v * 2**E / den, where
+    den = D << -e0: D is the odd part of the point's common input
+    denominator and e0 the net's input exponent (_lower_e0).  Every op
+    multiplies its bias by den, so the program does not depend on e0.  E is
+    a static exponent: 0 for inputs, and for a computed row the smallest
+    exponent among its terms and bias, so weights and biases fold into
+    integer coefficients.  A slot holds one register from its write to its
+    last read, so exponents are kept per slot.
     """
+    if net._prog is not None:
+        return net._prog
     plan, size, outputs = _plan(net)
-    exps = [e0] * size  # static exponent of the register each slot holds
+    exps = [0] * size  # static exponent of the register each slot holds
     ops = []
     for bias, slots, weights, relu, dest in plan:
         ts = [w.exponent + exps[s] for s, w in zip(slots, weights)]
@@ -261,26 +267,21 @@ def _compile(net: LayeredNet, e0: int) -> tuple:
                            for s, w, t in zip(slots, weights, ts)]),
                     relu, dest))
         exps[dest] = e
-    prog = (e0, tuple(ops), size, tuple([(s, exps[s]) for s in outputs]))
-    object.__setattr__(net, "_prog", prog)
-    object.__setattr__(net, "_seams", None)  # its memo holds values of the old program
-    return prog
+    object.__setattr__(net, "_prog", (tuple(ops), size,
+                                      tuple([(s, exps[s]) for s in outputs])))
+    return net._prog
 
 
-def _program(net: LayeredNet, e0: int) -> tuple:
-    """The net's integer program for inputs of exponent at least e0:
-    compiled on first use and recompiled only for a lower e0."""
-    prog = net._prog
-    if prog is None or e0 < prog[0]:
-        prog = _compile(net, e0)
-    return prog
-
-
-def _least_exponent(points) -> int:
-    """The e0 _lane_groups gives a batch of all the points, found without
-    scaling them, so a per-point loop can compile for it once up front."""
-    return -max([(x.denominator & -x.denominator).bit_length() - 1 for p in points
-                 for x in p if isinstance(x, Fraction) and x] + [0])
+def _lower_e0(net: LayeredNet, points) -> int:
+    """The net's input exponent e0 <= 0, first lowered to the least 2-adic
+    exponent of the points' coordinates, read without scaling them.  It
+    only falls, and a lower e0 rebuilds nothing; check_outputs and `memnet
+    eval` call this before their per-point loops, so their points share
+    one den and one set of memo keys."""
+    e0 = min([net._e0, *[1 - (x.denominator & -x.denominator).bit_length()
+                         for p in points for x in p if isinstance(x, Fraction)]])
+    object.__setattr__(net, "_e0", e0)
+    return e0
 
 
 def _scaled(x) -> tuple[int, int, int]:
@@ -315,19 +316,19 @@ _REGISTER_BITS = 1 << 16
 
 
 def _lane_groups(net: LayeredNet, points) -> tuple:
-    """(program, {odd denominator D: (point indices, their input registers)}).
+    """(program, {den: (point indices, their input registers)}).
 
     The one place inputs are checked and scaled: each point is written as
-    integers over 2**-e0 * D, with D the odd part of its common input
-    denominator and e0 the lowest exponent of the batch (_program).
+    integers over its runtime denominator den = D << -e0, with D the odd
+    part of its common input denominator and e0 the net's input exponent,
+    first lowered for this batch (_lower_e0).
     """
     parts = []
     for xs in points:
         if len(xs) != net.input_dim:
             raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
         parts.append([_scaled(x) for x in xs])
-    prog = _program(net, min([e for p in parts for n, e, _ in p if n] + [0]))
-    e0, groups = prog[0], {}
+    prog, e0, groups = _compile(net), _lower_e0(net, points), {}
     for k, p in enumerate(parts):
         den = 1
         for _, _, d in p:
@@ -337,14 +338,14 @@ def _lane_groups(net: LayeredNet, points) -> tuple:
             regs = [n << (e - e0) for n, e, _ in p]
         else:
             regs = [n * (den // d) << (e - e0) for n, e, d in p]
-        members, inputs = groups.setdefault(den, ([], []))
+        members, inputs = groups.setdefault(den << -e0, ([], []))
         members.append(k)
         inputs.append(regs)
     return prog, groups
 
 
 def _lane_bounds(prog: tuple, den: int, lows, highs) -> tuple[int, list]:
-    """(W, clips) for input registers in [lows[i], highs[i]] over odd D = den.
+    """(W, clips) for input registers in [lows[i], highs[i]] over den.
 
     Interval bound propagation over the integer program (Gowal et al.,
     arXiv:1810.12715): every input, and every row's value before and after
@@ -354,7 +355,7 @@ def _lane_bounds(prog: tuple, den: int, lows, highs) -> tuple[int, list]:
     2**(W-1) of the ReLU mask.  clips[t] is false when op t has no ReLU or
     its lower bound is >= 0, so the ReLU can never clip.
     """
-    _, ops, size, _ = prog
+    ops, size, _ = prog
     lo = [*lows, *[0] * (size - len(lows))]
     hi = [*highs, *[0] * (size - len(highs))]
     top = max([*highs, *[-v for v in lows]], default=0)
@@ -403,8 +404,9 @@ def _lanes(q: int, width: int, count: int) -> list:
 # live across it: the (x, w, u) stage seams of sqrt and regression nets and
 # the (x, w, u, y) block seams of a bits chain.
 _SEAM_WIDTH = 4
-# A segment keeps a memo only when at least this many of its ops are static.
-# At 1-3 the bucket selector's 5-op segments (4 static ops, keyed on the
+# A segment keeps a memo only when at least this many of its ops are static
+# and read an input: a constant op costs the same on a hit as on a miss.  At
+# 1-3 the bucket selector's 5-op segments (4 static ops, keyed on the
 # accumulators, so they never hit) get memos, and a first pass over a sqrt
 # build at N = 256 took 0.86-0.89 of the memo-free time instead of 0.46-0.50
 # (2-core Xeon, Python 3.11).
@@ -419,12 +421,14 @@ class _Seams:
 
     segments are (keys, ops, dyn, exports, memo) in program order.  A plain
     run has keys None and the program's own ops.  A memoized segment keys
-    its memo on (D, the values of its key slots); its ops are (bias, terms,
-    rest, relu, dest), where a static op has rest None and a dynamic op's
-    terms are its static terms and rest its dynamic ones.  An entry holds
-    each dynamic op's static partial sum (bias*D plus its static terms) and
-    the values of the export slots.  dyn lists the dynamic ops as (dynamic
-    terms, relu, dest).  bits counts what the memos hold.
+    its memo on (den, the values of its key slots); its ops are (bias,
+    terms, rest, relu, dest), where a static op has rest None and a dynamic
+    op's terms are its static terms and rest its dynamic ones.  An entry
+    holds each dynamic op's static partial sum (bias*den plus its static
+    terms) and the values of the export slots.  dyn lists the dynamic ops as (dynamic
+    terms, relu, dest).  bits counts what the memos hold.  The program
+    never changes, so the memos live as long as the net; entries keyed at
+    an older den stay exact and still count toward _MEMO_BITS.
     """
 
     __slots__ = ("segments", "bits")
@@ -433,7 +437,7 @@ class _Seams:
         self.segments, self.bits = segments, 0
 
     def run(self, regs: list, den: int) -> None:
-        """Every op of the program on one point's registers, over D = den."""
+        """Every op of the program on one point's registers, over den."""
         for keys, ops, dyn, exports, memo in self.segments:
             if keys is None:
                 for bias, terms, relu, dest in ops:
@@ -502,10 +506,11 @@ def _segment(ops, start, end, const: list) -> tuple:
     is constant exactly when its support is 0; a start wider than a seam
     gives all its registers one bit.  The ops whose support leaves out the
     dynamic register r (_dynamic_bit) are static: exact integer functions of
-    D and of the start registers they read, which form the key.  So equal
+    den and of the start registers they read, which form the key.  So equal
     keys give equal partials and exports, and results are exact for any
     seam or r; a poor choice only loses sharing.  A segment with fewer than
-    _MIN_STATIC static ops is a plain run.
+    _MIN_STATIC static ops of nonzero support is a plain run: a constant op
+    runs on a hit as on a miss, so it saves nothing.
     """
     wide, bits = len(start) > _SEAM_WIDTH, {}
     for s in start:
@@ -521,7 +526,7 @@ def _segment(ops, start, end, const: list) -> tuple:
         const[dest] = not m
         supports.append(m)
     rbit = _dynamic_bit(supports)
-    if sum([not m & rbit for m in supports]) < _MIN_STATIC:
+    if sum([bool(m) and not m & rbit for m in supports]) < _MIN_STATIC:
         return None, list(ops), (), (), None
     sup = {s: bits.get(s, 0) for s in start}
     keymask, split, dyn, written = 0, [], [], {}
@@ -548,7 +553,7 @@ def _seams(prog: tuple) -> _Seams:
     a segment and the last ends one, seams or not.  Each segment is
     analysed by _segment, and adjacent plain runs merge into one.
     """
-    _, ops, size, outputs = prog
+    ops, size, outputs = prog
     live = {s for s, _ in outputs}
     seams = {len(ops): tuple(sorted(live))}
     for t in range(len(ops) - 1, -1, -1):
@@ -572,11 +577,11 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     """[eval_exact(net, p) for p in points]: the same values, types and
     errors, with each register one Python int for a whole group of points.
 
-    Points are grouped by their odd denominator D, and point k of a group
-    sits in bits [kW, (k+1)W) of every register (SIMD within a register:
-    Fisher & Dietz, LCPC 1998).  The layout is linear, so an affine row is
-    bias*D*ONES + sum(c*R) for all lanes at once, where ONES has a 1 in
-    every lane.  A ReLU that can clip runs on Q = R + 2**(W-1)*ONES:
+    Points are grouped by their runtime denominator den (_compile), and
+    point k of a group sits in bits [kW, (k+1)W) of every register (SIMD
+    within a register: Fisher & Dietz, LCPC 1998).  The layout is linear,
+    so an affine row is bias*den*ONES + sum(c*R) for all lanes at once,
+    where ONES has a 1 in every lane.  A ReLU that can clip runs on Q = R + 2**(W-1)*ONES:
     s = (Q >> (W-1)) & ONES marks the lanes >= 0, and
     (Q & ((s << W) - s)) - (s << (W-1)) keeps them.  The lane width W
     comes from an interval pass over the program (_lane_bounds), which
@@ -585,17 +590,17 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     _REGISTER_BITS bits; a group of one point, or one whose lanes are too
     wide for two to fit, runs point by point on its scaled registers.
     That loop runs the program cut at its seams (_seams, built once per
-    compiled program): a segment's static ops, those that do not depend on
-    its dynamic register, run once per key (D and the values of the seam
-    registers they read), and later points with that key run only the
-    dynamic ops.  Every point of a bucket reaches the block matcher with
-    the same payload registers, so the matcher's static work runs once per
-    bucket and D.  eval_exact is a batch of one; check_outputs stays per
-    point while the benchmark pins its eval_exact calls per build point
-    (README, "Exact evaluation").
+    net): a segment's static ops, those that do not depend on its dynamic
+    register, run once per key (den and the values of the seam registers
+    they read), and later points with that key run only the dynamic ops.
+    Every point of a bucket reaches the block matcher with the same
+    payload registers, so the matcher's static work runs once per bucket
+    and den.  eval_exact is a batch of one; check_outputs stays per point
+    while the benchmark pins its eval_exact calls per build point (README,
+    "Exact evaluation").
     """
     prog, groups = _lane_groups(net, points)
-    _, ops, size, outputs = prog
+    ops, size, outputs = prog
     results = [None] * len(points)
     for den, (members, inputs) in groups.items():
         lanes = 0
@@ -649,7 +654,7 @@ def check_outputs(net: LayeredNet, points, expected):
     absolute error as a Fraction).  This is the one loop that checks
     eval_exact outputs: build verification, the audit and `verify` use it.
     """
-    _program(net, _least_exponent(points))
+    _lower_e0(net, points)
     bad, worst = [], Fraction(0)
     for idx, (p, want) in enumerate(zip(points, expected)):
         got = eval_exact(net, list(p))[0]

@@ -109,21 +109,25 @@ class TestEvalAuditOracle:
     @pytest.mark.parametrize("via", ["check_outputs", "eval"])
     def test_falling_exponents_compile_once(self, dataset_csv, tmp_path, capsys,
                                             monkeypatch, via):
-        """Row k shifted by 2^-(k+1): each row needs a lower input exponent
-        than the rows before it.  The integer program is still compiled once,
-        for the lowest exponent, and the outputs equal those of the same rows
-        in reverse order (one compile in any order)."""
+        """Row k shifted by 2^-(k+1): each row has a lower input exponent
+        than the rows before it.  In either order the net compiles its
+        integer program once and runs the seam analysis once, and the outputs
+        equal those of one batch over all the rows."""
         net_path = str(tmp_path / "net.json")
         run(["build", "--mode", "sqrt", "--in", dataset_csv, "--out", net_path])
         capsys.readouterr()
         points, labels, _ = read_dataset(dataset_csv)
         rows = [[x + Fraction(1, 2 ** (k + 1)) for x in p] for k, p in enumerate(points)]
         want = netir.eval_exact_batch(load_net(net_path)[0], rows)
-        compiles = []
-        real = netir._compile
-        monkeypatch.setattr(netir, "_compile", lambda net, e0: compiles.append(e0) or real(net, e0))
+        compiles, analyses = [], []
+        real_compile, real_seams = netir._compile, netir._seams
+        monkeypatch.setattr(netir, "_compile", lambda net: compiles.append(
+            net._prog is None) or real_compile(net))  # True: a real compile
+        monkeypatch.setattr(netir, "_seams", lambda prog: analyses.append(
+            prog) or real_seams(prog))
         for order in (range(len(rows)), range(len(rows) - 1, -1, -1)):
             compiles.clear()
+            analyses.clear()
             if via == "eval":
                 shifted = tmp_path / "shifted.csv"
                 write_csv(shifted, [rows[k] for k in order], [labels[k] for k in order])
@@ -134,7 +138,7 @@ class TestEvalAuditOracle:
                 net, _ = load_net(net_path)
                 outs = [want[k][0] for k in order]
                 assert netir.check_outputs(net, [rows[k] for k in order], outs) == ([], 0)
-            assert compiles == [-len(rows)]
+            assert sum(compiles) == 1 and len(analyses) == 1
 
     def test_audit_from_file(self, dataset_csv, tmp_path, capsys):
         net = str(tmp_path / "net.json")

@@ -65,7 +65,7 @@ def assert_lanes_hold(net: LayeredNet, points) -> None:
     value a point realizes (inputs, and each row before its ReLU) fits in
     W - 2 bits, and every ReLU that clips a value is marked as one that can."""
     prog, groups = netir._lane_groups(net, points)
-    _, ops, size, _ = prog
+    ops, size, _ = prog
     for den, (_, inputs) in groups.items():
         cols = list(zip(*inputs))
         width, clips = netir._lane_bounds(prog, den, [min(c) for c in cols],
@@ -351,10 +351,22 @@ def _nets(draw):
 def test_random_nets_agree(data):
     net = data.draw(_nets())
     point = st.lists(_inputs, min_size=net.input_dim, max_size=net.input_dim)
-    for _ in range(3):  # several points per net: exercises recompilation
+    for _ in range(3):  # several points per net: one program for all of them
         assert_agrees(net, data.draw(point))
+    prog, seams = net._prog, net._seams
     for size in (1, 2, data.draw(st.sampled_from([3, 5, 7]))):
         assert_batch_agrees(net, data.draw(st.lists(point, min_size=size, max_size=size)))
+    # single points and batches in turn on the same net object, at falling
+    # then rising input exponents: the net's e0 only falls, and the program
+    # and memo built at the first call serve every later one
+    for e in (*range(1, 8), *range(7, -1, -1)):
+        shift = Fraction(1, 1 << e)
+        if e % 2:
+            assert_agrees(net, [x + shift for x in data.draw(point)])
+        else:
+            assert_batch_agrees(net, [[x + shift for x in p] for p in data.draw(
+                st.lists(point, min_size=2, max_size=3))])
+    assert net._prog is prog and net._seams is seams
     # one D == 1 group: several lanes of one packed register
     dyadic = st.lists(st.one_of(st.integers(-20, 20), _dyadic_inputs),
                       min_size=net.input_dim, max_size=net.input_dim)
@@ -370,7 +382,7 @@ def plain_loop(net: LayeredNet, points) -> list:
     program, in order, for each point; compiled for a copy of the net, so
     the net's own program and memo are left as they are."""
     prog, groups = netir._lane_groups(_fresh(net), points)
-    _, ops, size, outputs = prog
+    ops, size, outputs = prog
     results = [None] * len(points)
     for den, (members, inputs) in groups.items():
         for k, xs in zip(members, inputs):
@@ -418,8 +430,9 @@ def test_seam_memo_matches_plain_loop(name, net, ds):
 
 def test_seam_memo_shares_each_bucket():
     """One pass over the training points of a sqrt build keeps at most
-    bucket_count entries in each memo, all for D = 1, and the memo is
-    dropped when the program is recompiled."""
+    bucket_count entries in each memo, all for D = 1.  Points at a lower
+    input exponent change neither the program nor the memo object, and the
+    entries stored for D = 1 are kept."""
     ds = random_dataset(64, 2, 4, seed=5)
     built, report = assemble_sqrt(ds, seed=5)
     net = _fresh(built)
@@ -429,9 +442,30 @@ def test_seam_memo_shares_each_bucket():
     for memo in memos:
         assert {key[0] for key in memo} == {1}
         assert len(memo) <= report.info.bucket_count < ds.n
-    seams = net._seams
+    prog, seams, before = net._prog, net._seams, [dict(memo) for memo in memos]
     assert_memo_agrees(net, [[c + Fraction(1, 1 << 40) for c in p] for p in ds.points[:6]])
-    assert net._prog[0] < 0 and net._seams is not seams  # recompiled at a lower e0
+    assert net._e0 == -40 and net._prog is prog and net._seams is seams
+    for old, memo in zip(before, memos):
+        assert all(memo[key] is entry for key, entry in old.items())
+        assert {key[0] for key in memo} <= {1, 1 << 40}
+
+
+def _memoized(net: LayeredNet) -> list:
+    """The op counts of the memoized segments of the net's per-point program."""
+    eval_exact(net, [0] * net.input_dim)
+    return [len(ops) for keys, ops, _, _, _ in net._seams.segments if keys is not None]
+
+
+def test_only_input_dependent_static_ops_earn_a_memo():
+    """A segment is memoized only when _MIN_STATIC of its static ops read an
+    input: the depth net's long segment, whose static ops are constants, runs
+    plain, while the sqrt, bits and regression nets keep their memoized
+    segments."""
+    nets = {name: _fresh(net) for name, net, _ in CORPUS}
+    assert _memoized(nets["depth"]) == []
+    assert len(_memoized(nets["bits"])) == 4
+    for name in ("sqrt-100", "sqrt-112", "regression"):
+        assert len(_memoized(nets[name])) == 1, name
 
 
 def _key_per_point_net() -> LayeredNet:
@@ -487,7 +521,7 @@ def test_seam_memo_under_forced_cuts(monkeypatch, seam_width, split):
         net = _fresh(net)
         points = [_input_variants(p, rng)[k % 5] for k, p in enumerate(ds.points[:8])]
         assert_memo_agrees(net, points + points[::-1])
-        low = [Fraction(1, 1 << 40)] * net.input_dim  # recompiles at a lower e0
+        low = [Fraction(1, 1 << 40)] * net.input_dim  # lowers the net's e0
         assert_memo_agrees(net, [low] + points)
     net = _key_per_point_net()
     assert_memo_agrees(net, [[x, y] for x in range(-3, 4) for y in (-1, 1, 2)] * 2)
