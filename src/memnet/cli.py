@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bounds, datagen, gadgets, netir, pipeline, variants
+from . import bounds, datagen, gadgets, pipeline, variants
 from .netir import (DimensionError, check_outputs, eval_exact, eval_float,
                     load_net, save_net)
 
@@ -121,8 +121,6 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     net, points, _ = _net_and_points(args)
-    if args.precision == "exact":
-        netir._lower_e0(net, points)
     for idx, p in enumerate(points):
         if args.precision == "exact":
             out = eval_exact(net, list(p))[0]

@@ -108,7 +108,7 @@ class LayeredNet:
     """
 
     __slots__ = ("input_dim", "layers", "provenance", "output_nonneg",
-                 "_plan", "_prog", "_seams", "_flt", "_stats", "_e0")
+                 "_plan", "_prog", "_seams", "_flt", "_stats")
 
     def __init__(self, input_dim, layers, provenance="", output_nonneg=False):
         layers = tuple(layers)
@@ -127,7 +127,6 @@ class LayeredNet:
         object.__setattr__(self, "output_nonneg", bool(output_nonneg))
         for cache in ("_plan", "_prog", "_seams", "_flt", "_stats"):
             object.__setattr__(self, cache, None)
-        object.__setattr__(self, "_e0", 0)  # lowest input exponent seen (_lower_e0)
 
     def __setattr__(self, name, value):
         raise AttributeError("LayeredNet is immutable")
@@ -247,7 +246,7 @@ def _compile(net: LayeredNet) -> tuple:
 
     Register values are integers v standing for v * 2**E / den, where
     den = D << -e0: D is the odd part of the point's common input
-    denominator and e0 the net's input exponent (_lower_e0).  Every op
+    denominator and e0 <= 0 the input exponent of its call.  Every op
     multiplies its bias by den, so the program does not depend on e0.  E is
     a static exponent: 0 for inputs, and for a computed row the smallest
     exponent among its terms and bias, so weights and biases fold into
@@ -270,18 +269,6 @@ def _compile(net: LayeredNet) -> tuple:
     object.__setattr__(net, "_prog", (tuple(ops), size,
                                       tuple([(s, exps[s]) for s in outputs])))
     return net._prog
-
-
-def _lower_e0(net: LayeredNet, points) -> int:
-    """The net's input exponent e0 <= 0, first lowered to the least 2-adic
-    exponent of the points' coordinates, read without scaling them.  It
-    only falls, and a lower e0 rebuilds nothing; check_outputs and `memnet
-    eval` call this before their per-point loops, so their points share
-    one den and one set of memo keys."""
-    e0 = min([net._e0, *[1 - (x.denominator & -x.denominator).bit_length()
-                         for p in points for x in p if isinstance(x, Fraction)]])
-    object.__setattr__(net, "_e0", e0)
-    return e0
 
 
 def _scaled(x) -> tuple[int, int, int]:
@@ -320,15 +307,15 @@ def _lane_groups(net: LayeredNet, points) -> tuple:
 
     The one place inputs are checked and scaled: each point is written as
     integers over its runtime denominator den = D << -e0, with D the odd
-    part of its common input denominator and e0 the net's input exponent,
-    first lowered for this batch (_lower_e0).
+    part of its common input denominator and e0 <= 0 the least 2-adic
+    exponent of this call's coordinates; the net keeps no exponent.
     """
     parts = []
     for xs in points:
         if len(xs) != net.input_dim:
             raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
         parts.append([_scaled(x) for x in xs])
-    prog, e0, groups = _compile(net), _lower_e0(net, points), {}
+    prog, groups, e0 = _compile(net), {}, min([0, *[e for p in parts for _, e, _ in p]])
     for k, p in enumerate(parts):
         den = 1
         for _, _, d in p:
@@ -421,14 +408,16 @@ class _Seams:
 
     segments are (keys, ops, dyn, exports, memo) in program order.  A plain
     run has keys None and the program's own ops.  A memoized segment keys
-    its memo on (den, the values of its key slots); its ops are (bias,
-    terms, rest, relu, dest), where a static op has rest None and a dynamic
-    op's terms are its static terms and rest its dynamic ones.  An entry
-    holds each dynamic op's static partial sum (bias*den plus its static
-    terms) and the values of the export slots.  dyn lists the dynamic ops as (dynamic
-    terms, relu, dest).  bits counts what the memos hold.  The program
-    never changes, so the memos live as long as the net; entries keyed at
-    an older den stay exact and still count toward _MEMO_BITS.
+    its memo on (den, the values of its key slots) over 2**t, their largest
+    common power of two; its ops are (bias, terms, rest, relu, dest), where
+    a static op has rest None and a dynamic op's terms are its static terms
+    and rest its dynamic ones.  An entry holds each dynamic op's static
+    partial sum (bias*den plus its static terms) and the values of the
+    export slots, over 2**t too: a static op adds integer multiples of den,
+    key slots and constant slots (multiples of den), so the division is
+    exact, and points at any input scale share entries.  dyn lists the
+    dynamic ops as (dynamic terms, relu, dest).  bits counts what the memos
+    hold.  The program never changes, so the memos live as long as the net.
     """
 
     __slots__ = ("segments", "bits")
@@ -449,9 +438,17 @@ class _Seams:
                     regs[dest] = acc
                 continue
             key = (den, *[regs[s] for s in keys])
+            low = 0
+            for v in key:
+                low |= v
+            t = (low & -low).bit_length() - 1  # key's common power of two
+            if t:
+                key = tuple([v >> t for v in key])
             hit = memo.get(key)
             if hit is not None:  # only the dynamic ops run
                 partials, saved = hit
+                if t:
+                    partials, saved = [v << t for v in partials], [v << t for v in saved]
                 for acc, (terms, relu, dest) in zip(partials, dyn):
                     for r, c in terms:
                         acc += c * regs[r]
@@ -474,6 +471,8 @@ class _Seams:
                     acc = 0
                 regs[dest] = acc
             saved = [regs[s] for s in exports]
+            if t:
+                partials, saved = [v >> t for v in partials], [v >> t for v in saved]
             cost = sum([v.bit_length() + 64 for v in (*key, *partials, *saved)])
             if self.bits + cost <= _MEMO_BITS:
                 memo[key] = (partials, saved)
@@ -592,12 +591,12 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     That loop runs the program cut at its seams (_seams, built once per
     net): a segment's static ops, those that do not depend on its dynamic
     register, run once per key (den and the values of the seam registers
-    they read), and later points with that key run only the dynamic ops.
-    Every point of a bucket reaches the block matcher with the same
-    payload registers, so the matcher's static work runs once per bucket
-    and den.  eval_exact is a batch of one; check_outputs stays per point
-    while the benchmark pins its eval_exact calls per build point (README,
-    "Exact evaluation").
+    they read, over their common power of two), and later points with that
+    key run only the dynamic ops.  Every point of a bucket reaches the
+    block matcher with the same payload registers, so the matcher's static
+    work runs once per bucket and odd D.  eval_exact is a batch of one;
+    check_outputs stays per point, which with the memo beats packed lanes
+    on a sqrt build at N = 1024 (README, "Exact evaluation").
     """
     prog, groups = _lane_groups(net, points)
     ops, size, outputs = prog
@@ -653,8 +652,9 @@ def check_outputs(net: LayeredNet, points, expected):
     Returns (indices of the points whose output differs, the largest
     absolute error as a Fraction).  This is the one loop that checks
     eval_exact outputs: build verification, the audit and `verify` use it.
+    Each point is scaled at its own exponent, and the seam memo shares its
+    entries across scales.
     """
-    _lower_e0(net, points)
     bad, worst = [], Fraction(0)
     for idx, (p, want) in enumerate(zip(points, expected)):
         got = eval_exact(net, list(p))[0]

@@ -375,10 +375,7 @@ class CraftedCode:
     c: int
     u: tuple
     w: tuple
-    sentinels: tuple
     intervals: tuple  # (a_j, b_j) indicator plateau per bucket
-    block_values: tuple  # per bucket: floors incl. sentinels
-    label_blocks: tuple
 
 
 def default_bucket_count(n: int) -> int:
@@ -431,8 +428,7 @@ def craft_codes(z_sorted, labels_sorted, m: int, num_classes: int,
     c = max(1, bit_len(num_classes))
     u = tuple(pack_blocks(list(bucket), rho) for bucket in block_values)
     w = tuple(pack_blocks(list(bucket), c) for bucket in label_blocks)
-    return CraftedCode(m_real, k, rho, c, u, w, sentinels,
-                       tuple(intervals), tuple(block_values), tuple(label_blocks))
+    return CraftedCode(m_real, k, rho, c, u, w, tuple(intervals))
 
 
 def build_stage2(code: CraftedCode, carry: bool = False) -> LayeredNet:

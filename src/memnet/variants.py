@@ -77,7 +77,7 @@ def assemble_bounded_depth(ds: Dataset, L: int, seed: int = 0):
     net = compose_serial(compose_serial(net1, stacked),
                          head.build("sum_head", output_nonneg=True),
                          f"depth_budget_memorizer[L={L}]")
-    sizes = [len(c.block_values) * c.bucket_size - len(c.sentinels) for c in codes]
+    sizes = [min(L * L, ds.n - lo) for lo in range(0, ds.n, L * L)]
     return _verified_build(net, ds, seed, proj, codes, "bounded_depth",
                            L=L, subnet_count=len(codes), extra={"subset_sizes": sizes})
 

@@ -357,8 +357,8 @@ def test_random_nets_agree(data):
     for size in (1, 2, data.draw(st.sampled_from([3, 5, 7]))):
         assert_batch_agrees(net, data.draw(st.lists(point, min_size=size, max_size=size)))
     # single points and batches in turn on the same net object, at falling
-    # then rising input exponents: the net's e0 only falls, and the program
-    # and memo built at the first call serve every later one
+    # then rising input exponents: each call scales at its own exponent, and
+    # the program and memo built at the first call serve every later one
     for e in (*range(1, 8), *range(7, -1, -1)):
         shift = Fraction(1, 1 << e)
         if e % 2:
@@ -416,12 +416,13 @@ def _memo_entries(net: LayeredNet) -> int:
 @pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
 def test_seam_memo_matches_plain_loop(name, net, ds):
     """Passes on one net object over the training points and their dyadic,
-    decimal and mixed shifts (several odd D).  The first pass ends at the
-    lowest e0 of the points, so the pass after the second stores nothing."""
+    decimal and mixed shifts (several odd D).  Each point is scaled at its
+    own exponent and its memo keys have their common power of two divided
+    out, so the second pass finds every key the first stored and stores
+    nothing."""
     rng = random.Random(name)
     net = _fresh(net)
     points = [v for p in ds.points for v in _input_variants(p, rng)]
-    assert_memo_agrees(net, points)
     assert_memo_agrees(net, points)
     seams, stored = net._seams, (_memo_entries(net), net._seams.bits)
     assert_memo_agrees(net, points)
@@ -430,24 +431,38 @@ def test_seam_memo_matches_plain_loop(name, net, ds):
 
 def test_seam_memo_shares_each_bucket():
     """One pass over the training points of a sqrt build keeps at most
-    bucket_count entries in each memo, all for D = 1.  Points at a lower
-    input exponent change neither the program nor the memo object, and the
-    entries stored for D = 1 are kept."""
+    bucket_count entries in each memo, all for D = 1.  Points shifted by
+    2^-40 run over den = 2^40 and hit the entries stored for the integer
+    points: the memo divides each key's common power of two out, so the
+    program, the memo objects and their entries stay as they were.  On a
+    fresh net, a plain eval_exact loop over the points shifted by 2^-(k+8),
+    each at a lower exponent than the points before it, stores just what
+    the unshifted pass stores.  (A shift of 2^-5 or more moves a few of
+    these points off their bucket's plateau, to new keys.)"""
     ds = random_dataset(64, 2, 4, seed=5)
     built, report = assemble_sqrt(ds, seed=5)
+
+    def memos(net):
+        return [memo for keys, _, _, _, memo in net._seams.segments if keys is not None]
+
     net = _fresh(built)
     assert_memo_agrees(net, ds.points)
-    memos = [memo for keys, _, _, _, memo in net._seams.segments if keys is not None]
-    assert memos
-    for memo in memos:
+    assert memos(net)
+    for memo in memos(net):
         assert {key[0] for key in memo} == {1}
         assert len(memo) <= report.info.bucket_count < ds.n
-    prog, seams, before = net._prog, net._seams, [dict(memo) for memo in memos]
+    prog, seams, bits = net._prog, net._seams, net._seams.bits
+    before = [dict(memo) for memo in memos(net)]
     assert_memo_agrees(net, [[c + Fraction(1, 1 << 40) for c in p] for p in ds.points[:6]])
-    assert net._e0 == -40 and net._prog is prog and net._seams is seams
-    for old, memo in zip(before, memos):
+    assert net._prog is prog and net._seams is seams and seams.bits == bits
+    for old, memo in zip(before, memos(net)):
+        assert len(memo) == len(old) and {key[0] for key in memo} == {1}
         assert all(memo[key] is entry for key, entry in old.items())
-        assert {key[0] for key in memo} <= {1, 1 << 40}
+    falling = _fresh(built)
+    assert_memo_agrees(falling, [[c + Fraction(1, 2 ** (k + 8)) for c in p]
+                                 for k, p in enumerate(ds.points)])
+    assert all(len(memo) <= report.info.bucket_count for memo in memos(falling))
+    assert falling._seams.bits == bits
 
 
 def _memoized(net: LayeredNet) -> list:
@@ -521,7 +536,7 @@ def test_seam_memo_under_forced_cuts(monkeypatch, seam_width, split):
         net = _fresh(net)
         points = [_input_variants(p, rng)[k % 5] for k, p in enumerate(ds.points[:8])]
         assert_memo_agrees(net, points + points[::-1])
-        low = [Fraction(1, 1 << 40)] * net.input_dim  # lowers the net's e0
+        low = [Fraction(1, 1 << 40)] * net.input_dim  # den 2^40, then the points again
         assert_memo_agrees(net, [low] + points)
     net = _key_per_point_net()
     assert_memo_agrees(net, [[x, y] for x in range(-3, 4) for y in (-1, 1, 2)] * 2)

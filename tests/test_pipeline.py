@@ -5,6 +5,7 @@ import pytest
 
 from memnet import netir
 from memnet.datagen import random_dataset
+from memnet.exactnum import bin_range
 from memnet.gadgets import ParameterError
 from memnet.netir import eval_exact, metrics, net_to_json_bytes
 from memnet.pipeline import (DuplicatePointError, LabelRangeError,
@@ -91,6 +92,12 @@ class TestProjection:
             project_to_line(ds, seed=0)
 
 
+def _blocks(packed: int, size: int, width: int) -> tuple:
+    """The size width-bit blocks of a payload integer, block 0 first."""
+    return tuple(bin_range(packed, k * width + 1, (k + 1) * width, size * width)
+                 for k in range(size))
+
+
 class TestCraftCodes:
     def test_single_bucket_example(self):
         code = craft_codes([Fraction(21, 5), Fraction(97, 10)], [3, 1], 1, 3)
@@ -105,17 +112,16 @@ class TestCraftCodes:
         zs = [Fraction(v) for v in (0, 2, 4)]
         code = craft_codes(zs, [1, 2, 1], 2, 2)
         assert code.bucket_size == 2 and code.bucket_count == 2
-        assert code.sentinels == (6,)  # max floor 4, sentinel 4 + 2
-        assert code.block_values[1] == (4, 6)
-        assert code.label_blocks[1] == (1, 0)
+        assert _blocks(code.u[1], 2, code.rho) == (4, 6)  # max floor 4, sentinel 4 + 2
+        assert _blocks(code.w[1], 2, code.c) == (1, 0)
 
     def test_block_gaps_at_least_two(self):
         ds = random_dataset(40, 2, 4, seed=2)
         proj, _ = project_to_line(ds, seed=2)
         zs = sorted(projected_values(proj, ds))
         code = craft_codes(zs, [1] * 40, default_bucket_count(40), 4)
-        for bucket in code.block_values:
-            vals = sorted(bucket)
+        for u in code.u:
+            vals = sorted(_blocks(u, code.bucket_size, code.rho))
             assert all(b - a >= 2 for a, b in zip(vals, vals[1:]))
 
     def test_sentinels_above_all_floors(self):
@@ -124,7 +130,9 @@ class TestCraftCodes:
         zs = sorted(projected_values(proj, ds))
         code = craft_codes(zs, [1] * 23, 5, 2)
         top = max(z.numerator // z.denominator for z in zs)
-        assert all(s >= top + 2 for s in code.sentinels)
+        real = 23 - (code.bucket_count - 1) * code.bucket_size  # points in the last bucket
+        sentinels = _blocks(code.u[-1], code.bucket_size, code.rho)[real:]
+        assert len(sentinels) == 2 and all(s >= top + 2 for s in sentinels)
 
     def test_last_bucket_interval_clamps_to_final_point(self):
         zs = [Fraction(2 * k) for k in range(5)]
