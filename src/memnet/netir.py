@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -108,7 +109,7 @@ class LayeredNet:
     """
 
     __slots__ = ("input_dim", "layers", "provenance", "output_nonneg",
-                 "_plan", "_prog", "_seams", "_flt", "_stats")
+                 "_plan", "_cuts", "_prog", "_seams", "_flt", "_stats")
 
     def __init__(self, input_dim, layers, provenance="", output_nonneg=False):
         layers = tuple(layers)
@@ -125,7 +126,7 @@ class LayeredNet:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "output_nonneg", bool(output_nonneg))
-        for cache in ("_plan", "_prog", "_seams", "_flt", "_stats"):
+        for cache in ("_plan", "_cuts", "_prog", "_seams", "_flt", "_stats"):
             object.__setattr__(self, cache, None)
 
     def __setattr__(self, name, value):
@@ -195,7 +196,8 @@ def effective_bits(net: LayeredNet) -> int:
 
 
 def _plan(net: LayeredNet) -> tuple:
-    """The net's register plan, cached; the exact and float programs fill it in.
+    """The net's register plan, cached; the exact and float programs fill it
+    in, and the seam analysis (_seams) cuts it.
 
     Op t writes virtual register input_dim + t.  An identity row (weight 1,
     bias 0) aliases its source register when ReLU cannot clip it: the source
@@ -398,31 +400,154 @@ _SEAM_WIDTH = 4
 # build at N = 256 took 0.86-0.89 of the memo-free time instead of 0.46-0.50
 # (2-core Xeon, Python 3.11).
 _MIN_STATIC = 8
-# The memos of one program stop inserting once they would hold more than
-# this many bits, each stored integer counted as its bit length plus 64.
+# The memos of one runner stop inserting once they would hold more than this
+# many bits, each stored integer counted as its bit length plus 64 and each
+# stored float as 128.  The exact and the float64 runner count their own.
 _MEMO_BITS = 1 << 24
+
+
+def _dynamic_bit(supports: list) -> int:
+    """The support bit of a segment's dynamic start register: of the start
+    registers its ops read, the one whose exclusion leaves the most ops
+    independent of it (the first on a tie; 0 when they read none)."""
+    read = 0
+    for m in supports:
+        read |= m
+    best, rbit = -1, 0
+    for i in range(read.bit_length()):
+        if read >> i & 1:
+            count = sum([not m >> i & 1 for m in supports])
+            if count > best:
+                best, rbit = count, 1 << i
+    return rbit
+
+
+def _segment(ops, start, end, const: list):
+    """The plan ops `ops`, which run from a boundary where the slots `start`
+    are live to one where `end` are (both sorted), as (keys, flags,
+    exports), or None for a plain run.
+
+    A forward pass gives every op its support: a bitmask over the start
+    registers it depends on.  A start register that depends on no input
+    (const[slot], brought up to the end of ops here) has no bit, so a value
+    is constant exactly when its support is 0; a start wider than a seam
+    gives all its registers one bit.  The ops whose support leaves out the
+    dynamic register r (_dynamic_bit) are static: functions of the start
+    registers they read, which form the key, and of constants.  flags[i] is
+    None for a static op; for a dynamic one it marks each term that reads a
+    value depending on r.  exports are the end slots a static op wrote last.
+    So equal keys give equal static values in either arithmetic, and results
+    are exact for any seam or r; a poor choice only loses sharing.  A
+    segment with fewer than _MIN_STATIC static ops of nonzero support is a
+    plain run: a constant op runs on a hit as on a miss, so it saves nothing.
+    """
+    wide, bits = len(start) > _SEAM_WIDTH, {}
+    for s in start:
+        if not const[s]:
+            bits[s] = 1 if wide else 1 << len(bits)
+    sup = {s: bits.get(s, 0) for s in start}
+    supports = []
+    for _, srcs, _, _, dest in ops:
+        m = 0
+        for r in srcs:
+            m |= sup[r]
+        sup[dest] = m
+        const[dest] = not m
+        supports.append(m)
+    rbit = _dynamic_bit(supports)
+    if sum([bool(m) and not m & rbit for m in supports]) < _MIN_STATIC:
+        return None
+    sup = {s: bits.get(s, 0) for s in start}
+    keymask, flags, written = 0, [], {}
+    for (_, srcs, _, _, dest), m in zip(ops, supports):
+        flag = None
+        if m & rbit:
+            flag = tuple([bool(sup[r] & rbit) for r in srcs])
+        for r in srcs:
+            if not sup[r] & rbit:
+                keymask |= sup[r]
+        flags.append(flag)
+        sup[dest] = written[dest] = m
+    keys = tuple([s for s in bits if bits[s] & keymask])
+    exports = tuple([s for s in end if s in written and not written[s] & rbit])
+    return keys, tuple(flags), exports
+
+
+def _seams(plan: tuple) -> tuple:
+    """The register plan cut at its seams, analysed once per net for both
+    the exact and the float64 runner (_Seams, _FloatSeams).
+
+    A backward pass finds the seams: the boundaries with at most _SEAM_WIDTH
+    live registers; it keeps the live set only there.  The first op starts
+    a segment and the last ends one, seams or not.  Each segment is
+    analysed by _segment, and adjacent plain runs merge into one.  Returns
+    the segments in program order as (lo, hi, keys, flags, exports): ops
+    lo..hi-1 of the plan, with keys, flags and exports None for a plain run.
+    The analysis reads only the plan's structure (slots, liveness and
+    supports), never a weight.
+    """
+    ops, size, outputs = plan
+    live = set(outputs)
+    seams = {len(ops): tuple(sorted(live))}
+    for t in range(len(ops) - 1, -1, -1):
+        _, srcs, _, _, dest = ops[t]
+        live.discard(dest)
+        live.update(srcs)
+        if len(live) <= _SEAM_WIDTH or not t:
+            seams[t] = tuple(sorted(live))
+    bounds = sorted(seams)
+    const, cuts = [False] * size, []
+    for a, b in zip(bounds, bounds[1:]):
+        cut = _segment(ops[a:b], seams[a], seams[b], const)
+        if cut is None and cuts and cuts[-1][2] is None:
+            cuts[-1] = (cuts[-1][0], b, None, None, None)
+        else:
+            cuts.append((a, b, *(cut or (None, None, None))))
+    return tuple(cuts)
+
+
+def _cuts(net: LayeredNet) -> tuple:
+    """_seams of the net's plan, cached: one analysis serves both runners."""
+    if net._cuts is None:
+        object.__setattr__(net, "_cuts", _seams(_plan(net)))
+    return net._cuts
 
 
 class _Seams:
     """The integer program cut at its seams, each segment with its memo.
 
-    segments are (keys, ops, dyn, exports, memo) in program order.  A plain
-    run has keys None and the program's own ops.  A memoized segment keys
-    its memo on (den, the values of its key slots) over 2**t, their largest
-    common power of two; its ops are (bias, terms, rest, relu, dest), where
-    a static op has rest None and a dynamic op's terms are its static terms
-    and rest its dynamic ones.  An entry holds each dynamic op's static
-    partial sum (bias*den plus its static terms) and the values of the
-    export slots, over 2**t too: a static op adds integer multiples of den,
-    key slots and constant slots (multiples of den), so the division is
-    exact, and points at any input scale share entries.  dyn lists the
-    dynamic ops as (dynamic terms, relu, dest).  bits counts what the memos
-    hold.  The program never changes, so the memos live as long as the net.
+    segments are (keys, ops, dyn, exports, memo) in program order, built
+    from the shared analysis (_seams).  A plain run has keys None and the
+    program's own ops.  A memoized segment keys its memo on (den, the values
+    of its key slots) over 2**t, their largest common power of two; its ops
+    are (bias, terms, rest, relu, dest), where a static op has rest None
+    and a dynamic op's terms are its static terms and rest its dynamic
+    ones.  An entry holds each dynamic op's static partial sum (bias*den
+    plus its static terms) and the values of the export slots, over 2**t
+    too: a static op adds integer multiples of den, key slots and constant
+    slots (multiples of den), so the division is exact, and points at any
+    input scale share entries.  dyn lists the dynamic ops as (dynamic
+    terms, relu, dest).  bits counts what the memos hold.  The program
+    never changes, so the memos live as long as the net.
     """
 
     __slots__ = ("segments", "bits")
 
-    def __init__(self, segments):
+    def __init__(self, cuts: tuple, prog: tuple):
+        ops, segments = prog[0], []
+        for lo, hi, keys, flags, exports in cuts:
+            if keys is None:
+                segments.append((None, ops[lo:hi], (), (), None))
+                continue
+            split, dyn = [], []
+            for (bias, terms, relu, dest), flag in zip(ops[lo:hi], flags):
+                rest = None
+                if flag is not None:
+                    rest = tuple([t for t, f in zip(terms, flag) if f])
+                    terms = tuple([t for t, f in zip(terms, flag) if not f])
+                    dyn.append((rest, relu, dest))
+                split.append((bias, terms, rest, relu, dest))
+            segments.append((keys, split, dyn, exports, {}))
         self.segments, self.bits = segments, 0
 
     def run(self, regs: list, den: int) -> None:
@@ -479,97 +604,103 @@ class _Seams:
                 self.bits += cost
 
 
-def _dynamic_bit(supports: list) -> int:
-    """The support bit of a segment's dynamic start register: of the start
-    registers its ops read, the one whose exclusion leaves the most ops
-    independent of it (the first on a tie; 0 when they read none)."""
-    read = 0
-    for m in supports:
-        read |= m
-    best, rbit = -1, 0
-    for i in range(read.bit_length()):
-        if read >> i & 1:
-            count = sum([not m >> i & 1 for m in supports])
-            if count > best:
-                best, rbit = count, 1 << i
-    return rbit
+class _FloatSeams:
+    """The register plan under float64 rounding, cut at the same seams as
+    the exact program (_seams), each memoized segment with its own memo.
 
-
-def _segment(ops, start, end, const: list) -> tuple:
-    """ops, which run from a boundary where the slots `start` are live to one
-    where `end` are (both sorted), as a segment of _Seams.
-
-    A forward pass gives every op its support: a bitmask over the start
-    registers it depends on.  A start register that depends on no input
-    (const[slot], brought up to the end of ops here) has no bit, so a value
-    is constant exactly when its support is 0; a start wider than a seam
-    gives all its registers one bit.  The ops whose support leaves out the
-    dynamic register r (_dynamic_bit) are static: exact integer functions of
-    den and of the start registers they read, which form the key.  So equal
-    keys give equal partials and exports, and results are exact for any
-    seam or r; a poor choice only loses sharing.  A segment with fewer than
-    _MIN_STATIC static ops of nonzero support is a plain run: a constant op
-    runs on a hit as on a miss, so it saves nothing.
+    segments are (keys, ops, dyn, exports, memo, pack).  A plain run has
+    keys None and ops (bias, terms, relu, dest) with float weights.  A
+    memoized segment keys its memo on the bytes pack() makes of its key
+    slots' values, so -0.0 and +0.0, and NaNs with different payloads, are
+    different keys.  Float addition does not associate, so a dynamic op
+    keeps its term order: its ops entry is (bias, head, tail, stash, relu,
+    dest), head the static terms before its first dynamic term and tail the
+    rest in stored order; a static op has tail None.  An entry holds each
+    dynamic op's partial bias + head, summed left to right as the plain
+    loop sums it, the values of the registers a tail reads that static ops
+    of the segment wrote (the slots in stash), and the export values.  On
+    a hit those values go to the registers past the plan's size, which the
+    tail terms in dyn read instead, so every dynamic op adds the same
+    values in the same order as the plain loop and the bits are the same.
+    A tail term that reads a start register reads it in place: the register
+    stays in its slot until its last reader.  bits counts what the memos
+    hold, apart from the exact runner's count.
     """
-    wide, bits = len(start) > _SEAM_WIDTH, {}
-    for s in start:
-        if not const[s]:
-            bits[s] = 1 if wide else 1 << len(bits)
-    sup = {s: bits.get(s, 0) for s in start}
-    supports = []
-    for _, terms, _, dest in ops:
-        m = 0
-        for r, _ in terms:
-            m |= sup[r]
-        sup[dest] = m
-        const[dest] = not m
-        supports.append(m)
-    rbit = _dynamic_bit(supports)
-    if sum([bool(m) and not m & rbit for m in supports]) < _MIN_STATIC:
-        return None, list(ops), (), (), None
-    sup = {s: bits.get(s, 0) for s in start}
-    keymask, split, dyn, written = 0, [], [], {}
-    for (bias, terms, relu, dest), m in zip(ops, supports):
-        rest = None
-        if m & rbit:
-            rest = tuple([(r, c) for r, c in terms if sup[r] & rbit])
-            terms = tuple([(r, c) for r, c in terms if not sup[r] & rbit])
-            dyn.append((rest, relu, dest))
-        for r, _ in terms:
-            keymask |= sup[r]
-        split.append((bias, terms, rest, relu, dest))
-        sup[dest] = written[dest] = m
-    keys = tuple([s for s in bits if bits[s] & keymask])
-    exports = tuple([s for s in end if s in written and not written[s] & rbit])
-    return keys, split, dyn, exports, {}
 
+    __slots__ = ("segments", "bits", "size")
 
-def _seams(prog: tuple) -> _Seams:
-    """The program cut at its seams, for the per-point loop.
+    def __init__(self, cuts: tuple, plan: tuple):
+        plan_ops, size, _ = plan
+        ops = [(bias.to_float(), tuple(zip(slots, [w.to_float() for w in weights])), relu, dest)
+               for bias, slots, weights, relu, dest in plan_ops]
+        segments = []
+        for lo, hi, keys, flags, exports in cuts:
+            if keys is None:
+                segments.append((None, ops[lo:hi], (), (), None, None))
+                continue
+            split, dyn, written, stashed = [], [], set(), 0
+            for (bias, terms, relu, dest), flag in zip(ops[lo:hi], flags):
+                if flag is None:
+                    split.append((bias, terms, None, (), relu, dest))
+                else:
+                    i = flag.index(True)
+                    stash, moved = [], []
+                    for (r, w), dynamic in zip(terms[i:], flag[i:]):
+                        if not dynamic and r in written:  # a static value of this segment
+                            moved.append((size + stashed, w))
+                            stash.append(r)
+                            stashed += 1
+                        else:
+                            moved.append((r, w))
+                    split.append((bias, terms[:i], terms[i:], tuple(stash), relu, dest))
+                    dyn.append((tuple(moved), relu, dest))
+                written.add(dest)
+            pack = struct.Struct(f"<{len(keys)}d").pack
+            segments.append((keys, split, dyn, exports, {}, pack))
+        self.segments, self.bits, self.size = segments, 0, size
 
-    A backward pass finds the seams: the boundaries with at most _SEAM_WIDTH
-    live registers; it keeps the live set only there.  The first op starts
-    a segment and the last ends one, seams or not.  Each segment is
-    analysed by _segment, and adjacent plain runs merge into one.
-    """
-    ops, size, outputs = prog
-    live = {s for s, _ in outputs}
-    seams = {len(ops): tuple(sorted(live))}
-    for t in range(len(ops) - 1, -1, -1):
-        _, terms, _, dest = ops[t]
-        live.discard(dest)
-        live.update([r for r, _ in terms])
-        if len(live) <= _SEAM_WIDTH or not t:
-            seams[t] = tuple(sorted(live))
-    bounds = sorted(seams)
-    const, segments = [False] * size, []
-    for a, b in zip(bounds, bounds[1:]):
-        seg = _segment(ops[a:b], seams[a], seams[b], const)
-        if seg[0] is None and segments and segments[-1][0] is None:
-            segments[-1][1].extend(seg[1])
-        else:
-            segments.append(seg)
-    return _Seams(segments)
+    def run(self, regs: list) -> None:
+        """Every op of the plan on one point's float registers."""
+        for keys, ops, dyn, exports, memo, pack in self.segments:
+            if keys is None:
+                for acc, terms, relu, dest in ops:  # acc starts at the row's bias
+                    for r, w in terms:
+                        acc += w * regs[r]
+                    if relu and not acc > 0.0:
+                        acc = 0.0 if acc == acc else acc  # keep NaN
+                    regs[dest] = acc
+                continue
+            key = pack(*[regs[s] for s in keys])
+            hit = memo.get(key)
+            if hit is not None:  # only the dynamic ops run
+                partials, stashed, saved = hit
+                regs[self.size:] = stashed
+                for acc, (terms, relu, dest) in zip(partials, dyn):
+                    for r, w in terms:
+                        acc += w * regs[r]
+                    if relu and not acc > 0.0:
+                        acc = 0.0 if acc == acc else acc
+                    regs[dest] = acc
+                for s, v in zip(exports, saved):
+                    regs[s] = v
+                continue
+            partials, stashed = [], []
+            for acc, head, tail, stash, relu, dest in ops:
+                for r, w in head:
+                    acc += w * regs[r]
+                if tail is not None:
+                    partials.append(acc)
+                    stashed += [regs[r] for r in stash]
+                    for r, w in tail:
+                        acc += w * regs[r]
+                if relu and not acc > 0.0:
+                    acc = 0.0 if acc == acc else acc
+                regs[dest] = acc
+            saved = [regs[s] for s in exports]
+            cost = 128 * (len(keys) + len(partials) + len(stashed) + len(saved))
+            if self.bits + cost <= _MEMO_BITS:
+                memo[key] = (partials, stashed, saved)
+                self.bits += cost
 
 
 def eval_exact_batch(net: LayeredNet, points) -> list:
@@ -588,11 +719,12 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     that cannot clip, which skip the mask.  A register holds at most
     _REGISTER_BITS bits; a group of one point, or one whose lanes are too
     wide for two to fit, runs point by point on its scaled registers.
-    That loop runs the program cut at its seams (_seams, built once per
-    net): a segment's static ops, those that do not depend on its dynamic
-    register, run once per key (den and the values of the seam registers
-    they read, over their common power of two), and later points with that
-    key run only the dynamic ops.  Every point of a bucket reaches the
+    That loop runs the program cut at its seams (_Seams, built once per
+    net from the _seams analysis that eval_float shares): a segment's
+    static ops, those that do not depend on its dynamic register, run once
+    per key (den and the values of the seam registers they read, over
+    their common power of two), and later points with that key run only
+    the dynamic ops.  Every point of a bucket reaches the
     block matcher with the same payload registers, so the matcher's static
     work runs once per bucket and odd D.  eval_exact is a batch of one;
     check_outputs stays per point, which with the memo beats packed lanes
@@ -611,7 +743,7 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
         if lanes < 2:
             seams = net._seams
             if seams is None:
-                seams = _seams(prog)
+                seams = _Seams(_cuts(net), prog)
                 object.__setattr__(net, "_seams", seams)
             for k, regs in zip(members, inputs):
                 regs += [0] * (size - len(regs))
@@ -667,28 +799,28 @@ def check_outputs(net: LayeredNet, points, expected):
 def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
     """Same recursion under IEEE float64 rounding; NaN/Inf propagate.
 
-    Runs the register plan with float weights.  A row adds its bias, then
-    its terms in stored order, left to right (sum() and math.fsum round
-    differently), so the bits equal a walk over every row of every layer.
+    Runs the register plan with float weights, cut at the seams the exact
+    evaluator uses (_FloatSeams, built once per net from the same _seams
+    analysis): a memoized segment's static ops run once per bit pattern of
+    its key registers.  A row adds its bias, then its terms in stored
+    order, left to right (sum() and math.fsum round differently), on a hit
+    as on a miss, so the bits equal a walk over every row of every layer.
     Inputs are float(x) + 0.0: an aliased identity row then gives +0.0 for
-    -0.0, as the row 0.0 + 1.0 * x does.
+    -0.0, as the row 0.0 + 1.0 * x does, but so does a row that reads a
+    -0.0 input after a bias that underflows to -0.0, where the walk gives
+    -0.0.
     """
     if len(xs) != net.input_dim:
         raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
-    if net._flt is None:
-        plan, size, outputs = _plan(net)
-        object.__setattr__(net, "_flt", (tuple(
-            (bias.to_float(), tuple(zip(slots, [w.to_float() for w in weights])), relu, dest)
-            for bias, slots, weights, relu, dest in plan), size, outputs))
-    ops, size, outputs = net._flt
-    regs = [float(x) + 0.0 for x in xs] + [0.0] * (size - len(xs))
-    for acc, terms, relu, dest in ops:  # acc starts at the row's bias
-        for r, w in terms:
-            acc += w * regs[r]
-        if relu and not acc > 0.0:
-            acc = 0.0 if acc == acc else acc  # keep NaN
-        regs[dest] = acc
-    return [regs[s] for s in outputs]
+    plan = _plan(net)
+    runner = net._flt
+    if runner is None:
+        runner = _FloatSeams(_cuts(net), plan)
+        object.__setattr__(net, "_flt", runner)
+    regs = [float(x) + 0.0 for x in xs]
+    regs += [0.0] * (plan[1] - len(regs))
+    runner.run(regs)
+    return [regs[s] for s in plan[2]]
 
 
 # ---------------------------------------------------------------------------

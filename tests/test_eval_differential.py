@@ -108,46 +108,71 @@ def _check_points(net, points, rng):
         assert_agrees(net, variants[1 + k % 4])
 
 
-def _corpus():
-    """Small nets of every build mode on acceptance-corpus datasets."""
-    nets = []
-    for n, d, c, kind, seed in _corpus_specs()[:15]:
-        if n > 16:
-            continue
-        ds = random_dataset(n, d, c, seed=seed, coord_kind=kind)
-        nets.append((f"sqrt-{seed}", assemble_sqrt(ds, seed=seed)[0], ds))
-    ds = random_dataset(16, 2, 4, seed=11)
-    nets.append(("depth", assemble_bounded_depth(ds, 2)[0], ds))
-    nets.append(("bits", assemble_bounded_bits(ds, 2)[0], ds))
+@functools.cache
+def _mixed_dataset():
+    return random_dataset(16, 2, 4, seed=11)
+
+
+def _sqrt_recipe(n, d, c, kind, seed):
+    ds = random_dataset(n, d, c, seed=seed, coord_kind=kind)
+    return assemble_sqrt(ds, seed=seed)[0], ds
+
+
+def _regression_recipe():
+    ds = _mixed_dataset()
     labels = [Fraction(k % 5, 4) for k in range(ds.n)]
-    nets.append(("regression", regression_wrap(ds.points, labels, Fraction(1, 8))[0], ds))
-    return nets
+    return regression_wrap(ds.points, labels, Fraction(1, 8))[0], ds
 
 
-CORPUS = _corpus()
+def _corpus_recipes() -> dict:
+    """Small nets of every build mode on acceptance-corpus datasets: name ->
+    a function that builds (net, dataset)."""
+    recipes = {}
+    for n, d, c, kind, seed in _corpus_specs()[:15]:
+        if n <= 16:
+            recipes[f"sqrt-{seed}"] = functools.partial(_sqrt_recipe, n, d, c, kind, seed)
+    recipes["depth"] = lambda: (assemble_bounded_depth(_mixed_dataset(), 2)[0], _mixed_dataset())
+    recipes["bits"] = lambda: (assemble_bounded_bits(_mixed_dataset(), 2)[0], _mixed_dataset())
+    recipes["regression"] = _regression_recipe
+    return recipes
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_corpus_nets_agree(name, net, ds):
+_RECIPES = _corpus_recipes()
+# The corpus nets' names, known without building any net: each is built on
+# its first use, so a build that fails fails only the tests that use it.
+CORPUS_NAMES = list(_RECIPES)
+
+
+@functools.cache
+def corpus(name: str) -> tuple:
+    """(net, dataset) of the corpus net `name`, built on first use and kept."""
+    return _RECIPES[name]()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_nets_agree(name):
+    net, ds = corpus(name)
     _check_points(net, ds.points, random.Random(name))
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_corpus_batches_agree(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_batches_agree(name):
     """Every training point and its variants in one batch: dyadic points and
     several odd denominators, each group packed into lanes."""
+    net, ds = corpus(name)
     rng = random.Random(name)
     points = [v for p in ds.points for v in _input_variants(p, rng)]
     assert_batch_agrees(net, points)
     assert_lanes_hold(net, points)
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_passthrough_units_alias_relu_outputs(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_passthrough_units_alias_relu_outputs(name):
     """Every identity row a builder makes (one term of weight 1, bias 0)
     reads a ReLU output or applies no ReLU, so its register is an alias of
     its source and can never be clipped: the register plan runs an op for
     every other row and for no identity row."""
+    net, ds = corpus(name)
     identity = 0
     for k, layer in enumerate(net.layers):
         for u, (row, bias) in enumerate(zip(layer.rows, layer.biases)):
@@ -172,7 +197,8 @@ def test_oracle_bit_nets_hold_their_lanes():
 def test_batch_chunks_and_one_lane_fallback(monkeypatch, register_bits):
     """A smaller register cap cuts each group into more chunks; below two
     lanes no register is packed and the batch runs point by point."""
-    name, net, ds = CORPUS[0]
+    name = CORPUS_NAMES[0]
+    net, ds = corpus(name)
     rng = random.Random(name)
     points = [v for p in ds.points for v in _input_variants(p, rng)[:3]]
     packed = []
@@ -231,8 +257,9 @@ def _mutated(net: LayeredNet, rng: random.Random) -> LayeredNet:
     return LayeredNet(net.input_dim, net.layers[:k] + (new,) + net.layers[k + 1:])
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS[-4:], ids=[c[0] for c in CORPUS[-4:]])
-def test_mutated_weight_nets_agree(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES[-4:])
+def test_mutated_weight_nets_agree(name):
+    net, ds = corpus(name)
     rng = random.Random(name)
     for _ in range(4):
         _check_points(_mutated(net, rng), ds.points[:4], rng)
@@ -250,7 +277,8 @@ def _guarded(net: LayeredNet) -> LayeredNet:
 def test_negative_first_layer_inputs_under_debug():
     """A pass-through ReLU layer on the raw inputs, in front of a corpus net,
     on negative inputs that it clips."""
-    name, net, ds = CORPUS[-2]
+    name = CORPUS_NAMES[-2]
+    net, ds = corpus(name)
     guarded = _guarded(net)
     for x in (-1, Fraction(-1, 3), Fraction(-5, 8)):
         assert_agrees(guarded, [x] + list(ds.points[0][1:]))
@@ -261,7 +289,8 @@ def test_negative_first_layer_inputs_under_debug():
 def test_negative_first_layer_lanes_under_debug(monkeypatch, register_bits):
     """The guarded first layer on batches whose dyadic group and odd-D group
     each have several negative lanes, point by point or packed."""
-    name, net, ds = CORPUS[-2]
+    name = CORPUS_NAMES[-2]
+    net, ds = corpus(name)
     guarded = _guarded(net)
     rest = [list(p[1:]) for p in ds.points[:4]]
     dyadic = [[x] + r for x, r in zip((-1, Fraction(-5, 8), -2, 3), rest)]
@@ -287,11 +316,12 @@ def plain_check(net: LayeredNet, points, expected):
     return bad, worst
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_check_outputs_matches_plain_loop(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_check_outputs_matches_plain_loop(name):
     """Corpus nets and one-weight mutations of them, on the training points
     and on dyadic, decimal and mixed shifts of them, against the labels and
     against labels moved by thirds."""
+    net, ds = corpus(name)
     rng = random.Random(name)
     points = [_input_variants(p, rng)[k % 5] for k, p in enumerate(ds.points[:8])]
     expected = list(ds.labels[:8])
@@ -307,7 +337,8 @@ def test_check_outputs_matches_plain_loop(name, net, ds):
 
 
 def test_check_outputs_on_negative_first_layer_inputs():
-    name, net, ds = CORPUS[-2]
+    name = CORPUS_NAMES[-2]
+    net, ds = corpus(name)
     guarded = _guarded(net)
     points = [list(ds.points[0]), [Fraction(-1, 3)] + list(ds.points[1][1:])]
     labels = ds.labels[:2]
@@ -413,13 +444,14 @@ def _memo_entries(net: LayeredNet) -> int:
     return sum(len(memo) for keys, _, _, _, memo in net._seams.segments if keys is not None)
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_seam_memo_matches_plain_loop(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_seam_memo_matches_plain_loop(name):
     """Passes on one net object over the training points and their dyadic,
     decimal and mixed shifts (several odd D).  Each point is scaled at its
     own exponent and its memo keys have their common power of two divided
     out, so the second pass finds every key the first stored and stores
     nothing."""
+    net, ds = corpus(name)
     rng = random.Random(name)
     net = _fresh(net)
     points = [v for p in ds.points for v in _input_variants(p, rng)]
@@ -476,7 +508,7 @@ def test_only_input_dependent_static_ops_earn_a_memo():
     input: the depth net's long segment, whose static ops are constants, runs
     plain, while the sqrt, bits and regression nets keep their memoized
     segments."""
-    nets = {name: _fresh(net) for name, net, _ in CORPUS}
+    nets = {name: _fresh(corpus(name)[0]) for name in CORPUS_NAMES}
     assert _memoized(nets["depth"]) == []
     assert len(_memoized(nets["bits"])) == 4
     for name in ("sqrt-100", "sqrt-112", "regression"):
@@ -531,8 +563,9 @@ def test_seam_memo_under_forced_cuts(monkeypatch, seam_width, split):
     monkeypatch.setattr(netir, "_MIN_STATIC", 0)
     if split:
         monkeypatch.setattr(netir, "_dynamic_bit", WRONG_SPLITS[split])
-    for name, net, ds in [CORPUS[0], CORPUS[-4], *CORPUS[-3:]]:
+    for name in [CORPUS_NAMES[0], CORPUS_NAMES[-4], *CORPUS_NAMES[-3:]]:
         rng = random.Random(name)
+        net, ds = corpus(name)
         net = _fresh(net)
         points = [_input_variants(p, rng)[k % 5] for k, p in enumerate(ds.points[:8])]
         assert_memo_agrees(net, points + points[::-1])

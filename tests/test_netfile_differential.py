@@ -10,6 +10,7 @@ take and netir refuses.
 """
 
 import copy
+import functools
 import json
 import re
 
@@ -22,7 +23,7 @@ from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
                           net_to_json_bytes)
 from netfile_reference import reference_bytes, reference_deserialize
 from test_cli import _edit_dense_row, _split_sparse_term
-from test_eval_differential import CORPUS, _nets
+from test_eval_differential import CORPUS_NAMES, _nets, corpus
 
 
 def assert_same_bytes(net, builder=None):
@@ -33,8 +34,9 @@ def assert_same_bytes(net, builder=None):
 # writer
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_corpus_nets_write_the_same_bytes(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_nets_write_the_same_bytes(name):
+    net, ds = corpus(name)
     assert_same_bytes(net, {"theorem": name, "N": ds.n})
 
 
@@ -93,7 +95,7 @@ def test_escaped_provenance(provenance):
 
 
 def test_nested_non_ascii_builder():
-    name, net, ds = CORPUS[0]
+    net, _ = corpus(CORPUS_NAMES[0])
     builder = {"théorème": "sqrt", "zeta": {"b": [1, -2, "ü\"\\"], "a": {"ß": None}},
                "flag": True, "ratio": 0.1, "big": 10 ** 40, "empty": {}, "list": [],
                "Z": "é\U0001f600"}
@@ -160,9 +162,16 @@ def verdict_with(obj, place, cell):
     return got[0]
 
 
-SAVED = {name: json.loads(net_to_json_bytes(net)) for name, net, _ in
-         (CORPUS[0], CORPUS[-3], CORPUS[-2], CORPUS[-1])}
-CELLS = {name: list(_cells(obj)) for name, obj in SAVED.items()}
+SAVED_NAMES = (CORPUS_NAMES[0], *CORPUS_NAMES[-3:])
+
+
+@functools.cache
+def _saved(name: str) -> tuple:
+    """The parsed file of the corpus net `name` and its cells, made on first
+    use; the tests swap cells in and back out of this one object."""
+    obj = json.loads(net_to_json_bytes(corpus(name)[0]))
+    return obj, list(_cells(obj))
+
 
 BAD_CELLS = [
     {"s": 1, "m": "4", "e": 0},  # even mantissa
@@ -207,14 +216,14 @@ ODD_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("name", ["depth", "regression", CORPUS[0][0]])
+@pytest.mark.parametrize("name", ["depth", "regression", CORPUS_NAMES[0]])
 @pytest.mark.parametrize("cell", BAD_CELLS + ODD_CELLS,
                          ids=[f"bad{k}" for k in range(len(BAD_CELLS))]
                          + [f"odd{k}" for k in range(len(ODD_CELLS))])
 def test_one_cell_mutations(name, cell):
     """The cell in place of the first (a bias), a middle and the last cell."""
-    cells = CELLS[name]
-    verdicts = {verdict_with(SAVED[name], cells[where], cell)
+    obj, cells = _saved(name)
+    verdicts = {verdict_with(obj, cells[where], cell)
                 for where in (0, len(cells) // 2, len(cells) - 1)}
     if cell in BAD_CELLS[:9] or _loose(cell):
         assert verdicts == {"error"}
@@ -224,7 +233,7 @@ def test_one_cell_mutations(name, cell):
 
 def test_loose_dense_zero_cells_are_refused():
     """The reference reader skipped any dense cell whose s == 0 unread."""
-    obj = SAVED["regression"]
+    obj, _ = _saved("regression")
     row = next(row for spec in obj["layers"] if isinstance(spec["w"], list)
                for row in spec["w"] if row[-1]["s"] == 0)
     zero = (row, len(row) - 1)
@@ -243,7 +252,7 @@ def test_loose_dense_zero_cells_are_refused():
 def _most_repeated(name):
     """The nonzero cell value held by the most cells, and where they are."""
     seen = {}
-    for container, key in CELLS[name]:
+    for container, key in _saved(name)[1]:
         cell = container[key]
         if cell["s"]:
             seen.setdefault(json.dumps(cell, sort_keys=True), []).append((container, key))
@@ -251,7 +260,7 @@ def _most_repeated(name):
     return json.loads(text), places
 
 
-@pytest.mark.parametrize("name", sorted(SAVED))
+@pytest.mark.parametrize("name", sorted(SAVED_NAMES))
 def test_one_broken_copy_of_a_repeated_value(name):
     """Good copies are read before the broken one; the memo must not pass it."""
     good, places = _most_repeated(name)
@@ -265,18 +274,18 @@ def test_one_broken_copy_of_a_repeated_value(name):
     ]
     for cell in broken:
         for where in (1, len(places) - 1):
-            assert verdict_with(SAVED[name], places[where], cell) == "error", cell
+            assert verdict_with(_saved(name)[0], places[where], cell) == "error", cell
     for cell in ({**good, "s": True}, {**good, "e": str(good["e"])},
                  {**good, "e": float(good["e"])}, {**good, "m": "0" + good["m"]}):
-        assert verdict_with(SAVED[name], places[-1], cell) == "error", cell
+        assert verdict_with(_saved(name)[0], places[-1], cell) == "error", cell
 
 
 def test_repeated_zero_bias_with_one_bad_copy():
-    name = CORPUS[0][0]
-    zeros = [(spec["b"], k) for spec in SAVED[name]["layers"]
+    obj, _ = _saved(CORPUS_NAMES[0])
+    zeros = [(spec["b"], k) for spec in obj["layers"]
              for k, b in enumerate(spec["b"]) if b["s"] == 0]
     assert len(zeros) > 3
-    assert verdict_with(SAVED[name], zeros[-1], {"s": 0, "m": "1", "e": 0}) == "error"
+    assert verdict_with(obj, zeros[-1], {"s": 0, "m": "1", "e": 0}) == "error"
 
 
 _field = st.one_of(st.integers(-3, 3), st.booleans(), st.none(),
@@ -287,9 +296,10 @@ _field = st.one_of(st.integers(-3, 3), st.booleans(), st.none(),
 
 @settings(max_examples=300, deadline=None)
 @given(st.fixed_dictionaries({"s": _field, "m": _field, "e": _field}),
-       st.integers(0, 10 ** 6), st.sampled_from(["depth", CORPUS[0][0]]))
+       st.integers(0, 10 ** 6), st.sampled_from(["depth", CORPUS_NAMES[0]]))
 def test_arbitrary_cell_fields(cell, where, name):
-    verdict_with(SAVED[name], CELLS[name][where % len(CELLS[name])], cell)
+    obj, cells = _saved(name)
+    verdict_with(obj, cells[where % len(cells)], cell)
 
 
 def _zero_term_past_in_dim(obj):
@@ -316,18 +326,19 @@ SHAPES = {
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_malformed_shapes_are_refused(shape):
     name, edit = SHAPES[shape]
-    obj = copy.deepcopy(SAVED[name])
+    obj = copy.deepcopy(_saved(name)[0])
     edit(obj)
     assert _read(reference_deserialize, obj)[0] == (
         "error" if shape == "sparse-column-twice" else "net")
     assert _read(deserialize_net, obj)[0] == "error"
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_legacy_passthrough_marks_load(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_legacy_passthrough_marks_load(name):
     """Older files list each layer's identity units under "passthrough".
     Such a file is the new bytes with the lists put back; it loads to the
     same layers and evaluates to the same outputs, exactly and in float64."""
+    net, ds = corpus(name)
     new = net_to_json_bytes(net)
     obj = json.loads(new)
     for spec, layer in zip(obj["layers"], net.layers):
@@ -345,10 +356,11 @@ def test_legacy_passthrough_marks_load(name, net, ds):
     assert [eval_float(old, p) for p in floats] == [eval_float(again, p) for p in floats]
 
 
-@pytest.mark.parametrize("name,net,ds", CORPUS, ids=[c[0] for c in CORPUS])
-def test_loaded_layers_equal_the_checking_constructor(name, net, ds):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_loaded_layers_equal_the_checking_constructor(name):
     """deserialize_net checks its rows itself and skips AffineLayer.__init__;
     the checking constructor, given the same tuples, must change nothing."""
+    net, _ = corpus(name)
     loaded = deserialize_net(json.loads(net_to_json_bytes(net)))
     for layer in loaded.layers:
         again = AffineLayer(layer.in_dim, layer.out_dim, layer.rows, layer.biases, layer.relu)
