@@ -199,47 +199,137 @@ def _plan(net: LayeredNet) -> tuple:
     """The net's register plan, cached; the exact and float programs fill it
     in, and the seam analysis (_seams) cuts it.
 
-    Op t writes virtual register input_dim + t.  An identity row (weight 1,
-    bias 0) aliases its source register when ReLU cannot clip it: the source
-    is a ReLU output or the row applies no ReLU.  A slot is reused once its
+    Op t of the layer walk writes virtual register input_dim + t.  An
+    identity row (weight 1, bias 0) aliases its source register when the
+    source is a ReLU output: ReLU cannot clip it, and it is never -0.0, so
+    the row's 0 + 1*x is x in either arithmetic.  Any other identity row,
+    such as one on a raw input, runs as an op.  The ops run in layer
+    order, except in a region whose ops form independent tracks (_tracks),
+    which run track by track; the order is fixed on virtual registers, and
+    the slots are then allocated again.  A slot is reused once its
     register's last reader has run, so a pass holds about one layer of
-    values.  Ops: (bias, source slots, weights, relu, destination slot);
-    outputs: slots.
+    values, or one track's.  Ops: (bias, source slots, weights, relu,
+    destination slot, track), track None outside a track; outputs: slots.
     """
     if net._plan is not None:
         return net._plan
-    chan = list(range(net.input_dim))  # virtual register of each channel
-    ops = []
+    dim = net.input_dim
+    chan = list(range(dim))  # virtual register of each channel
+    ops = []  # (bias, source registers, weights, relu, register, track)
     nonneg = False  # the channels in `chan` are ReLU outputs
     for layer in net.layers:
         regs = []
         for row, bias in zip(layer.rows, layer.biases):
-            if (len(row) == 1 and not bias.sign and (nonneg or not layer.relu)
+            if (nonneg and len(row) == 1 and not bias.sign
                     and (w := row[0][1]).exponent == 0 and w.mantissa == 1 and w.sign == 1):
                 regs.append(chan[row[0][0]])
                 continue
+            regs.append(dim + len(ops))
             ops.append((bias, [chan[i] for i, _ in row], tuple([w for _, w in row]),
-                        layer.relu))
-            regs.append(net.input_dim + len(ops) - 1)
+                        layer.relu, regs[-1], None))
         chan = regs
         nonneg = layer.relu
-    # index of each virtual register's last reader (-1: none); outputs live to the end
-    last = [-1] * (net.input_dim + len(ops))
-    for t, op in enumerate(ops):
+    plan, last, live = _slots(ops, chan, dim)
+    ops = _tracks(ops, last, live, dim)
+    if ops is not None:
+        plan = _slots(ops, chan, dim)[0]
+    object.__setattr__(net, "_plan", plan)
+    return net._plan
+
+
+def _slots(ops: list, chan: list, dim: int) -> tuple:
+    """(plan, last, live) for the ops of _plan in their order, whose
+    outputs are the registers chan: the plan, with a slot for each
+    register; the position of each register's last reader (-1 for none,
+    len(ops) for an output); and the number of registers live at each
+    boundary between ops, the first and the last included (an input that
+    nothing reads holds its slot but is not live)."""
+    last = [-1] * (dim + len(ops))
+    for p, op in enumerate(ops):
         for r in op[1]:
-            last[r] = t
+            last[r] = p
     for r in chan:
         last[r] = len(ops)
-    slot, free, size = list(range(net.input_dim)), [], net.input_dim
-    for t, (bias, srcs, weights, relu) in enumerate(ops):
-        free.extend({slot[r] for r in srcs if last[r] == t})
-        slot.append(free.pop() if free else size)
-        size = max(size, slot[-1] + 1)
-        if last[net.input_dim + t] < 0:  # never read: reuse at once
-            free.append(slot[-1])
-        ops[t] = (bias, tuple([slot[r] for r in srcs]), weights, relu, slot[-1])
-    object.__setattr__(net, "_plan", (tuple(ops), size, tuple([slot[r] for r in chan])))
-    return net._plan
+    slot, free, size, plan, live = list(range(dim)) + [0] * len(ops), [], dim, [], []
+    for p, (bias, srcs, weights, relu, reg, track) in enumerate(ops):
+        live.append(size - len(free))  # the slots in use
+        free.extend({slot[r] for r in srcs if last[r] == p})
+        if free:
+            s = slot[reg] = free.pop()
+        else:
+            s = slot[reg] = size
+            size += 1
+        if last[reg] < 0:  # never read: reuse at once
+            free.append(s)
+        plan.append((bias, tuple([slot[r] for r in srcs]), weights, relu, s, track))
+    live.append(size - len(free))
+    if unread := last[:dim].count(-1):
+        live = [count - unread for count in live]
+    return (tuple(plan), size, tuple([slot[r] for r in chan])), last, live
+
+
+def _tracks(ops: list, last: list, live: list, dim: int) -> list | None:
+    """The layer-walk ops of _plan in track order, each with its track set,
+    or None to keep layer order; last and live are _slots' for layer order.
+
+    A region is the op range between two narrow boundaries, those with at
+    most _SEAM_WIDTH live registers (the first and the last boundary count
+    as narrow).  Its end-writers are the ops whose register is read after
+    the region or is an output, and every op that reads an end-writer's
+    register.  The other ops fall into groups, the connected components of
+    their def-use edges inside the region.  A region with at least two
+    groups of _MIN_STATIC or more ops runs group by group, in the order of
+    each group's first op, each group in layer order, and then its
+    end-writers in layer order: no op reads a later group, so this is a
+    valid order, and each op keeps its terms, so values and float64 bits
+    stay the same.  Each such group is a track, named by its first op.
+    This is how the depth variant's stacked subset memorizers, which all
+    read the projection z and meet only in the summation head, come to run
+    one after another.
+    """
+    n, least = len(ops), max(2 * _MIN_STATIC, 2)
+    if n < least:
+        return None
+    narrow = [t for t, count in enumerate(live) if count <= _SEAM_WIDTH or t == 0 or t == n]
+    order, done = [], 0
+    for a, b in zip(narrow, narrow[1:]):
+        if b - a < least:
+            continue
+        base = dim + a
+        parent, tail = list(range(b - a)), [end >= b for end in last[base:dim + b]]
+        for i, op in enumerate(ops[a:b]):
+            if tail[i]:
+                continue
+            root = i
+            for r in op[1]:
+                if (j := r - base) < 0:  # written before the region
+                    continue
+                if tail[j]:  # an end-writer too; groups it joined stay joined,
+                    tail[i] = True  # and coarser groups keep the order valid
+                    break
+                while parent[j] != j:  # find, halving the path
+                    parent[j] = j = parent[parent[j]]
+                if j < root:
+                    parent[root] = root = j
+                elif j > root:
+                    parent[j] = root
+        groups = {}  # root (the group's first op) -> ops, in layer order
+        for i in range(b - a):
+            if not tail[i]:
+                j = i
+                while parent[j] != j:
+                    j = parent[j]
+                groups.setdefault(j, []).append(a + i)
+        if sum([len(g) >= _MIN_STATIC for g in groups.values()]) < 2:
+            continue
+        order.extend(ops[done:a])
+        for group in groups.values():
+            order.extend([ops[t][:5] + (group[0],) for t in group])
+        order.extend([ops[a + i] for i in range(b - a) if tail[i]])
+        done = b
+    if not done:
+        return None
+    return order + ops[done:]
 
 
 def _compile(net: LayeredNet) -> tuple:
@@ -260,7 +350,7 @@ def _compile(net: LayeredNet) -> tuple:
     plan, size, outputs = _plan(net)
     exps = [0] * size  # static exponent of the register each slot holds
     ops = []
-    for bias, slots, weights, relu, dest in plan:
+    for bias, slots, weights, relu, dest, _ in plan:
         ts = [w.exponent + exps[s] for s, w in zip(slots, weights)]
         e = min([*ts, bias.exponent] if bias.sign else ts, default=0)
         ops.append((bias.sign * bias.mantissa << (bias.exponent - e) if bias.sign else 0,
@@ -390,8 +480,10 @@ def _lanes(q: int, width: int, count: int) -> list:
 
 
 # A boundary between two ops is a seam when at most this many registers are
-# live across it: the (x, w, u) stage seams of sqrt and regression nets and
-# the (x, w, u, y) block seams of a bits chain.
+# live across it, or, inside a track, active for it: the (x, w, u) stage
+# seams of sqrt and regression nets and of each subset memorizer of a depth
+# net, and the (x, w, u, y) block seams of a bits chain.  _plan's track
+# search cuts regions at the same width.
 _SEAM_WIDTH = 4
 # A segment keeps a memo only when at least this many of its ops are static
 # and read an input: a constant op costs the same on a hit as on a miss.  At
@@ -423,9 +515,11 @@ def _dynamic_bit(supports: list) -> int:
 
 
 def _segment(ops, start, end, const: list):
-    """The plan ops `ops`, which run from a boundary where the slots `start`
-    are live to one where `end` are (both sorted), as (keys, flags,
-    exports), or None for a plain run.
+    """The plan ops `ops`, which start from the slots `start` and end where
+    the slots `end` hold every value that outlives them (both sorted), as
+    (keys, flags, exports), or None for a plain run.  start holds every
+    slot the ops read before writing it, and may hold slots they never
+    read; end may hold slots they never write.
 
     A forward pass gives every op its support: a bitmask over the start
     registers it depends on.  A start register that depends on no input
@@ -447,19 +541,21 @@ def _segment(ops, start, end, const: list):
             bits[s] = 1 if wide else 1 << len(bits)
     sup = {s: bits.get(s, 0) for s in start}
     supports = []
-    for _, srcs, _, _, dest in ops:
+    for _, srcs, _, _, dest, _ in ops:
         m = 0
         for r in srcs:
             m |= sup[r]
         sup[dest] = m
         const[dest] = not m
         supports.append(m)
+    if len(ops) < _MIN_STATIC:  # too few ops to earn a memo
+        return None
     rbit = _dynamic_bit(supports)
     if sum([bool(m) and not m & rbit for m in supports]) < _MIN_STATIC:
         return None
     sup = {s: bits.get(s, 0) for s in start}
     keymask, flags, written = 0, [], {}
-    for (_, srcs, _, _, dest), m in zip(ops, supports):
+    for (_, srcs, _, _, dest, _), m in zip(ops, supports):
         flag = None
         if m & rbit:
             flag = tuple([bool(sup[r] & rbit) for r in srcs])
@@ -477,33 +573,78 @@ def _seams(plan: tuple) -> tuple:
     """The register plan cut at its seams, analysed once per net for both
     the exact and the float64 runner (_Seams, _FloatSeams).
 
-    A backward pass finds the seams: the boundaries with at most _SEAM_WIDTH
-    live registers; it keeps the live set only there.  The first op starts
-    a segment and the last ends one, seams or not.  Each segment is
-    analysed by _segment, and adjacent plain runs merge into one.  Returns
-    the segments in program order as (lo, hi, keys, flags, exports): ops
-    lo..hi-1 of the plan, with keys, flags and exports None for a plain run.
-    The analysis reads only the plan's structure (slots, liveness and
-    supports), never a weight.
+    A backward pass finds the seams outside tracks: the boundaries with at
+    most _SEAM_WIDTH live registers; it keeps the live set only there and
+    at the first and last boundary of each track.  Inside a track, the
+    seams are the boundaries where few registers are active for it
+    (_track_seams): registers that are live but parked, such as the shared
+    input of later tracks or the outputs of earlier ones, stay in their
+    slots and do not count.  The first op starts a segment and the last
+    ends one, and so does each track, seams or not.  Each segment is
+    analysed by _segment, from the registers live at its start (inside a
+    track, the active ones) to those live at its end, and adjacent plain
+    runs merge into one.  Returns the segments in program order as (lo, hi,
+    keys, flags, exports): ops lo..hi-1 of the plan, with keys, flags and
+    exports None for a plain run.  The analysis reads only the plan's
+    structure (slots, tracks, liveness and supports), never a weight.
     """
     ops, size, outputs = plan
     live = set(outputs)
     seams = {len(ops): tuple(sorted(live))}
+    spans, hi, later = [], len(ops), None  # later: the track of op t + 1
     for t in range(len(ops) - 1, -1, -1):
-        _, srcs, _, _, dest = ops[t]
+        _, srcs, _, _, dest, track = ops[t]
+        if track != later:  # a track starts or ends at boundary t + 1
+            seams[t + 1] = tuple(sorted(live))
+            if later is not None:
+                spans.append((t + 1, hi))
+            hi, later = t + 1, track
         live.discard(dest)
         live.update(srcs)
         if len(live) <= _SEAM_WIDTH or not t:
             seams[t] = tuple(sorted(live))
-    bounds = sorted(seams)
+    if later is not None:
+        spans.append((0, hi))
+    inside = {}  # boundary -> the slots a segment starting there starts from
+    outside = dict(seams)  # and those a segment ending there ends at
+    for lo, hi in spans:
+        found = _track_seams(ops, lo, hi, seams[hi])
+        inside[lo], outside[hi] = found.pop(lo), found.pop(hi)
+        inside.update(found)
+        outside.update(found)
+    bounds = sorted({*seams, *inside})
     const, cuts = [False] * size, []
     for a, b in zip(bounds, bounds[1:]):
-        cut = _segment(ops[a:b], seams[a], seams[b], const)
+        cut = _segment(ops[a:b], inside.get(a, seams.get(a)), outside[b], const)
         if cut is None and cuts and cuts[-1][2] is None:
             cuts[-1] = (cuts[-1][0], b, None, None, None)
         else:
             cuts.append((a, b, *(cut or (None, None, None))))
     return tuple(cuts)
+
+
+def _track_seams(ops, lo: int, hi: int, after: tuple) -> dict:
+    """{boundary: active slots} for the track of ops lo..hi-1, whose last
+    op is followed by the live slots `after`: lo, hi and every boundary
+    between with at most _SEAM_WIDTH active registers.
+
+    A register is active for the track at a boundary if the track wrote it
+    and it is live there, or the track reads it at or after the boundary.
+    A backward pass over the track keeps that set as the liveness pass
+    keeps the live one, starting from the track's own registers that are
+    live after it.  So every register a segment reads from before its
+    start is active there, and every static value that outlives the
+    segment is active at its end.
+    """
+    active = set(after).intersection([op[4] for op in ops[lo:hi]])
+    found = {hi: tuple(sorted(active))}
+    for u in range(hi - 1, lo - 1, -1):
+        _, srcs, _, _, dest, _ = ops[u]
+        active.discard(dest)
+        active.update(srcs)
+        if len(active) <= _SEAM_WIDTH or u == lo:
+            found[u] = tuple(sorted(active))
+    return found
 
 
 def _cuts(net: LayeredNet) -> tuple:
@@ -631,8 +772,15 @@ class _FloatSeams:
 
     def __init__(self, cuts: tuple, plan: tuple):
         plan_ops, size, _ = plan
-        ops = [(bias.to_float(), tuple(zip(slots, [w.to_float() for w in weights])), relu, dest)
-               for bias, slots, weights, relu, dest in plan_ops]
+        floats, ops = {}, []  # each distinct weight object converted once: a loaded
+        for bias, slots, weights, relu, dest, _ in plan_ops:  # net shares one per cell
+            row = []
+            for w in (bias, *weights):
+                f = floats.get(id(w))
+                if f is None:
+                    f = floats[id(w)] = w.to_float()
+                row.append(f)
+            ops.append((row[0], tuple(zip(slots, row[1:])), relu, dest))
         segments = []
         for lo, hi, keys, flags, exports in cuts:
             if keys is None:
@@ -805,10 +953,9 @@ def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
     its key registers.  A row adds its bias, then its terms in stored
     order, left to right (sum() and math.fsum round differently), on a hit
     as on a miss, so the bits equal a walk over every row of every layer.
-    Inputs are float(x) + 0.0: an aliased identity row then gives +0.0 for
-    -0.0, as the row 0.0 + 1.0 * x does, but so does a row that reads a
-    -0.0 input after a bias that underflows to -0.0, where the walk gives
-    -0.0.
+    Inputs are taken as float(x): only identity rows on ReLU outputs, which
+    are never -0.0, are aliases (_plan), so a row on a -0.0 input adds it
+    to its bias as the walk does.
     """
     if len(xs) != net.input_dim:
         raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
@@ -817,7 +964,7 @@ def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
     if runner is None:
         runner = _FloatSeams(_cuts(net), plan)
         object.__setattr__(net, "_flt", runner)
-    regs = [float(x) + 0.0 for x in xs]
+    regs = [float(x) for x in xs]
     regs += [0.0] * (plan[1] - len(regs))
     runner.run(regs)
     return [regs[s] for s in plan[2]]

@@ -23,7 +23,7 @@ from memnet import gadgets, netir
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.netir import (AffineLayer, DimensionError, LayeredNet, check_outputs,
-                          eval_exact, eval_exact_batch)
+                          compose_serial, eval_exact, eval_exact_batch, stack_parallel)
 from memnet.pipeline import assemble_sqrt, regression_wrap
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 from test_acceptance import _corpus_specs
@@ -358,23 +358,53 @@ _inputs = st.one_of(
 
 
 @st.composite
-def _nets(draw):
-    input_dim = draw(st.integers(1, 3))
-    dims = [input_dim] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def _nets(draw, input_dim=None, biases=_dyadics, max_layers=4):
+    """Random nets of 1 to max_layers layers, about half their rows identity
+    rows; biases are drawn from `biases`."""
+    input_dim = input_dim or draw(st.integers(1, 3))
+    dims = [input_dim] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_layers))
     layers = []
     for k, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
-        rows, biases = [], []
+        rows, row_biases = [], []
         for _ in range(n_out):
             if draw(st.booleans()):  # identity row
                 rows.append(((draw(st.integers(0, n_in - 1)), 1),))
-                biases.append(0)
+                row_biases.append(0)
             else:
                 cols = draw(st.lists(st.integers(0, n_in - 1), max_size=3, unique=True))
                 rows.append(tuple((i, draw(_dyadics)) for i in cols))
-                biases.append(draw(_dyadics))
+                row_biases.append(draw(biases))
         relu = k < len(dims) - 2
-        layers.append(AffineLayer(n_in, n_out, rows, biases, relu))
+        layers.append(AffineLayer(n_in, n_out, rows, row_biases, relu))
     return LayeredNet(input_dim, layers, "random")
+
+
+@st.composite
+def _stacked_nets(draw, biases=_dyadics):
+    """2-5 random nets side by side under stack_parallel, as the depth
+    variant stacks its subset memorizers: unequal depths (so the shorter
+    ones are padded with identity layers), one-op members, members whose
+    first rows read the raw inputs or a shared front net's outputs, and a
+    head that sums every member's outputs.  The members certify
+    nonnegative outputs whether or not they have them: the stack is its own
+    reference, so only the evaluators are under test."""
+    front = draw(st.none() | _nets(biases=biases, max_layers=2))
+    if front:
+        front = LayeredNet(front.input_dim, front.layers, "front", output_nonneg=True)
+    dim = front.output_dim if front else draw(st.integers(1, 3))
+    one_op = st.builds(
+        lambda i, w, b: LayeredNet(dim, [AffineLayer(dim, 1, [((i, w),)], [b], relu=False)],
+                                   "one-op", output_nonneg=True),
+        st.integers(0, dim - 1), _dyadics, biases)
+    members = draw(st.lists(one_op | _nets(input_dim=dim, biases=biases, max_layers=5),
+                            min_size=2, max_size=5))
+    stacked = stack_parallel([LayeredNet(dim, m.layers, m.provenance, output_nonneg=True)
+                              for m in members], "stack")
+    width = stacked.output_dim
+    head = LayeredNet(width, [AffineLayer(width, 1, [tuple((i, 1) for i in range(width))],
+                                          [0], relu=False)], "sum")
+    net = compose_serial(stacked, head)
+    return compose_serial(front, net) if front else net
 
 
 @settings(max_examples=300, deadline=None)
@@ -505,11 +535,18 @@ def _memoized(net: LayeredNet) -> list:
 
 def test_only_input_dependent_static_ops_earn_a_memo():
     """A segment is memoized only when _MIN_STATIC of its static ops read an
-    input: the depth net's long segment, whose static ops are constants, runs
-    plain, while the sqrt, bits and regression nets keep their memoized
-    segments."""
+    input.  The depth net runs track by track, one track per subset
+    memorizer (16 points in subsets of L^2 = 4), and each track's block
+    matcher is one memoized segment; the sqrt, bits and regression nets
+    keep their memoized segments."""
     nets = {name: _fresh(corpus(name)[0]) for name in CORPUS_NAMES}
-    assert _memoized(nets["depth"]) == []
+    depth = nets["depth"]
+    _memoized(depth)
+    ops = netir._plan(depth)[0]
+    tracks = {op[5] for op in ops} - {None}
+    memo_tracks = [{ops[t][5] for t in range(lo, hi)}
+                   for lo, hi, keys, _, _ in depth._cuts if keys is not None]
+    assert len(tracks) == 4 and sorted(memo_tracks) == [{t} for t in sorted(tracks)]
     assert len(_memoized(nets["bits"])) == 4
     for name in ("sqrt-100", "sqrt-112", "regression"):
         assert len(_memoized(nets[name])) == 1, name
@@ -573,6 +610,64 @@ def test_seam_memo_under_forced_cuts(monkeypatch, seam_width, split):
         assert_memo_agrees(net, [low] + points)
     net = _key_per_point_net()
     assert_memo_agrees(net, [[x, y] for x in range(-3, 4) for y in (-1, 1, 2)] * 2)
+
+
+def _alias_free_rows(net: LayeredNet) -> list:
+    """(bias, weights) of every row of the net that _plan runs as an op, in
+    layer order: all but the identity rows on a ReLU output."""
+    rows = []
+    for k, layer in enumerate(net.layers):
+        for row, bias in zip(layer.rows, layer.biases):
+            if (k and net.layers[k - 1].relu and len(row) == 1 and row[0][1] == 1
+                    and not bias.sign):
+                continue
+            rows.append((bias, tuple(w for _, w in row)))
+    return rows
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_plans_run_in_layer_order_or_track_by_track(name):
+    """Every corpus net runs each row that is not an alias as one op.  The
+    depth net's subset memorizers run as tracks, each track's ops in one
+    run and the summation head last; the sqrt, bits and regression nets
+    built on 16 points have no tracks and run in layer order.  (A sqrt net
+    on one or two points has one bucket, and its block matcher may decode
+    its payloads in two chains that share no register: two tracks.)"""
+    net, ds = corpus(name)
+    ops = netir._plan(_fresh(net))[0]
+    tracks, rows = [op[5] for op in ops], _alias_free_rows(net)
+    if name == "depth" or ds.n < 16 and any(t is not None for t in tracks):
+        runs = [t for k, t in enumerate(tracks)
+                if t is not None and (not k or t != tracks[k - 1])]
+        assert len(runs) == len(set(runs)) >= 2
+        assert sorted(map(repr, rows)) == sorted(repr((op[0], op[2])) for op in ops)
+    else:
+        assert tracks == [None] * len(ops)
+        assert [(op[0], op[2]) for op in ops] == rows
+    if name == "depth":
+        assert len(runs) == 4 and tracks[-1] is None and len(ops[-1][1]) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stacked_nets_seam_memo(data):
+    """Stacked nets, whose members run as tracks, every segment memoized,
+    under every cut and split rule: the memo equals the loop without it,
+    and both equal the layer walk."""
+    net = data.draw(_stacked_nets())
+    point = st.lists(_inputs, min_size=net.input_dim, max_size=net.input_dim)
+    points = data.draw(st.lists(point, min_size=1, max_size=5))
+    points += [p[:1] + q[1:] for p, q in zip(points, points[1:])] + points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netir, "_MIN_STATIC", 0)
+        mp.setattr(netir, "_SEAM_WIDTH", data.draw(st.sampled_from([1, 2, 4, 1 << 30])))
+        split = data.draw(st.sampled_from([None, *WRONG_SPLITS]))
+        if split:
+            mp.setattr(netir, "_dynamic_bit", WRONG_SPLITS[split])
+        fresh = _fresh(net)
+        assert_memo_agrees(fresh, points)
+        for xs in points[:3]:
+            assert_agrees(fresh, xs)
 
 
 @settings(max_examples=150, deadline=None)

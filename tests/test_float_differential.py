@@ -20,8 +20,9 @@ from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.netir import AffineLayer, LayeredNet, eval_exact, eval_float
 from memnet.pipeline import assemble_sqrt
-from test_eval_differential import (CORPUS_NAMES, WRONG_SPLITS, _fresh, _key_per_point_net,
-                                    _mutated, _nets, corpus)
+from test_eval_differential import (CORPUS_NAMES, WRONG_SPLITS, _dyadics, _fresh,
+                                    _key_per_point_net, _mutated, _nets, _stacked_nets,
+                                    corpus)
 
 SPECIALS = (0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
             -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308, 1e16, -1e16)
@@ -93,6 +94,16 @@ def test_negative_zero_through_identity_rows():
     assert _bits(eval_float(net, [-0.0, 2.0])[0]) == _bits(0.0)
 
 
+def test_negative_zero_input_after_an_underflowing_bias():
+    """An identity row on a raw input runs as an op: its bias -2^-1100,
+    which underflows to -0.0, plus 1.0 * -0.0 is -0.0, as in the walk."""
+    net = LayeredNet(1, [AffineLayer(1, 1, [((0, 1),)], [DyadicRational(-1, -1100)],
+                                     relu=False)])
+    assert _bits(eval_float(net, [-0.0])[0]) == _bits(-0.0)
+    for x in (-0.0, 0.0, 5e-324, -5e-324, float("nan")):
+        assert_same_bits(net, [x])
+
+
 def test_accumulation_order_is_left_to_right():
     """Bias first, then the terms in stored order; no compensated summation."""
     rows = [((0, 1), (1, 1), (2, 1))]
@@ -101,13 +112,17 @@ def test_accumulation_order_is_left_to_right():
     assert_same_bits(net, [1.0, 1e16, -1e16])
 
 
-_floats = st.one_of(st.floats(), st.sampled_from(SPECIALS))
+_floats = st.one_of(st.floats(), st.sampled_from(SPECIALS), st.sampled_from([0.0, -0.0]))
+# Biases that underflow to -0.0 or +0.0 in float64, among the usual ones: a
+# row that adds a -0.0 input to such a bias keeps the input's sign.
+_float_biases = st.one_of(_dyadics, st.sampled_from([DyadicRational(-1, -1100),
+                                                     DyadicRational(1, -1100)]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_random_nets_bitwise(data):
-    net = data.draw(_nets())
+    net = data.draw(_nets(biases=_float_biases))
     for _ in range(3):
         xs = data.draw(st.lists(_floats, min_size=net.input_dim, max_size=net.input_dim))
         assert_same_bits(net, xs)
@@ -127,7 +142,7 @@ def _run_plain(net: LayeredNet, regs: list) -> list:
     eval_float's loop before the memo.  Returns the output values."""
     ops, size, outputs = netir._plan(net)
     regs += [0.0] * (size - len(regs))
-    for bias, slots, weights, relu, dest in ops:
+    for bias, slots, weights, relu, dest, _ in ops:
         acc = bias.to_float()
         for r, w in zip(slots, weights):
             acc += w.to_float() * regs[r]
@@ -138,7 +153,7 @@ def _run_plain(net: LayeredNet, regs: list) -> list:
 
 
 def plain_float(net: LayeredNet, xs) -> list:
-    return _run_plain(net, [float(x) + 0.0 for x in xs])
+    return _run_plain(net, [float(x) for x in xs])
 
 
 def assert_float_memo_agrees(net: LayeredNet, points) -> None:
@@ -204,9 +219,8 @@ def _signed_zero_net() -> LayeredNet:
 
 
 def test_float_memo_keys_are_bit_patterns(monkeypatch):
-    """-0.0 and +0.0, NaNs of two payloads and +-inf are different keys.
-    eval_float writes +0.0 for a -0.0 input and no hidden register is ever
-    -0.0, so the key registers are set on the runner directly."""
+    """-0.0 and +0.0, NaNs of two payloads and +-inf are different keys,
+    with the key registers set on the runner directly."""
     monkeypatch.setattr(netir, "_MIN_STATIC", 0)
     monkeypatch.setattr(netir, "_SEAM_WIDTH", 2)  # one segment of all three rows
     net = _signed_zero_net()
@@ -232,11 +246,12 @@ def test_float_memo_keeps_term_order(monkeypatch):
     in the matcher rows of a sqrt build.  Left to right, 1 + 2^53 rounds to
     2^53 and the row gives 0.0; static terms summed first would give 1.0.
     The static values stay in the row's order on a miss and on a hit."""
-    monkeypatch.setattr(netir, "_MIN_STATIC", 0)
     monkeypatch.setattr(netir, "_SEAM_WIDTH", 2)  # one segment keyed on k
     first = AffineLayer(2, 3, [((0, 1),), ((0, 1),), ((1, 1),)], [0, 0, 0], relu=True)
     last = AffineLayer(3, 1, [((2, 1), (0, 1), (1, -1))], [0], relu=False)
     net = LayeredNet(2, [first, last], "term-order")
+    netir._plan(net)  # in layer order: at _MIN_STATIC 0, its three first rows would be tracks
+    monkeypatch.setattr(netir, "_MIN_STATIC", 0)
     big = 2.0 ** 53
     points = [[big, 1.0], [big, 1.0], [big, 3.0], [1.0, 1.0], [big, 1.0]]
     assert_float_memo_agrees(net, points)
@@ -273,11 +288,13 @@ def test_float_memo_stops_at_its_cap(monkeypatch):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_random_nets_float_memo(data):
-    """Random nets, every segment memoized, under every cut and split rule,
-    on float points drawn so that some share coordinates and some repeat."""
-    net = data.draw(_nets())
+@given(st.data(), st.sampled_from(["random", "stacked"]))
+def test_random_nets_float_memo(data, kind):
+    """Random nets and stacked ones, whose members run as tracks, every
+    segment memoized, under every cut and split rule, on float points drawn
+    so that some share coordinates and some repeat."""
+    net = data.draw(_nets(biases=_float_biases) if kind == "random"
+                    else _stacked_nets(biases=_float_biases))
     point = st.lists(_floats, min_size=net.input_dim, max_size=net.input_dim)
     points = data.draw(st.lists(point, min_size=1, max_size=5))
     points += [p[:1] + q[1:] for p, q in zip(points, points[1:])] + points
