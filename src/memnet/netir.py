@@ -229,30 +229,52 @@ def _plan(net: LayeredNet) -> tuple:
                         layer.relu, regs[-1], None))
         chan = regs
         nonneg = layer.relu
-    plan, last, live = _slots(ops, chan, dim)
-    ops = _tracks(ops, last, live, dim)
-    if ops is not None:
-        plan = _slots(ops, chan, dim)[0]
+    last = _last_readers(ops, chan, dim)
+    order = _tracks(ops, last, _live_counts(last, dim), dim)
+    plan = _slots(ops, chan, dim, last) if order is None else _slots(order, chan, dim)
     object.__setattr__(net, "_plan", plan)
     return net._plan
 
 
-def _slots(ops: list, chan: list, dim: int) -> tuple:
-    """(plan, last, live) for the ops of _plan in their order, whose
-    outputs are the registers chan: the plan, with a slot for each
-    register; the position of each register's last reader (-1 for none,
-    len(ops) for an output); and the number of registers live at each
-    boundary between ops, the first and the last included (an input that
-    nothing reads holds its slot but is not live)."""
+def _last_readers(ops: list, chan: list, dim: int) -> list:
+    """The position of each register's last reader among the ops of _plan,
+    in their order, whose outputs are the registers chan: -1 for none,
+    len(ops) for an output."""
     last = [-1] * (dim + len(ops))
     for p, op in enumerate(ops):
         for r in op[1]:
             last[r] = p
     for r in chan:
         last[r] = len(ops)
-    slot, free, size, plan, live = list(range(dim)) + [0] * len(ops), [], dim, [], []
+    return last
+
+
+def _live_counts(last: list, dim: int) -> list:
+    """The number of registers live at each boundary between the ops whose
+    last readers are `last` (_last_readers), the first and the last
+    included: register dim + t from boundary t + 1 (an input from 0) up to
+    the boundary before its last reader, and never if nothing reads it."""
+    steps = [0] * (len(last) - dim + 2)
+    for r, end in enumerate(last):
+        if end >= 0:
+            steps[r - dim + 1 if r >= dim else 0] += 1
+            steps[end + 1] -= 1
+    live, count = [], 0
+    for step in steps[:-1]:
+        count += step
+        live.append(count)
+    return live
+
+
+def _slots(ops: list, chan: list, dim: int, last: list | None = None) -> tuple:
+    """The plan of the ops of _plan in their order, whose outputs are the
+    registers chan, with a slot for each register; last is _last_readers'
+    for that order, computed when not given.  A slot is free again once its
+    register's last reader has run."""
+    if last is None:
+        last = _last_readers(ops, chan, dim)
+    slot, free, size, plan = list(range(dim)) + [0] * len(ops), [], dim, []
     for p, (bias, srcs, weights, relu, reg, track) in enumerate(ops):
-        live.append(size - len(free))  # the slots in use
         free.extend({slot[r] for r in srcs if last[r] == p})
         if free:
             s = slot[reg] = free.pop()
@@ -262,15 +284,13 @@ def _slots(ops: list, chan: list, dim: int) -> tuple:
         if last[reg] < 0:  # never read: reuse at once
             free.append(s)
         plan.append((bias, tuple([slot[r] for r in srcs]), weights, relu, s, track))
-    live.append(size - len(free))
-    if unread := last[:dim].count(-1):
-        live = [count - unread for count in live]
-    return (tuple(plan), size, tuple([slot[r] for r in chan])), last, live
+    return tuple(plan), size, tuple([slot[r] for r in chan])
 
 
 def _tracks(ops: list, last: list, live: list, dim: int) -> list | None:
     """The layer-walk ops of _plan in track order, each with its track set,
-    or None to keep layer order; last and live are _slots' for layer order.
+    or None to keep layer order; last and live are _last_readers' and
+    _live_counts' for layer order.
 
     A region is the op range between two narrow boundaries, those with at
     most _SEAM_WIDTH live registers (the first and the last boundary count
@@ -492,6 +512,14 @@ _SEAM_WIDTH = 4
 # build at N = 256 took 0.86-0.89 of the memo-free time instead of 0.46-0.50
 # (2-core Xeon, Python 3.11).
 _MIN_STATIC = 8
+# A plain run whose ops read one register that depends on an input becomes a
+# region segment only when it has at least this many ops.  A hit (a bisect
+# over the run's pieces and one form per export) costs about as much as 5
+# plain ops, and a miss about twice the run: on a chain of one-term ReLU ops
+# read from x, 200 points in one piece took 6.1 us per point plain against
+# 6.7 as a region at 4 ops, and 7.3 against 5.9 at 10 (2-core Xeon, Python
+# 3.11).
+_MIN_REGION = 8
 # The memos of one runner stop inserting once they would hold more than this
 # many bits, each stored integer counted as its bit length plus 64 and each
 # stored float as 128.  The exact and the float64 runner count their own.
@@ -582,11 +610,23 @@ def _seams(plan: tuple) -> tuple:
     slots and do not count.  The first op starts a segment and the last
     ends one, and so does each track, seams or not.  Each segment is
     analysed by _segment, from the registers live at its start (inside a
-    track, the active ones) to those live at its end, and adjacent plain
-    runs merge into one.  Returns the segments in program order as (lo, hi,
-    keys, flags, exports): ops lo..hi-1 of the plan, with keys, flags and
-    exports None for a plain run.  The analysis reads only the plan's
-    structure (slots, tracks, liveness and supports), never a weight.
+    track, the active ones) to those live at its end.
+
+    A segment that _segment leaves plain may start or extend a region run:
+    a run of such segments whose ops read, before writing it, exactly one
+    slot that depends on an input (v's), and otherwise constants or slots
+    the run wrote.  A region run does not cross a track's start or end.
+    With _MIN_REGION ops or more it is a region segment, which the exact
+    runner replaces by a lookup of its affine piece (_Pieces): the bucket
+    selector from the projection z to the (x, w, u) seam, in a sqrt,
+    regression or bits net and in each track of a depth net.  Plain runs
+    that remain adjacent merge into one.
+
+    Returns the segments in program order as (lo, hi, keys, flags,
+    exports): ops lo..hi-1 of the plan, with keys, flags and exports None
+    for a plain run; a region segment has keys (v's slot,), flags None and
+    exports the end slots the run wrote.  The analysis reads only the
+    plan's structure (slots, tracks, liveness and supports), never a weight.
     """
     ops, size, outputs = plan
     live = set(outputs)
@@ -613,14 +653,45 @@ def _seams(plan: tuple) -> tuple:
         inside.update(found)
         outside.update(found)
     bounds = sorted({*seams, *inside})
-    const, cuts = [False] * size, []
+    edges = {bound for span in spans for bound in span}
+    const, runs = [False] * size, []
     for a, b in zip(bounds, bounds[1:]):
+        before = const[:]  # _segment brings const up to b
         cut = _segment(ops[a:b], inside.get(a, seams.get(a)), outside[b], const)
-        if cut is None and cuts and cuts[-1][2] is None:
-            cuts[-1] = (cuts[-1][0], b, None, None, None)
+        if cut is not None:
+            runs.append((a, b, *cut))
+            continue
+        reads, wrote = _dynamic_reads(ops[a:b], before), {op[4] for op in ops[a:b]}
+        last = runs[-1] if runs else None  # a region run carries the slots it wrote
+        if (last and last[2] is not None and last[3] is None and a not in edges
+                and reads <= last[4] | set(last[2])):  # the region run goes on
+            runs[-1] = (last[0], b, last[2], None, last[4] | wrote)
+        elif len(reads) == 1:  # a region run starts
+            runs.append((a, b, tuple(reads), None, wrote))
         else:
-            cuts.append((a, b, *(cut or (None, None, None))))
+            runs.append((a, b, None, None, None))
+    cuts = []
+    for lo, hi, keys, flags, exports in runs:
+        if flags is None and keys is not None:
+            if hi - lo < _MIN_REGION:
+                keys = exports = None
+            else:  # the end slots the run wrote
+                exports = tuple([s for s in outside[hi] if s in exports])
+        if keys is None and cuts and cuts[-1][2] is None:  # adjacent plain runs merge
+            cuts[-1] = (cuts[-1][0], hi, None, None, None)
+        else:
+            cuts.append((lo, hi, keys, flags, exports))
     return tuple(cuts)
+
+
+def _dynamic_reads(ops, const: list) -> set:
+    """The slots that the plan ops read before they write them and that hold
+    a value depending on an input (const[slot] false)."""
+    written, reads = set(), set()
+    for _, srcs, _, _, dest, _ in ops:
+        reads.update([r for r in srcs if r not in written and not const[r]])
+        written.add(dest)
+    return reads
 
 
 def _track_seams(ops, lo: int, hi: int, after: tuple) -> dict:
@@ -654,6 +725,111 @@ def _cuts(net: LayeredNet) -> tuple:
     return net._cuts
 
 
+def _affine_piece(ops, coef: list, const: list, v: int, den: int) -> tuple:
+    """Run program ops on affine forms of one variable, on the linear piece
+    of the point whose dynamic register holds v.
+
+    Slot s holds the form coef[s]*v + const[s]*den: on entry the slots the
+    ops read before writing them, and the ops write the forms of the slots
+    they write.  A ReLU whose form has coef a != 0 clips on one side of its
+    threshold -b/a for t = v/den; the point's own value a*v + b*den picks
+    the side, and the piece shrinks to the closed half-line on it.
+    A ReLU with a == 0 keeps b*den or clips it for every den > 0.  Returns
+    the piece's ends as pairs (n, d) with d >= 0 standing for n/d, where
+    (-1, 0) and (1, 0) are -inf and +inf: so n*den <= v*d says the end is
+    at most t, for finite and infinite ends alike, with integers only.
+    """
+    ln, ld, hn, hd = -1, 0, 1, 0
+    for bias, terms, relu, dest in ops:
+        a, b = 0, bias
+        for r, c in terms:
+            a += c * coef[r]
+            b += c * const[r]
+        if relu:
+            if a:
+                kept = a * v + b * den >= 0
+                n, d = (-b, a) if a > 0 else (b, -a)  # the threshold n/d
+                if kept == (a > 0):  # the piece lies at or above it
+                    if n * ld > ln * d:
+                        ln, ld = n, d
+                elif n * hd < hn * d:
+                    hn, hd = n, d
+                if not kept:
+                    a = b = 0
+            elif b < 0:
+                b = 0
+        coef[dest], const[dest] = a, b
+    return (ln, ld), (hn, hd)
+
+
+class _Pieces:
+    """The linear pieces of one region segment met so far: closed intervals
+    of t = v/den, sorted by lower end and then upper end, each with the
+    forms (a, b) of the export slots, which hold a*v + b*den there.
+
+    The segment's ops read one slot that depends on an input, v's, and
+    slots that hold constants, integer multiples of den.  On each piece
+    every register is one affine form in v and den (_affine_piece), so a
+    point in a piece gets that piece's exact values, at its ends too: the
+    net is continuous, and a form holds on the closed side of each of its
+    thresholds.  Two pieces meet at most in an end: at the first ReLU where
+    their sides differ, their forms are equal and they lie on opposite
+    sides of one threshold.  So the last piece whose lower end is at most t
+    is the one that holds t, if any does.  Forms do not depend on den, so
+    points at every scale and odd D share pieces.
+    """
+
+    __slots__ = ("ops", "v", "consts", "exports", "lows", "highs", "forms")
+
+    def __init__(self, ops, v: int, exports: tuple):
+        consts, written = {}, set()  # the constant slots read before written
+        for _, terms, _, dest in ops:
+            for r, _ in terms:
+                if r != v and r not in written:
+                    consts[r] = None
+            written.add(dest)
+        self.ops, self.v, self.consts, self.exports = ops, v, tuple(consts), exports
+        self.lows, self.highs, self.forms = [], [], []
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    def find(self, v: int, den: int) -> int:
+        """The index of the piece holding v/den, or ~i when none does and a
+        piece holding it belongs at index i."""
+        lows = self.lows
+        lo, hi = 0, len(lows)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            n, d = lows[mid]
+            if n * den <= v * d:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo:
+            n, d = self.highs[lo - 1]
+            if v * d <= n * den:
+                return lo - 1
+        return ~lo
+
+    def add(self, k: int, v: int, regs: list, den: int, room: int) -> tuple:
+        """(forms of the exports, bits stored): the piece holding v/den, from
+        one run on forms, inserted at index k if its bits fit in room."""
+        coef, const = [0] * len(regs), [0] * len(regs)
+        coef[self.v] = 1
+        for s in self.consts:
+            const[s] = regs[s] // den
+        low, high = _affine_piece(self.ops, coef, const, v, den)
+        forms = [(coef[s], const[s]) for s in self.exports]
+        cost = sum([x.bit_length() + 64 for x in (*low, *high, *[y for f in forms for y in f])])
+        if cost > room:
+            return forms, 0
+        self.lows.insert(k, low)
+        self.highs.insert(k, high)
+        self.forms.insert(k, forms)
+        return forms, cost
+
+
 class _Seams:
     """The integer program cut at its seams, each segment with its memo.
 
@@ -668,8 +844,13 @@ class _Seams:
     too: a static op adds integer multiples of den, key slots and constant
     slots (multiples of den), so the division is exact, and points at any
     input scale share entries.  dyn lists the dynamic ops as (dynamic
-    terms, relu, dest).  bits counts what the memos hold.  The program
-    never changes, so the memos live as long as the net.
+    terms, relu, dest).  A region segment has keys (v's slot,), the
+    program's own ops, dyn None and its _Pieces in place of the memo: a
+    point whose v/den lies in a stored piece writes each export slot as
+    a*v + b*den from the piece's forms and skips the segment's ops; any
+    other point runs the ops once on forms, which stores its piece.  bits
+    counts what the memos and the pieces hold.  The program never changes,
+    so the memos live as long as the net.
     """
 
     __slots__ = ("segments", "bits")
@@ -679,6 +860,10 @@ class _Seams:
         for lo, hi, keys, flags, exports in cuts:
             if keys is None:
                 segments.append((None, ops[lo:hi], (), (), None))
+                continue
+            if flags is None:
+                run = ops[lo:hi]
+                segments.append((keys, run, None, exports, _Pieces(run, keys[0], exports)))
                 continue
             split, dyn = [], []
             for (bias, terms, relu, dest), flag in zip(ops[lo:hi], flags):
@@ -702,6 +887,17 @@ class _Seams:
                     if relu and acc < 0:
                         acc = 0
                     regs[dest] = acc
+                continue
+            if dyn is None:  # a region segment: memo is its _Pieces
+                v = regs[keys[0]]
+                k = memo.find(v, den)
+                if k >= 0:
+                    forms = memo.forms[k]
+                else:
+                    forms, cost = memo.add(~k, v, regs, den, _MEMO_BITS - self.bits)
+                    self.bits += cost
+                for s, (a, b) in zip(exports, forms):
+                    regs[s] = a * v + b * den
                 continue
             key = (den, *[regs[s] for s in keys])
             low = 0
@@ -783,8 +979,11 @@ class _FloatSeams:
             ops.append((row[0], tuple(zip(slots, row[1:])), relu, dest))
         segments = []
         for lo, hi, keys, flags, exports in cuts:
-            if keys is None:
-                segments.append((None, ops[lo:hi], (), (), None, None))
+            if flags is None:  # a plain run, or a region segment, which runs plain
+                if segments and segments[-1][0] is None:  # since rounding is not affine
+                    segments[-1] = (None, segments[-1][1] + ops[lo:hi], (), (), None, None)
+                else:
+                    segments.append((None, ops[lo:hi], (), (), None, None))
                 continue
             split, dyn, written, stashed = [], [], set(), 0
             for (bias, terms, relu, dest), flag in zip(ops[lo:hi], flags):
@@ -874,9 +1073,13 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     their common power of two), and later points with that key run only
     the dynamic ops.  Every point of a bucket reaches the
     block matcher with the same payload registers, so the matcher's static
-    work runs once per bucket and odd D.  eval_exact is a batch of one;
-    check_outputs stays per point, which with the memo beats packed lanes
-    on a sqrt build at N = 1024 (README, "Exact evaluation").
+    work runs once per bucket and odd D.  The bucket selector reads only
+    the projection z and is affine in z on each bucket's plateau: it is a
+    region segment, whose exports a point on a piece met before computes
+    from that piece's forms (_Pieces), at any scale.  eval_exact is a
+    batch of one; check_outputs stays per point, which with the memos
+    beats packed lanes on a sqrt build at N = 1024 (README, "Exact
+    evaluation").
     """
     prog, groups = _lane_groups(net, points)
     ops, size, outputs = prog

@@ -470,8 +470,23 @@ def assert_memo_agrees(net: LayeredNet, points) -> None:
 
 
 def _memo_entries(net: LayeredNet) -> int:
-    """The entries of every memo of the net's per-point program."""
+    """The entries of every memo of the net's per-point program, the pieces
+    of its region segments included."""
     return sum(len(memo) for keys, _, _, _, memo in net._seams.segments if keys is not None)
+
+
+def _pieces(net: LayeredNet) -> list:
+    """The piece stores of the region segments of the net's per-point
+    program, each checked: sorted, every piece a nonempty interval, and two
+    neighbours meeting at most in an end, so no piece is stored twice."""
+    stores = [memo for keys, _, dyn, _, memo in net._seams.segments
+              if keys is not None and dyn is None]
+    for pieces in stores:
+        ends = [end for low, high in zip(pieces.lows, pieces.highs) for end in (low, high)]
+        for (n, d), (n2, d2) in zip(ends, ends[1:]):  # d == 0: n * infinity
+            assert n <= n2 if d == d2 == 0 else n * d2 <= n2 * d, (net.provenance, ends)
+        assert len(pieces.lows) == len(pieces.highs) == len(pieces.forms)
+    return stores
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -493,10 +508,13 @@ def test_seam_memo_matches_plain_loop(name):
 
 def test_seam_memo_shares_each_bucket():
     """One pass over the training points of a sqrt build keeps at most
-    bucket_count entries in each memo, all for D = 1.  Points shifted by
+    bucket_count entries in each memo, all for D = 1, and its bucket
+    selector, a region segment, holds one piece per bucket met: the
+    bucket's plateau.  Points shifted by
     2^-40 run over den = 2^40 and hit the entries stored for the integer
-    points: the memo divides each key's common power of two out, so the
-    program, the memo objects and their entries stay as they were.  On a
+    points: the memo divides each key's common power of two out, and a
+    piece holds for every den, so the program, the memo objects and their
+    entries stay as they were.  On a
     fresh net, a plain eval_exact loop over the points shifted by 2^-(k+8),
     each at a lower exponent than the points before it, stores just what
     the unshifted pass stores.  (A shift of 2^-5 or more moves a few of
@@ -505,7 +523,8 @@ def test_seam_memo_shares_each_bucket():
     built, report = assemble_sqrt(ds, seed=5)
 
     def memos(net):
-        return [memo for keys, _, _, _, memo in net._seams.segments if keys is not None]
+        return [memo for keys, _, dyn, _, memo in net._seams.segments
+                if keys is not None and dyn is not None]
 
     net = _fresh(built)
     assert_memo_agrees(net, ds.points)
@@ -513,13 +532,17 @@ def test_seam_memo_shares_each_bucket():
     for memo in memos(net):
         assert {key[0] for key in memo} == {1}
         assert len(memo) <= report.info.bucket_count < ds.n
+    (pieces,) = _pieces(net)
+    assert len(pieces) == len(memos(net)[0])
     prog, seams, bits = net._prog, net._seams, net._seams.bits
     before = [dict(memo) for memo in memos(net)]
+    forms = list(pieces.forms)
     assert_memo_agrees(net, [[c + Fraction(1, 1 << 40) for c in p] for p in ds.points[:6]])
     assert net._prog is prog and net._seams is seams and seams.bits == bits
     for old, memo in zip(before, memos(net)):
         assert len(memo) == len(old) and {key[0] for key in memo} == {1}
         assert all(memo[key] is entry for key, entry in old.items())
+    assert all(new is old for new, old in zip(pieces.forms, forms)) and len(pieces) == len(forms)
     falling = _fresh(built)
     assert_memo_agrees(falling, [[c + Fraction(1, 2 ** (k + 8)) for c in p]
                                  for k, p in enumerate(ds.points)])
@@ -530,7 +553,8 @@ def test_seam_memo_shares_each_bucket():
 def _memoized(net: LayeredNet) -> list:
     """The op counts of the memoized segments of the net's per-point program."""
     eval_exact(net, [0] * net.input_dim)
-    return [len(ops) for keys, ops, _, _, _ in net._seams.segments if keys is not None]
+    return [len(ops) for keys, ops, dyn, _, _ in net._seams.segments
+            if keys is not None and dyn is not None]
 
 
 def test_only_input_dependent_static_ops_earn_a_memo():
@@ -545,7 +569,7 @@ def test_only_input_dependent_static_ops_earn_a_memo():
     ops = netir._plan(depth)[0]
     tracks = {op[5] for op in ops} - {None}
     memo_tracks = [{ops[t][5] for t in range(lo, hi)}
-                   for lo, hi, keys, _, _ in depth._cuts if keys is not None]
+                   for lo, hi, _, flags, _ in depth._cuts if flags is not None]
     assert len(tracks) == 4 and sorted(memo_tracks) == [{t} for t in sorted(tracks)]
     assert len(_memoized(nets["bits"])) == 4
     for name in ("sqrt-100", "sqrt-112", "regression"):
@@ -564,9 +588,23 @@ def _key_per_point_net() -> LayeredNet:
     return LayeredNet(2, [first, pairs, last], "key-per-point")
 
 
+def _piece_per_point_net() -> LayeredNet:
+    """x -> the sum of ReLU(x - k), k = 0..39: without memos, one region
+    segment, whose pieces are the unit intervals between the thresholds.
+    (With them, the rows past the fourth are a memoized segment keyed on
+    x, cut at the seam after the first three.)"""
+    first = AffineLayer(1, 40, [((0, 1),)] * 40, [-k for k in range(40)], relu=True)
+    last = AffineLayer(40, 1, [tuple((k, 1) for k in range(40))], [0], relu=False)
+    return LayeredNet(1, [first, last], "piece-per-point")
+
+
 def test_seam_memo_stops_at_its_cap(monkeypatch):
     """Points with distinct keys fill the memo up to its cap and no further,
-    and every result stays exact."""
+    and every result stays exact.  The pieces of a region segment count
+    against the same cap: points on distinct pieces fill it, and once it is
+    full, points on pieces not stored still run the segment on forms and
+    stay exact, at any scale and odd D.  On a net with both kinds, the
+    memo entries and the pieces share the one count."""
     monkeypatch.setattr(netir, "_MEMO_BITS", 4000)
     net = _key_per_point_net()
     points = [[x, y] for x in range(40) for y in (1, 2)]
@@ -576,6 +614,22 @@ def test_seam_memo_stops_at_its_cap(monkeypatch):
     assert 0 < entries < 40 and 0 < seams.bits <= 4000
     assert_memo_agrees(net, [[x + 100, 1] for x in range(40)])
     assert _memo_entries(net) == entries and seams.bits <= 4000
+    net, ds = corpus("sqrt-102")
+    net = _fresh(net)
+    assert_memo_agrees(net, [list(p) for p in ds.points])
+    (pieces,) = _pieces(net)
+    assert 0 < len(pieces) and 0 < _memo_entries(net) - len(pieces)
+    assert 3000 < net._seams.bits <= 4000
+    monkeypatch.setattr(netir, "_MIN_STATIC", 1 << 30)
+    net = _piece_per_point_net()
+    assert_memo_agrees(net, [[Fraction(2 * k + 1, 2)] for k in range(40)])
+    (pieces,) = _pieces(net)
+    stored, bits = len(pieces), net._seams.bits
+    assert 0 < stored < 40 and 0 < bits <= 4000
+    assert_memo_agrees(net, [[Fraction(6 * k + 1, 6)] for k in range(40, -3, -1)])
+    assert len(pieces) == stored and net._seams.bits == bits
+    assert_memo_agrees(net, [[Fraction(2 * k + 1, 2)] for k in range(stored)])  # all hits
+    assert len(pieces) == stored and net._seams.bits == bits
 
 
 def _read(supports) -> int:
@@ -610,6 +664,128 @@ def test_seam_memo_under_forced_cuts(monkeypatch, seam_width, split):
         assert_memo_agrees(net, [low] + points)
     net = _key_per_point_net()
     assert_memo_agrees(net, [[x, y] for x in range(-3, 4) for y in (-1, 1, 2)] * 2)
+
+
+def _regions(net: LayeredNet) -> list:
+    """(lo, hi) of each region segment of the net's seam analysis."""
+    return [(lo, hi) for lo, hi, keys, flags, _ in netir._cuts(net)
+            if keys is not None and flags is None]
+
+
+def test_region_segments_are_the_bucket_selectors():
+    """The bucket selector, which reads only z, is one region segment, from
+    the boundary after the projection to the (x, w, u) seam, where the
+    memoized matcher starts: once in a sqrt or regression net, once in
+    each track of a depth net, and once per block of a bits chain, whose
+    later selectors start past the (x, y) seam between blocks and the two
+    constant rows that open them, and read only x.  The matcher reads x, w
+    and u, three registers that depend on the input, so no region starts
+    at its seam."""
+    for name in ("sqrt-102", "sqrt-107", "regression", "depth", "bits"):
+        net = _fresh(corpus(name)[0])
+        ops = netir._plan(net)[0]
+        cuts = netir._cuts(net)
+        regions = [cut for cut in cuts if cut[2] is not None and cut[3] is None]
+        matchers = [cut for cut in cuts if cut[3] is not None]
+        assert len(regions) == {"depth": 4, "bits": 4}.get(name, 1), name
+        assert [cut[1] for cut in regions] == [cut[0] for cut in matchers], name
+        for (lo, _, (v,), _, exports), (mlo, mhi, keys, _, _) in zip(regions, matchers):
+            assert len({ops[t][5] for t in range(lo, mhi)}) == 1  # one track, or none
+            reads = netir._dynamic_reads(ops[mlo:mhi], [False] * netir._plan(net)[1])
+            assert len(reads & {v, *exports}) >= 3 and set(keys) < reads, name
+        if name == "depth":
+            assert len({ops[cut[0]][5] for cut in regions}) == 4
+        assert_memo_agrees(net, [list(p) for p in corpus(name)[1].points])
+
+
+@pytest.mark.parametrize("split", [None, *WRONG_SPLITS], ids=["natural", *WRONG_SPLITS])
+@pytest.mark.parametrize("seam_width", [1, 2, 4, 1 << 30])
+def test_region_memo_under_forced_cuts(monkeypatch, seam_width, split):
+    """Every run that qualifies a region segment, whatever its length, with
+    a cut at the seams of every width up to every boundary and the memo's
+    dynamic register chosen well or wrongly: results stay exact, points
+    in both orders and at several scales and odd D share the pieces, and a
+    repeat pass stores nothing."""
+    monkeypatch.setattr(netir, "_SEAM_WIDTH", seam_width)
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    if split:
+        monkeypatch.setattr(netir, "_dynamic_bit", WRONG_SPLITS[split])
+    for name in ("sqrt-102", "sqrt-112", "depth", "bits", "regression"):
+        rng = random.Random(name)
+        net, ds = corpus(name)
+        net = _fresh(net)
+        points = [_input_variants(p, rng)[k % 5] for k, p in enumerate(ds.points[:10])]
+        assert_memo_agrees(net, points + points[::-1])
+        assert _regions(net), name
+        stored = (_memo_entries(net), net._seams.bits)
+        assert_memo_agrees(net, points[::-1])
+        assert (_memo_entries(net), net._seams.bits) == stored
+        _pieces(net)
+
+
+_thresholds = st.sampled_from([-2, -1, Fraction(-1, 2), 0, Fraction(1, 4), 1, 3])
+_chain_weights = st.sampled_from([-2, -1, DyadicRational(1, -1), 1, 2, 3])
+
+
+@st.composite
+def _relu_chains(draw):
+    """1-D nets: 1-5 ReLU layers of 1-3 rows, each row reading 1-2 channels
+    of the layer before with weights in {-2, -1, 1/2, 1, 2, 3}, and a bias
+    that puts the row's threshold, on its first channel, at one of seven
+    dyadic values, so thresholds repeat and coincide; then one affine
+    output row.  Some chains read z = x + y of two inputs and a constant
+    channel beside it, both made by a first layer: then the chain reads z
+    and a constant written before it starts."""
+    width, layers = 1, []
+    if draw(st.booleans()):
+        lead = [((0, 1), (1, 1)), ()]
+        layers.append(AffineLayer(2, 2, lead, [0, draw(_dyadics.filter(lambda d: d.sign > 0))],
+                                  relu=True))
+        width = 2
+    for _ in range(draw(st.integers(1, 5))):
+        rows, biases = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            cols = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2, unique=True))
+            weights = [draw(_chain_weights) for _ in cols]
+            first = weights[0] if isinstance(weights[0], int) else weights[0].as_fraction()
+            rows.append(tuple(zip(cols, weights)))
+            biases.append(DyadicRational.from_fraction(-first * Fraction(draw(_thresholds))))
+        layers.append(AffineLayer(width, len(rows), rows, biases, relu=True))
+        width = len(rows)
+    out = tuple((i, draw(_chain_weights)) for i in range(width))
+    layers.append(AffineLayer(width, 1, [out], [draw(_dyadics)], relu=False))
+    return LayeredNet(layers[0].in_dim, layers, "relu-chain")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_relu_chains_region_memo(data):
+    """1-D ReLU chains, whose program past the first layer reads one
+    register: points on the thresholds themselves and near them, dyadic
+    and with odd D, each list in both orders on one net object, as a region
+    segment of any length at any seam width.  Results equal the loop
+    without memos and the layer walk; pieces are stored once and meet at
+    most in an end."""
+    net = data.draw(_relu_chains())
+    near = st.builds(lambda c, k, e: Fraction(c) + Fraction(k, e), _thresholds,
+                     st.integers(-3, 3), st.sampled_from([1, 3, 4, 7, 64, 1 << 40]))
+    points = [[x] for x in data.draw(st.lists(st.one_of(_thresholds.map(Fraction), near, _inputs),
+                                              min_size=1, max_size=12))]
+    if net.input_dim == 2:  # z = x + y
+        points = [[x - y, y] for (x,), y in zip(points, data.draw(st.lists(
+            st.sampled_from([0, 1, Fraction(1, 3), Fraction(-5, 8)]),
+            min_size=len(points), max_size=len(points))))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netir, "_MIN_REGION", data.draw(st.sampled_from([0, 8])))
+        mp.setattr(netir, "_SEAM_WIDTH", data.draw(st.sampled_from([1, 2, 4, 1 << 30])))
+        fresh = _fresh(net)
+        assert_memo_agrees(fresh, points + points[::-1])
+        for xs in points[:3]:
+            assert_agrees(fresh, xs)
+        stored = (_memo_entries(fresh), fresh._seams.bits)
+        assert_memo_agrees(fresh, points)
+        assert (_memo_entries(fresh), fresh._seams.bits) == stored
+        _pieces(fresh)
 
 
 def _alias_free_rows(net: LayeredNet) -> list:

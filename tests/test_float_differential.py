@@ -188,7 +188,9 @@ def test_float_memo_matches_plain_loop(name):
 
 def test_one_seam_analysis_serves_both_arithmetics(monkeypatch):
     """Exact and float64 evaluation of one net run the seam analysis once
-    and memoize the same segments with the same key slots."""
+    and memoize the same segments with the same key slots; the float64
+    runner runs each region segment of the exact one as part of a plain
+    run."""
     built, ds = corpus(CORPUS_NAMES[0])
     net = _fresh(built)
     calls = []
@@ -199,10 +201,18 @@ def test_one_seam_analysis_serves_both_arithmetics(monkeypatch):
         eval_exact(net, list(p))
     assert len(calls) == 1 and calls[0] is netir._plan(net)
     exact, floats = net._seams.segments, net._flt.segments
-    assert [seg[0] for seg in exact] == [seg[0] for seg in floats]
+    assert any(seg[2] is None for seg in exact)  # a region segment
+    kinds = []  # each exact segment's keys, None for a plain run or a region segment
+    for keys, _, dyn, _, _ in exact:
+        keys = None if dyn is None else keys
+        if keys is not None or not kinds or kinds[-1] is not None:
+            kinds.append(keys)
+    assert kinds == [seg[0] for seg in floats]
     assert any(seg[0] for seg in floats)
-    for seg, fseg in zip(exact, floats):
+    memos = [seg for seg in exact if seg[0] is not None and seg[2] is not None]
+    for seg, fseg in zip(memos, [fseg for fseg in floats if fseg[0] is not None]):
         assert len(seg[1]) == len(fseg[1]) and seg[3] == fseg[3]
+    assert sum(len(seg[1]) for seg in exact) == sum(len(seg[1]) for seg in floats)
 
 
 def _nan(payload: int) -> float:
