@@ -15,7 +15,7 @@ import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exactnum import DyadicRational
@@ -836,15 +836,15 @@ class _Seams:
     segments are (keys, ops, dyn, exports, memo) in program order, built
     from the shared analysis (_seams).  A plain run has keys None and the
     program's own ops.  A memoized segment keys its memo on (den, the values
-    of its key slots) over 2**t, their largest common power of two; its ops
+    of its key slots) over g, their greatest common divisor; its ops
     are (bias, terms, rest, relu, dest), where a static op has rest None
     and a dynamic op's terms are its static terms and rest its dynamic
     ones.  An entry holds each dynamic op's static partial sum (bias*den
-    plus its static terms) and the values of the export slots, over 2**t
+    plus its static terms) and the values of the export slots, over g
     too: a static op adds integer multiples of den, key slots and constant
     slots (multiples of den), so the division is exact, and points at any
-    input scale share entries.  dyn lists the dynamic ops as (dynamic
-    terms, relu, dest).  A region segment has keys (v's slot,), the
+    input scale and odd D share entries.  dyn lists the dynamic ops as
+    (dynamic terms, relu, dest).  A region segment has keys (v's slot,), the
     program's own ops, dyn None and its _Pieces in place of the memo: a
     point whose v/den lies in a stored piece writes each export slot as
     a*v + b*den from the piece's forms and skips the segment's ops; any
@@ -900,17 +900,18 @@ class _Seams:
                     regs[s] = a * v + b * den
                 continue
             key = (den, *[regs[s] for s in keys])
-            low = 0
+            g = 0
             for v in key:
-                low |= v
-            t = (low & -low).bit_length() - 1  # key's common power of two
-            if t:
-                key = tuple([v >> t for v in key])
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g != 1:  # the key over its gcd
+                key = tuple([v // g for v in key])
             hit = memo.get(key)
             if hit is not None:  # only the dynamic ops run
                 partials, saved = hit
-                if t:
-                    partials, saved = [v << t for v in partials], [v << t for v in saved]
+                if g != 1:
+                    partials, saved = [v * g for v in partials], [v * g for v in saved]
                 for acc, (terms, relu, dest) in zip(partials, dyn):
                     for r, c in terms:
                         acc += c * regs[r]
@@ -933,8 +934,8 @@ class _Seams:
                     acc = 0
                 regs[dest] = acc
             saved = [regs[s] for s in exports]
-            if t:
-                partials, saved = [v >> t for v in partials], [v >> t for v in saved]
+            if g != 1:
+                partials, saved = [v // g for v in partials], [v // g for v in saved]
             cost = sum([v.bit_length() + 64 for v in (*key, *partials, *saved)])
             if self.bits + cost <= _MEMO_BITS:
                 memo[key] = (partials, saved)
@@ -1070,10 +1071,10 @@ def eval_exact_batch(net: LayeredNet, points) -> list:
     net from the _seams analysis that eval_float shares): a segment's
     static ops, those that do not depend on its dynamic register, run once
     per key (den and the values of the seam registers they read, over
-    their common power of two), and later points with that key run only
-    the dynamic ops.  Every point of a bucket reaches the
-    block matcher with the same payload registers, so the matcher's static
-    work runs once per bucket and odd D.  The bucket selector reads only
+    their greatest common divisor), and later points with that key run
+    only the dynamic ops.  Every point of a bucket reaches the block
+    matcher with the same payload registers, so the matcher's static work
+    runs once per bucket.  The bucket selector reads only
     the projection z and is affine in z on each bucket's plateau: it is a
     region segment, whose exports a point on a piece met before computes
     from that piece's forms (_Pieces), at any scale.  eval_exact is a

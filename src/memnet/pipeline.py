@@ -69,7 +69,8 @@ class ProjectionSearchExhausted(RuntimeError):
 
 
 class MemorizationError(AssertionError):
-    """Internal check failed: a constructed network missed a training point."""
+    """Internal check failed: a constructed network missed a training point,
+    or a projection broke the gaps it was built for."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +133,18 @@ def _to_fraction(value) -> Fraction:
 def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) -> Dataset:
     """Parse, reject duplicate points, and compute delta_sq and r_sq exactly.
 
-    Duplicates are found by hashing the exact coordinate tuples; the error
-    names the first coinciding pair (i, j) in row-major pair order.  The
-    minimum squared distance comes from a sort-and-sweep closest-pair
-    search (Shamos & Hoey): points are sorted along the coordinate with the
-    widest spread, and each point is compared with earlier ones only while
-    the gap along that coordinate could still beat the best distance.
+    The geometry runs on integers: each point is written once as integer
+    coordinates over its own denominator D (_over_denominator), and two
+    points with different D are compared by cross-multiplication.  There
+    is no dataset-wide denominator: its size grows with the number of
+    distinct D, to about 150,000 digits for 256 points in the plane whose
+    coordinates have pairwise distinct 300-digit denominators.  Duplicates
+    are found by hashing these integer forms; the error names the first
+    coinciding pair (i, j) in row-major pair order.  The minimum squared
+    distance comes from a sort-and-sweep closest-pair search (Shamos &
+    Hoey): points are sorted along the coordinate with the widest spread,
+    and each point is compared with earlier ones only while the gap along
+    that coordinate could still beat the best distance.
     """
     points = tuple(tuple(_to_fraction(c) for c in p) for p in raw_points)
     if not points:
@@ -158,15 +165,43 @@ def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) ->
     for y in labels:
         if not 1 <= y <= c:
             raise LabelRangeError(f"label {y} outside 1..{c}")
-    r_sq = max(sum(x * x for x in p) for p in points)
-    _reject_duplicates(points)
-    return Dataset(points, tuple(labels), c, _min_sq_distance(points), r_sq)
+    rows = [_over_denominator(p) for p in points]
+    r_sq = _max_sq_norm(rows)
+    _reject_duplicates(rows)
+    return Dataset(points, tuple(labels), c, _min_sq_distance(rows), r_sq)
 
 
-def _reject_duplicates(points) -> None:
+def _over_denominator(point) -> tuple:
+    """(D, X): the point is X[k] / D, with D the lcm of its coordinates'
+    denominators, so (D, X) is unique to the point."""
+    den = math.lcm(*[x.denominator for x in point])
+    return den, tuple([x.numerator * (den // x.denominator) for x in point])
+
+
+def _sort_keys(nums, dens) -> list[int]:
+    """Integers in the order of the values nums[i] / dens[i], equal exactly
+    for equal values.  Two distinct values differ by at least
+    1 / (dens[i] * dens[j]) > 2**-s, so their floors times 2**s differ."""
+    top = max(dens)
+    if top == min(dens):
+        return nums
+    s = 2 * top.bit_length()
+    return [(v << s) // den for v, den in zip(nums, dens)]
+
+
+def _max_sq_norm(rows) -> Fraction:
+    best, best_den = -1, 1
+    for den, x in rows:
+        norm = sum([v * v for v in x])
+        if norm * best_den > best * den * den:
+            best, best_den = norm, den * den
+    return Fraction(best, best_den)
+
+
+def _reject_duplicates(rows) -> None:
     first = {}
     dup = None
-    for j, p in enumerate(points):
+    for j, p in enumerate(rows):
         i = first.setdefault(p, j)
         # only a point's second occurrence can lower dup[0]
         if i != j and (dup is None or i < dup[0]):
@@ -175,23 +210,43 @@ def _reject_duplicates(points) -> None:
         raise DuplicatePointError(f"points {dup[0]} and {dup[1]} coincide")
 
 
-def _min_sq_distance(points) -> Fraction | None:
-    """Exact closest-pair squared distance of distinct points (None if N == 1)."""
-    d = len(points[0])
-    axis = max(range(d), key=lambda k: max(p[k] for p in points) - min(p[k] for p in points))
-    ordered = sorted(points, key=lambda p: p[axis])
-    best = None
-    for pos, p in enumerate(ordered):
-        x = p[axis]
+def _min_sq_distance(rows) -> Fraction | None:
+    """Exact closest-pair squared distance of distinct points (None if N == 1).
+
+    rows are the points' (D, X) forms.  A pair with equal D differs by
+    (X_p - X_q) / D; any other by (X_p * D_q - X_q * D_p) / (D_p * D_q).
+    The best squared distance so far is best / best_den, starting from the
+    first two points in sweep order.
+    """
+    if len(rows) == 1:
+        return None
+    d = len(rows[0][1])
+    dens = [den for den, _ in rows]
+    keys = [_sort_keys([x[k] for _, x in rows], dens) for k in range(d)]
+    axis = max(range(d), key=lambda k: max(keys[k]) - min(keys[k]))
+    ordered = [rows[i] for i in sorted(range(len(rows)), key=keys[axis].__getitem__)]
+    dp, p = ordered[0]
+    dq, q = ordered[1]
+    best = sum([(u * dq - v * dp) ** 2 for u, v in zip(p, q)])
+    best_den = (dp * dq) ** 2
+    for pos, (dp, p) in enumerate(ordered):
+        a = p[axis]
         for back in range(pos - 1, -1, -1):
-            q = ordered[back]
-            dx = x - q[axis]
-            if best is not None and dx * dx >= best:
+            dq, q = ordered[back]
+            if dp == dq:
+                dx, den = a - q[axis], dp * dp
+            else:
+                dx, den = a * dq - q[axis] * dp, (dp * dq) ** 2
+            bound = best * den  # the best distance over den
+            if dx * dx * best_den >= bound:
                 break
-            dist = sum((a - b) * (a - b) for a, b in zip(p, q))
-            if best is None or dist < best:
-                best = dist
-    return best
+            if dp == dq:
+                dist = sum([(u - v) * (u - v) for u, v in zip(p, q)])
+            else:
+                dist = sum([(u * dq - v * dp) ** 2 for u, v in zip(p, q)])
+            if dist * best_den < bound:
+                best, best_den = dist, den
+    return Fraction(best, best_den)
 
 
 def read_dataset(path):
@@ -283,15 +338,22 @@ class Projection1D:
     attempts: int = 1
 
 
-def _truncated_unit_vector(coords: list[int], frac_bits: int) -> list[DyadicRational]:
-    """coords/|coords| with each coordinate truncated toward zero to frac_bits."""
+def _truncated_unit_vector(coords: list[int], frac_bits: int) -> list[int]:
+    """coords/|coords| with each coordinate truncated toward zero to
+    frac_bits, as integers over 2**frac_bits."""
     norm_sq = sum(v * v for v in coords)
     out = []
     for v in coords:
         a = abs(v) << frac_bits
         q = math.isqrt((a * a) // norm_sq)
-        out.append(DyadicRational(q if v >= 0 else -q, -frac_bits))
+        out.append(q if v >= 0 else -q)
     return out
+
+
+def _doubling_exponent(num: int, den: int) -> int:
+    """The least k >= 0 with 2**k * num / den >= 2, for num, den > 0."""
+    k = max(0, (den << 1).bit_length() - num.bit_length())
+    return k if num << k >= den << 1 else k + 1
 
 
 def project_to_line(ds: Dataset, seed: int = 0) -> tuple[Projection1D, LayeredNet]:
@@ -302,6 +364,11 @@ def project_to_line(ds: Dataset, seed: int = 0) -> tuple[Projection1D, LayeredNe
     squares), which caps R_realized below the audit ceiling.  The scale is
     the smallest power of two making every gap at least 2.  The search
     tries MEMNET_RETRY_BUDGET directions (default 200).
+
+    Point p projects to dots[p] / (D_p * 2**frac_bits), with dots[p] the
+    integer dot product of the direction's numerators and p's integer
+    coordinates over D_p (_over_denominator); every comparison is on
+    integers.
     """
     retry_budget = int(os.environ.get("MEMNET_RETRY_BUDGET", DEFAULT_RETRY_BUDGET))
     n, d = ds.n, ds.dim
@@ -311,34 +378,37 @@ def project_to_line(ds: Dataset, seed: int = 0) -> tuple[Projection1D, LayeredNe
     if ds.delta_sq is not None:
         # gap^2 >= 4*delta^2 / (3*d*N^4), with 3 < pi as a rational guard
         gap_floor_sq = Fraction(4, 3 * d * n ** 4) * ds.delta_sq
+    rows = [_over_denominator(p) for p in ds.points]
+    dens = [den for den, _ in rows]
 
     for attempt in range(1, retry_budget + 1):
         coords = [rng.randint(-(1 << frac_bits), 1 << frac_bits) for _ in range(d)]
         if all(v == 0 for v in coords):
             continue
-        direction = _truncated_unit_vector(coords, frac_bits)
-        dir_fr = [u.as_fraction() for u in direction]
-        proj = [sum(u * x for u, x in zip(dir_fr, p)) for p in ds.points]
+        units = _truncated_unit_vector(coords, frac_bits)
+        dots = [sum([u * v for u, v in zip(units, x)]) for _, x in rows]
+        order = sorted(range(n), key=_sort_keys(dots, dens).__getitem__)
+        scale_exp = 0
         if n > 1:
-            ordered = sorted(proj)
-            gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-            min_gap = min(gaps)
-            if min_gap == 0 or (gap_floor_sq is not None
-                                and min_gap * min_gap < gap_floor_sq):
+            gap, gap_den = _min_gap(dots, dens, order)
+            gap_den <<= frac_bits  # dots are over 2**frac_bits too
+            if gap == 0 or (gap_floor_sq is not None and gap * gap * gap_floor_sq.denominator
+                            < gap_floor_sq.numerator * gap_den * gap_den):
                 continue
-            scale_exp = max(0, ceil_log2(Fraction(2) / min_gap))
-        else:
-            scale_exp = 0
-        scale = DyadicRational.pow2(scale_exp)
-        low = min(proj)
-        bias_int = 1 - min(0, low.numerator // low.denominator)
-        bias = DyadicRational(bias_int)
-        zs = [scale.as_fraction() * (p + bias_int) for p in proj]
-        assert all(z > 0 for z in zs)
-        if n > 1:
-            zs_sorted = sorted(zs)
-            assert all(b - a >= 2 for a, b in zip(zs_sorted, zs_sorted[1:]))
-        proj1d = Projection1D(tuple(direction), bias, scale, max(zs), attempt)
+            scale_exp = _doubling_exponent(gap, gap_den)
+            # what craft_codes relies on, checked by raises that -O keeps:
+            # gaps of at least 2 and (below) a positive lowest value
+            if gap << scale_exp < gap_den << 1:
+                raise MemorizationError("projected training values are less than 2 apart")
+        low, high = order[0], order[-1]
+        bias_int = 1 - min(0, dots[low] // (dens[low] << frac_bits))
+        if dots[low] + (bias_int * dens[low] << frac_bits) <= 0:
+            raise MemorizationError("a projected training value is not positive")
+        r_realized = Fraction((dots[high] + (bias_int * dens[high] << frac_bits)) << scale_exp,
+                              dens[high] << frac_bits)
+        direction = tuple(DyadicRational(u, -frac_bits) for u in units)
+        bias, scale = DyadicRational(bias_int), DyadicRational.pow2(scale_exp)
+        proj1d = Projection1D(direction, bias, scale, r_realized, attempt)
         t = TapeBuilder([f"x{k}" for k in range(d)])
         t.layer([("h", bias, {f"x{k}": direction[k] for k in range(d)})])
         t.layer([("z", 0, {"h": scale})], relu=False)
@@ -348,11 +418,33 @@ def project_to_line(ds: Dataset, seed: int = 0) -> tuple[Projection1D, LayeredNe
         f"no separating direction found in {retry_budget} attempts")
 
 
+def _min_gap(nums, dens, order) -> tuple[int, int]:
+    """(g, g_den): the smallest gap g / g_den between the values
+    nums[i] / dens[i] that are neighbours in order, which sorts them."""
+    gap, gap_den = None, 1
+    for i, j in zip(order, order[1:]):
+        di, dj = dens[i], dens[j]
+        if di == dj:
+            g, g_den = nums[j] - nums[i], di
+        else:
+            g, g_den = nums[j] * di - nums[i] * dj, di * dj
+        if gap is None or g * gap_den < gap * g_den:
+            gap, gap_den = g, g_den
+    return gap, gap_den
+
+
 def projected_values(proj: Projection1D, ds: Dataset) -> list[Fraction]:
-    dir_fr = [u.as_fraction() for u in proj.direction]
-    s = proj.scale.as_fraction()
-    b = proj.bias.as_fraction()
-    return [s * (sum(u * x for u, x in zip(dir_fr, p)) + b) for p in ds.points]
+    """scale * (direction . p + bias) for every point p, exactly."""
+    frac_bits = max(0, *[-u.exponent for u in proj.direction])
+    units = [(u.sign * u.mantissa) << (u.exponent + frac_bits) for u in proj.direction]
+    b, s = proj.bias.as_fraction(), proj.scale.as_fraction()
+    out = []
+    for den, x in map(_over_denominator, ds.points):
+        den = den << frac_bits
+        dot = sum([u * v for u, v in zip(units, x)])
+        out.append(Fraction(s.numerator * (dot * b.denominator + b.numerator * den),
+                            s.denominator * b.denominator * den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +725,8 @@ def verify_exact(net: LayeredNet, points, labels):
 def _sorted_projection(ds: Dataset, seed: int):
     proj, net1 = project_to_line(ds, seed)
     zs = projected_values(proj, ds)
-    order = sorted(range(ds.n), key=lambda i: zs[i])
+    keys = _sort_keys([z.numerator for z in zs], [z.denominator for z in zs])
+    order = sorted(range(ds.n), key=keys.__getitem__)
     z_sorted = [zs[i] for i in order]
     labels_sorted = [ds.labels[i] for i in order]
     return proj, net1, z_sorted, labels_sorted

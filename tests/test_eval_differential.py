@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memnet import gadgets, netir
-from memnet.datagen import random_dataset
+from memnet.datagen import random_dataset, random_separated_points
 from memnet.exactnum import DyadicRational
 from memnet.netir import (AffineLayer, DimensionError, LayeredNet, check_outputs,
                           compose_serial, eval_exact, eval_exact_batch, stack_parallel)
-from memnet.pipeline import assemble_sqrt, regression_wrap
+from memnet.pipeline import assemble_sqrt, load_and_validate, regression_wrap
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 from test_acceptance import _corpus_specs
 
@@ -548,6 +548,27 @@ def test_seam_memo_shares_each_bucket():
                                  for k, p in enumerate(ds.points)])
     assert all(len(memo) <= report.info.bucket_count for memo in memos(falling))
     assert falling._seams.bits == bits
+
+
+def test_seam_memo_shares_each_bucket_across_odd_d():
+    """Decimal points of one bucket reach the block matcher at different
+    odd D (den 5 and 25 among them), with keys that are multiples of each
+    other.  The memo divides each key by its gcd, so one pass over the
+    sqrt-decimal benchmark's 64 points stores one matcher entry per bucket
+    (16; dividing out the common power of two alone stored 20).  Every
+    output equals the plain loop's, and a second pass stores nothing."""
+    points = random_separated_points(64, 2, 0, "decimal")
+    rng = random.Random(5)
+    rng.shuffle(points)
+    ds = load_and_validate(points, [rng.randint(1, 4) for _ in points], 4)
+    built, report = assemble_sqrt(ds, seed=0)
+    net = _fresh(built)
+    assert not check_outputs(net, ds.points, ds.labels)[0]
+    (memo,) = [memo for keys, _, dyn, _, memo in net._seams.segments
+               if keys is not None and dyn is not None]
+    assert len(memo) == report.info.bucket_count == 16
+    assert_memo_agrees(net, ds.points)
+    assert len(memo) == 16
 
 
 def _memoized(net: LayeredNet) -> list:

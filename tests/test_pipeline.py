@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import memnet
 from memnet import netir
 from memnet.datagen import random_dataset
 from memnet.exactnum import bin_range
@@ -90,6 +94,27 @@ class TestProjection:
         ds = load_and_validate([("0",), ("3",)], [1, 2])
         with pytest.raises(ProjectionSearchExhausted):
             project_to_line(ds, seed=0)
+
+    def test_gap_check_raises_under_optimize(self):
+        """The projected gaps are checked by a raise, not an assert, so the
+        check holds under python -O too: with the scale exponent forced to
+        0, points 1/8 apart project less than 2 apart."""
+        script = "\n".join([
+            "import sys",
+            "from memnet import pipeline",
+            "assert sys.flags.optimize and False",  # stripped under -O
+            "pipeline._doubling_exponent = lambda num, den: 0",
+            "ds = pipeline.load_and_validate([('0',), ('1/8',)], [1, 2])",
+            "try:",
+            "    pipeline.project_to_line(ds, seed=0)",
+            "except pipeline.MemorizationError as exc:",
+            "    print(exc)",
+        ])
+        src = os.path.dirname(os.path.dirname(memnet.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "projected training values are less than 2 apart\n"
 
 
 def _blocks(packed: int, size: int, width: int) -> tuple:
