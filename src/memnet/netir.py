@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .exactnum import DyadicRational
+from .exactnum import ZERO, DyadicRational
 
 __all__ = [
     "DimensionError",
@@ -1285,6 +1285,8 @@ MAX_MANTISSA_BITS = 1 << 16
 
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 _ZERO_CELL = '{"e":0,"m":"0","s":0}'
+_ZERO_LITERAL = _ZERO_CELL.encode()
+_LITERAL_SHRINK = len(_ZERO_LITERAL) - len(b"null")  # bytes saved per copy read as null
 # The dense-row skip takes a cell only when s and e are this object: the
 # parser's int 0 is the interpreter's one cached small int, never False or
 # 0.0.  Any other zero cell is read by `capped`, which checks its types.
@@ -1354,7 +1356,7 @@ def _bad_column(i, in_dim: int):
     raise ValueError(f"sparse column {i!r:.40} is not a JSON integer in [0, {in_dim})")
 
 
-def deserialize_net(obj: dict) -> LayeredNet:
+def deserialize_net(obj: dict, null_cells: int | None = None) -> LayeredNet:
     """The net of a parsed network file; ValueError on any malformed content.
 
     Each distinct cell (s, m, e) is decoded and checked against the caps
@@ -1364,8 +1366,17 @@ def deserialize_net(obj: dict) -> LayeredNet:
     the type docs/FORMATS.md gives it; a dense row has in_dim cells, and a
     sparse row names each column once.  Each row is checked as its cells are
     decoded, so the layers skip AffineLayer's checking constructor.
+
+    With null_cells set, None in a dense row or a bias list is read as the
+    zero cell, and the file must hold exactly null_cells such Nones
+    (ValueError otherwise); None anywhere else is refused as without it.
+    load_net passes the number of zero cells it turned into null.
     """
     memo = {}
+    # A dense or bias cell that is `null` is a zero cell: None when null
+    # cells are on, else a fresh object no parsed file can hold.
+    null = object() if null_cells is None else None
+    nulls = 0
 
     def capped(cell) -> DyadicRational:
         try:
@@ -1385,7 +1396,10 @@ def deserialize_net(obj: dict) -> LayeredNet:
         input_dim = _typed(obj["input_dim"], int, "input_dim")
         layers = []
         for spec in obj["layers"]:
-            biases = tuple([capped(b) for b in spec["b"]])
+            cells = spec["b"]
+            if null_cells is not None:
+                nulls += cells.count(None)
+            biases = tuple([ZERO if b is null else capped(b) for b in cells])
             w = spec["w"]
             rows = []
             if isinstance(w, dict):
@@ -1401,9 +1415,12 @@ def deserialize_net(obj: dict) -> LayeredNet:
                 for row in w:
                     if len(row) != in_dim:
                         raise ValueError(f"a dense row has {len(row)} cells, not {in_dim}")
-                    rows.append(tuple([(i, d) for i, wt in enumerate(row) if not (
-                        wt["m"] == "0" and wt["s"] is _INT_ZERO and wt["e"] is _INT_ZERO)
-                        and (d := capped(wt)).sign]))
+                    if null_cells is not None:
+                        nulls += row.count(None)
+                    rows.append(tuple([(i, d) for i, wt in enumerate(row) if wt is not null
+                                       and not (wt["m"] == "0" and wt["s"] is _INT_ZERO
+                                                and wt["e"] is _INT_ZERO)
+                                       and (d := capped(wt)).sign]))
             # older writers listed a layer's identity units: checked, then dropped
             marks = [_typed(u, int, "a passthrough unit") for u in spec.get("passthrough", ())]
             layers.append(AffineLayer.__new__(AffineLayer)._fill(
@@ -1412,10 +1429,13 @@ def deserialize_net(obj: dict) -> LayeredNet:
                 if not 0 <= u < len(biases):
                     raise DimensionError(
                         f"passthrough unit {u} out of range for out_dim {len(biases)}")
-        return LayeredNet(input_dim, layers, _typed(obj.get("provenance", ""), str, "provenance"),
-                          _typed(obj.get("output_nonneg", False), bool, "output_nonneg"))
+        net = LayeredNet(input_dim, layers, _typed(obj.get("provenance", ""), str, "provenance"),
+                         _typed(obj.get("output_nonneg", False), bool, "output_nonneg"))
     except (TypeError, AttributeError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed network file: {type(exc).__name__}: {exc}") from exc
+    if null_cells is not None and nulls != null_cells:
+        raise ValueError(f"{nulls} null zero cells, not {null_cells}")
+    return net
 
 
 def save_net(net: LayeredNet, path, builder: dict | None = None) -> None:
@@ -1426,6 +1446,34 @@ def save_net(net: LayeredNet, path, builder: dict | None = None) -> None:
 
 
 def load_net(path) -> tuple[LayeredNet, dict | None]:
+    """The net and builder record of a network file; ValueError if malformed.
+
+    Most cells of a saved net are the zero literal _ZERO_CELL, and parsing
+    one dict per copy dominated the load.  So a UTF-8 file that holds no
+    `null` is first parsed with every copy of the literal replaced by
+    `null`, and deserialize_net reads None as the zero cell in dense rows
+    and bias lists only, where it must find exactly one None per copy
+    replaced.  That load is the one the file itself gives:
+
+    - In valid JSON the literal cannot start inside a string: its second
+      byte is an unescaped `"` after `{`, which would end the string, and
+      the `e` after it is then illegal.  Outside strings a `{` opens an
+      object, so every copy is a whole zero-cell object at a value position.
+    - The literal is ASCII and the file UTF-8, so bytes and characters
+      agree.  The literal cannot overlap itself, and `null` next to other
+      text never forms a second `null`: with no `null` in the file, each
+      None of the parse comes from a distinct copy.
+    - A copy that landed in a string, a sparse row, the builder record or
+      anywhere else is no None of a dense row or bias list, so the count
+      comes out short, or deserialization fails.  If the count matches,
+      putting the literal back at each of those value positions gives the
+      file, which is then valid JSON, and the zero cell the strict read
+      takes from there is what None gave.
+
+    On a count mismatch or any ValueError of this first read the file is
+    read again as it is, the strict path, which gives the net or the
+    refusal of that file: it is parsed at most twice.
+    """
     with open(path, "rb") as fh:
         text = fh.read()
     # The parse tree holds no reference cycles, so a collection while it is
@@ -1433,15 +1481,23 @@ def load_net(path) -> tuple[LayeredNet, dict | None]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj = json.loads(text)
-        net, builder = deserialize_net(obj), obj.get("builder")
-        del obj
-        return net, builder
+        if b"null" not in text and json.detect_encoding(text) == "utf-8":
+            fast = text.replace(_ZERO_LITERAL, b"null")
+            try:
+                return _parse_net(fast, (len(text) - len(fast)) // _LITERAL_SHRINK)
+            except (ValueError, RecursionError):
+                pass
+        return _parse_net(text, None)
     except RecursionError:
         raise ValueError("network file nests too deeply to parse") from None
     finally:
         if enabled:
             gc.enable()
+
+
+def _parse_net(text: bytes, null_cells: int | None) -> tuple[LayeredNet, dict | None]:
+    obj = json.loads(text)
+    return deserialize_net(obj, null_cells), obj.get("builder")
 
 
 # ---------------------------------------------------------------------------

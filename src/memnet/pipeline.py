@@ -83,7 +83,9 @@ class Dataset:
 
     delta_sq is the exact minimum pairwise squared distance (None when
     N == 1), r_sq the exact maximum squared norm; both are recomputed
-    exactly at load time (see load_and_validate).
+    exactly at load time (see load_and_validate).  forms holds each point
+    as integer coordinates over its own denominator (_over_denominator),
+    the form the geometry and the projection run on.
     """
 
     points: tuple
@@ -91,6 +93,7 @@ class Dataset:
     num_classes: int
     delta_sq: Fraction | None
     r_sq: Fraction
+    forms: tuple = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -165,10 +168,10 @@ def load_and_validate(raw_points, raw_labels, num_classes: int | None = None) ->
     for y in labels:
         if not 1 <= y <= c:
             raise LabelRangeError(f"label {y} outside 1..{c}")
-    rows = [_over_denominator(p) for p in points]
-    r_sq = _max_sq_norm(rows)
-    _reject_duplicates(rows)
-    return Dataset(points, tuple(labels), c, _min_sq_distance(rows), r_sq)
+    forms = tuple([_over_denominator(p) for p in points])
+    r_sq = _max_sq_norm(forms)
+    _reject_duplicates(forms)
+    return Dataset(points, tuple(labels), c, _min_sq_distance(forms), r_sq, forms)
 
 
 def _over_denominator(point) -> tuple:
@@ -367,8 +370,7 @@ def project_to_line(ds: Dataset, seed: int = 0) -> tuple[Projection1D, LayeredNe
 
     Point p projects to dots[p] / (D_p * 2**frac_bits), with dots[p] the
     integer dot product of the direction's numerators and p's integer
-    coordinates over D_p (_over_denominator); every comparison is on
-    integers.
+    coordinates over D_p (ds.forms); every comparison is on integers.
     """
     retry_budget = int(os.environ.get("MEMNET_RETRY_BUDGET", DEFAULT_RETRY_BUDGET))
     n, d = ds.n, ds.dim
@@ -378,15 +380,14 @@ def project_to_line(ds: Dataset, seed: int = 0) -> tuple[Projection1D, LayeredNe
     if ds.delta_sq is not None:
         # gap^2 >= 4*delta^2 / (3*d*N^4), with 3 < pi as a rational guard
         gap_floor_sq = Fraction(4, 3 * d * n ** 4) * ds.delta_sq
-    rows = [_over_denominator(p) for p in ds.points]
-    dens = [den for den, _ in rows]
+    dens = [den for den, _ in ds.forms]
 
     for attempt in range(1, retry_budget + 1):
         coords = [rng.randint(-(1 << frac_bits), 1 << frac_bits) for _ in range(d)]
         if all(v == 0 for v in coords):
             continue
         units = _truncated_unit_vector(coords, frac_bits)
-        dots = [sum([u * v for u, v in zip(units, x)]) for _, x in rows]
+        dots = [sum([u * v for u, v in zip(units, x)]) for _, x in ds.forms]
         order = sorted(range(n), key=_sort_keys(dots, dens).__getitem__)
         scale_exp = 0
         if n > 1:
@@ -439,7 +440,7 @@ def projected_values(proj: Projection1D, ds: Dataset) -> list[Fraction]:
     units = [(u.sign * u.mantissa) << (u.exponent + frac_bits) for u in proj.direction]
     b, s = proj.bias.as_fraction(), proj.scale.as_fraction()
     out = []
-    for den, x in map(_over_denominator, ds.points):
+    for den, x in ds.forms:
         den = den << frac_bits
         dot = sum([u * v for u, v in zip(units, x)])
         out.append(Fraction(s.numerator * (dot * b.denominator + b.numerator * den),

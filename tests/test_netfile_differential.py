@@ -6,24 +6,31 @@ net, and the memoized reader the same net or the same ValueError on every
 file, including files where one copy of a value repeated across many cells
 is broken.  The intended differences are a loose cell (see `_loose`) and
 a malformed matrix shape (see `SHAPES`), which the reference reader may
-take and netir refuses.
+take and netir refuses.  `load_net`, which first parses a file with its
+zero cells replaced by null, must give on the file's bytes what
+`deserialize_net` gives on the parsed file.
 """
 
 import copy
 import functools
 import json
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
                           LayeredNet, deserialize_net, eval_exact, eval_float,
-                          net_to_json_bytes)
+                          load_net, net_to_json_bytes)
+from memnet.pipeline import assemble_sqrt
 from netfile_reference import reference_bytes, reference_deserialize
 from test_cli import _edit_dense_row, _split_sparse_term
 from test_eval_differential import CORPUS_NAMES, _nets, corpus
+from test_golden import BUILD_DIGESTS, _build
 
 
 def assert_same_bytes(net, builder=None):
@@ -115,6 +122,29 @@ def _read(reader, obj):
     return "net", net_to_json_bytes(net)
 
 
+def _compact(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _load_bytes(data: bytes):
+    """load_net's (net, builder) of a file holding data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return load_net(path)
+
+
+def _read_both(obj):
+    """deserialize_net's verdict on obj.  load_net must give, on the
+    sorted-key, compact JSON of obj, deserialize_net's verdict on that
+    JSON parsed (a message may show a cell's keys in the file's order)."""
+    data = _compact(obj)
+    assert (_read(lambda _: _load_bytes(data)[0], None)
+            == _read(deserialize_net, json.loads(data)))
+    return _read(deserialize_net, obj)
+
+
 def _cells(obj):
     """(container, key) of every dyadic cell of a parsed network file."""
     for spec in obj["layers"]:
@@ -152,7 +182,7 @@ def verdict_with(obj, place, cell):
     container, key = place
     kept, container[key] = container[key], cell
     try:
-        got = _read(deserialize_net, obj)
+        got = _read_both(obj)
         if _loose(cell):
             assert got[0] == "error", cell
         else:
@@ -330,7 +360,118 @@ def test_malformed_shapes_are_refused(shape):
     edit(obj)
     assert _read(reference_deserialize, obj)[0] == (
         "error" if shape == "sparse-column-twice" else "net")
-    assert _read(deserialize_net, obj)[0] == "error"
+    assert _read_both(obj)[0] == "error"
+
+
+_ZERO = b'{"e":0,"m":"0","s":0}'
+
+
+def _strict_load(data: bytes):
+    """One json.loads and deserialize_net, as load_net read every file before
+    it replaced zero cells: ('net', bytes of the net, builder) or ('error',
+    the ValueError's message)."""
+    try:
+        obj = json.loads(data)
+        return "net", net_to_json_bytes(deserialize_net(obj)), obj.get("builder")
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _counted_load(monkeypatch, data: bytes):
+    """(load_net's outcome on data in _strict_load's form, its json.loads calls)."""
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *args: calls.append(args) or loads(*args))
+    try:
+        net, builder = _load_bytes(data)
+        got = "net", net_to_json_bytes(net), builder
+    except ValueError as exc:
+        got = "error", str(exc)
+    finally:
+        monkeypatch.undo()
+    return got, len(calls)
+
+
+def _saved_file(builder=None) -> bytes:
+    """The depth corpus net, which has dense and sparse layers, as saved."""
+    return net_to_json_bytes(corpus("depth")[0], builder)
+
+
+def _literal_in_provenance() -> bytes:
+    """The zero literal spliced in after the provenance string's opening quote:
+    its own quote ends the string, so the file is not JSON, but with the
+    literal replaced by null it is."""
+    head, quote, tail = _saved_file().partition(b'"provenance":"')
+    return head + quote + _ZERO + tail
+
+
+def _sparse_zero_weight() -> bytes:
+    """A zero cell as a sparse weight [i, {...}] on a column its row lacks."""
+    obj = json.loads(_saved_file())
+    w = next(spec["w"] for spec in obj["layers"] if isinstance(spec["w"], dict))
+    row = next(row for row in w["sparse"] if row)
+    free = min(set(range(w["in_dim"])) - {i for i, _ in row})
+    row.append([free, {"e": 0, "m": "0", "s": 0}])
+    return _compact(obj)
+
+
+def _null_in_dense_row(builder=None) -> bytes:
+    obj = json.loads(_saved_file(builder))
+    _edit_dense_row(obj, lambda row: row.__setitem__(-1, None))
+    return _compact(obj)
+
+
+def _single_point_build() -> bytes:
+    """An N = 1 sqrt build, whose builder record holds "delta_sq":null."""
+    net, report = assemble_sqrt(random_dataset(1, 2, 3, seed=4))
+    data = net_to_json_bytes(net, report.info.to_json())
+    assert b'"delta_sq":null' in data and _ZERO in data
+    return data
+
+
+# Files load_net must read as one json.loads and deserialize_net read them,
+# and the json.loads calls it may make: two when the first read is dropped.
+HAND_MADE = {
+    "literal-straddles-provenance": (_literal_in_provenance, 2, "error"),
+    "sparse-zero-weight": (_sparse_zero_weight, 2, "net"),
+    "literal-in-builder": (lambda: _saved_file({"kept": {"e": 0, "m": "0", "s": 0}}), 2, "net"),
+    "literal-is-the-file": (lambda: _ZERO, 2, "error"),
+    "null-in-builder": (lambda: _saved_file({"delta_sq": None}), 1, "net"),
+    "null-in-dense-row": (_null_in_dense_row, 1, "error"),
+    # one None too many in the cells and one too few in the builder
+    "null-in-dense-row-literal-in-builder": (
+        lambda: _null_in_dense_row({"kept": {"e": 0, "m": "0", "s": 0}}), 1, "error"),
+    "utf-16-null-in-dense-row": (lambda: _null_in_dense_row().decode().encode("utf-16"),
+                                 1, "error"),
+    "utf-16": (lambda: _saved_file({"theorem": "é"}).decode().encode("utf-16"), 1, "net"),
+    "utf-8-bom": (lambda: b"\xef\xbb\xbf" + _saved_file(), 1, "net"),
+    "indented": (lambda: json.dumps(json.loads(_saved_file()), indent=2).encode(), 1, "net"),
+    "single-point-build": (_single_point_build, 1, "net"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_MADE))
+def test_hand_made_files(monkeypatch, case):
+    make, parses, verdict = HAND_MADE[case]
+    data = make()
+    want = _strict_load(data)
+    assert want[0] == verdict
+    assert _counted_load(monkeypatch, data) == (want, parses)
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, *(f"golden-{m}" for m in sorted(BUILD_DIGESTS))])
+def test_saved_nets_parse_once(monkeypatch, name):
+    """Every zero cell of a file the writer made is read as null on the first
+    parse: a fallback to the strict read would parse twice."""
+    if name.startswith("golden-"):
+        net, report = _build(name.removeprefix("golden-"))
+        builder = report.info.to_json()
+    else:
+        net, ds = corpus(name)
+        builder = {"theorem": name, "N": ds.n}
+    data = net_to_json_bytes(net, builder)
+    assert _ZERO in data and b"null" not in data
+    assert _counted_load(monkeypatch, data) == (_strict_load(data), 1)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
