@@ -9,6 +9,7 @@ file formats are frozen in docs/FORMATS.md.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -47,9 +48,11 @@ def _diag(message: str) -> None:
 
 
 def _write_report(report, path) -> None:
+    # json.dumps, not json.dump: dump's pure-Python encoder is a set of closures
+    # that refer to each other, a reference cycle left for the collector
+    text = json.dumps(_strict(report.to_json()), sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(_strict(report.to_json()), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # mode -> (budget flag, builder(ds, budget, seed)).  The lambdas look each
@@ -274,8 +277,14 @@ def main(argv=None) -> int:
     A ValueError (every malformed input, out-of-range parameter and
     mismatched dimension) or an OSError exits 2 with one stderr line.  A
     MemorizationError is an internal fault and is not caught.
+
+    The cyclic garbage collector is paused while the command runs and put
+    back as it was found.  memnet makes no reference cycles, so a collection
+    would free nothing: it would only rescan every live net, layer and cell.
     """
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except pipeline.ProjectionSearchExhausted as exc:
@@ -284,6 +293,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_INVALID_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

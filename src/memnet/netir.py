@@ -87,8 +87,8 @@ class AffineLayer:
 
     def _fill(self, in_dim, out_dim, rows, biases, relu) -> AffineLayer:
         """Set the fields from checked rows (tuples of (column in range, nonzero
-        dyadic), each column once); deserialize_net calls it on a bare
-        AffineLayer.__new__."""
+        dyadic), each column once), dyadic biases and a bool relu; _checked_layer
+        calls it on a bare AffineLayer.__new__."""
         if len(rows) != out_dim or len(biases) != out_dim:
             raise DimensionError("row/bias count does not match out_dim")
         self.in_dim, self.out_dim, self.rows = in_dim, out_dim, rows
@@ -97,6 +97,12 @@ class AffineLayer:
 
     def nonzero_params(self) -> int:
         return sum(len(r) for r in self.rows) + sum(1 for b in self.biases if b.sign)
+
+
+def _checked_layer(in_dim, out_dim, rows, biases, relu) -> AffineLayer:
+    """A layer from rows, biases and relu already in _fill's form, which its
+    caller has checked: it skips the checking constructor."""
+    return AffineLayer.__new__(AffineLayer)._fill(in_dim, out_dim, rows, biases, relu)
 
 
 class LayeredNet:
@@ -1189,7 +1195,7 @@ def _relu_seam_layers(a: LayeredNet) -> list[AffineLayer]:
             f"{a.provenance or 'net'} has no nonnegative-output certificate, "
             "so a ReLU cannot follow its final affine layer")
     last = a.layers[-1]
-    seam = AffineLayer(last.in_dim, last.out_dim, last.rows, last.biases, relu=True)
+    seam = _checked_layer(last.in_dim, last.out_dim, last.rows, last.biases, True)
     return list(a.layers[:-1]) + [seam]
 
 
@@ -1212,8 +1218,9 @@ def compose_serial(a: LayeredNet, b: LayeredNet, provenance: str = "") -> Layere
 
 
 def _identity_layer(dim: int, relu: bool) -> AffineLayer:
-    rows = tuple(((i, 1),) for i in range(dim))
-    return AffineLayer(dim, dim, rows, (0,) * dim, relu)
+    one, zero = _SMALL_INTS[1], _SMALL_INTS[0]
+    return _checked_layer(dim, dim, tuple([((i, one),) for i in range(dim)]),
+                          (zero,) * dim, relu)
 
 
 def _padded_layers(net: LayeredNet, depth: int) -> list[AffineLayer]:
@@ -1264,7 +1271,8 @@ def stack_parallel(nets: Sequence[LayeredNet], provenance: str = "") -> LayeredN
             biases.extend(p.biases)
             offset_in += p.in_dim
         in_dim = input_dim if k == 0 else offset_in
-        stacked.append(AffineLayer(in_dim, len(rows), rows, biases, relu))
+        # each part's checked rows, shifted into its own block of columns
+        stacked.append(_checked_layer(in_dim, len(rows), tuple(rows), tuple(biases), relu))
     return LayeredNet(
         input_dim,
         stacked,
@@ -1423,7 +1431,7 @@ def deserialize_net(obj: dict, null_cells: int | None = None) -> LayeredNet:
                                        and (d := capped(wt)).sign]))
             # older writers listed a layer's identity units: checked, then dropped
             marks = [_typed(u, int, "a passthrough unit") for u in spec.get("passthrough", ())]
-            layers.append(AffineLayer.__new__(AffineLayer)._fill(
+            layers.append(_checked_layer(
                 in_dim, len(biases), tuple(rows), biases, _typed(spec["relu"], bool, "relu")))
             for u in marks:
                 if not 0 <= u < len(biases):
@@ -1520,6 +1528,9 @@ class TapeBuilder:
         self.layers: list[AffineLayer] = []
 
     def layer(self, rows, relu=True):
+        """Append one layer.  The channel names are unique, so each row's
+        columns are in range and distinct: the layer skips the checking
+        constructor."""
         index = {name: i for i, name in enumerate(self.names)}
         out_rows = []
         biases = []
@@ -1529,13 +1540,15 @@ class TapeBuilder:
             for src, coeff in terms.items():
                 if src not in index:
                     raise KeyError(f"unknown source channel {src!r}")
-                row.append((index[src], coeff))
+                if (d := _as_dyadic(coeff)).sign:
+                    row.append((index[src], d))
             out_rows.append(tuple(row))
-            biases.append(bias)
+            biases.append(_as_dyadic(bias))
             new_names.append(name)
         if len(set(new_names)) != len(new_names):
             raise ValueError("duplicate output channel names")
-        self.layers.append(AffineLayer(len(self.names), len(out_rows), out_rows, biases, relu))
+        self.layers.append(_checked_layer(len(self.names), len(out_rows), tuple(out_rows),
+                                          tuple(biases), bool(relu)))
         self.names = new_names
 
     def passthrough_rows(self, names):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .exactnum import ZERO, ceil_sqrt
 from .gadgets import ParameterError
-from .netir import (AffineLayer, LayeredNet, TapeBuilder, compose_serial,
+from .netir import (LayeredNet, TapeBuilder, _checked_layer, compose_serial,
                     stack_parallel)
 from .pipeline import (Dataset, build_stage2, build_stage3,
                        craft_codes, default_bucket_count, _sorted_projection,
@@ -45,13 +45,23 @@ def _subset_codes(ds: Dataset, z_sorted, labels_sorted, subset_size: int):
     return codes
 
 
+def _matchers(codes, carry: bool = False) -> list:
+    """The block matcher of each subset.  It depends only on (bucket_size,
+    rho, c), so subsets with the same key share one build_stage3 net."""
+    built = {}
+    for code in codes:
+        key = (code.bucket_size, code.rho, code.c)
+        if key not in built:
+            built[key] = build_stage3(*key, carry=carry)
+    return [built[code.bucket_size, code.rho, code.c] for code in codes]
+
+
 def _with_zero_outputs(net: LayeredNet, extra: int) -> LayeredNet:
     """Append constant-zero output channels to the final affine layer."""
     last = net.layers[-1]
-    new_last = AffineLayer(last.in_dim, last.out_dim + extra,
-                           last.rows + ((),) * extra,
-                           last.biases + (ZERO,) * extra,
-                           relu=False)
+    new_last = _checked_layer(last.in_dim, last.out_dim + extra,
+                              last.rows + ((),) * extra,
+                              last.biases + (ZERO,) * extra, False)
     return LayeredNet(net.input_dim, net.layers[:-1] + (new_last,),
                       net.provenance, net.output_nonneg)
 
@@ -66,11 +76,8 @@ def assemble_bounded_depth(ds: Dataset, L: int, seed: int = 0):
     _check_budget(L, ds.n)
     proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, seed)
     codes = _subset_codes(ds, z_sorted, labels_sorted, L * L)
-    subnets = [
-        compose_serial(build_stage2(code),
-                       build_stage3(code.bucket_size, code.rho, code.c))
-        for code in codes
-    ]
+    subnets = [compose_serial(build_stage2(code), matcher)
+               for code, matcher in zip(codes, _matchers(codes))]
     stacked = stack_parallel(subnets, "subset_memorizers")
     head = TapeBuilder([f"o{k}" for k in range(len(subnets))])
     head.layer([("y", 0, {f"o{k}": 1 for k in range(len(subnets))})], relu=False)
@@ -93,10 +100,8 @@ def assemble_bounded_bits(ds: Dataset, B: int, seed: int = 0):
     proj, net1, z_sorted, labels_sorted = _sorted_projection(ds, seed)
     codes = _subset_codes(ds, z_sorted, labels_sorted, B * B)
     net = _with_zero_outputs(net1, 1)
-    for code in codes:
-        block = compose_serial(
-            build_stage2(code, carry=True),
-            build_stage3(code.bucket_size, code.rho, code.c, carry=True))
+    for code, matcher in zip(codes, _matchers(codes, carry=True)):
+        block = compose_serial(build_stage2(code, carry=True), matcher)
         net = compose_serial(net, block)
     tail = TapeBuilder(["x", "y"])
     tail.layer([("out", 0, {"y": 1})], relu=False)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from memnet import cli, netir
+from memnet import cli, netir, pipeline
 from memnet.datagen import random_dataset, random_regression_labels, \
     random_separated_points, write_csv
 from memnet.netir import MAX_EXPONENT, MAX_MANTISSA_BITS, load_net, save_net
@@ -92,6 +93,98 @@ class TestBuildVerify:
     def test_exhausted_projection_budget_exit_3(self, dataset_csv, monkeypatch):
         monkeypatch.setenv("MEMNET_RETRY_BUDGET", "0")
         assert run(["build", "--mode", "sqrt", "--in", dataset_csv]) == 3
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector per command and puts it back."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "exit-3", "uncaught"])
+    def test_main_leaves_the_collector_as_it_found_it(self, dataset_csv, tmp_path,
+                                                      monkeypatch, enabled, outcome):
+        data = dataset_csv
+        if outcome == "exit-2":
+            data = tmp_path / "malformed.csv"
+            data.write_text("x1,label\n3,1\n5\n")
+        paused = []
+        real = pipeline.assemble_sqrt
+
+        def builder(ds, seed):
+            paused.append(not gc.isenabled())
+            if outcome == "exit-3":
+                raise pipeline.ProjectionSearchExhausted("no direction passed")
+            if outcome == "uncaught":
+                raise pipeline.MemorizationError("a training point was missed")
+            return real(ds, seed)
+
+        monkeypatch.setattr(pipeline, "assemble_sqrt", builder)
+        argv = ["build", "--in", str(data)]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "uncaught":
+                with pytest.raises(pipeline.MemorizationError):
+                    run(argv)
+            else:
+                assert run(argv) == {"exit-0": 0, "exit-2": 2, "exit-3": 3}[outcome]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused == ([] if outcome == "exit-2" else [True])
+
+
+class TestNoReferenceCycles:
+    """The collector pause frees nothing late only if commands make no
+    reference cycles: with the collector off, a collection after a command
+    finds no more objects than one after parsing the command line alone."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cycles")
+        ds = random_dataset(24, 2, 4, seed=1)
+        data = str(root / "data.csv")
+        write_csv(data, ds.points, ds.labels)
+        reg = str(root / "reg.csv")
+        write_csv(reg, random_separated_points(16, 2, seed=2),
+                  random_regression_labels(16, seed=2))
+        net = str(root / "net.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["build", "--in", data, "--out", net]) == 0
+        return {"root": str(root), "data": data, "reg": reg, "net": net}
+
+    @pytest.mark.parametrize("argv", [
+        "build --mode sqrt --in {data} --out {root}/sqrt.json --report {root}/sqrt.report.json",
+        "build --mode depth --L 2 --in {data} --out {root}/depth.json",
+        "build --mode bits --B 2 --in {data} --out {root}/bits.json",
+        "build --mode regression --epsilon 1/8 --in {reg} --out {root}/reg.json",
+        "verify --net {net} --in {data} --precision exact",
+        "verify --net {net} --in {data} --precision float64",
+        "eval --net {net} --in {data} --precision exact",
+        "audit --net {net} --in {data} --report {root}/audit.json",
+        "oracle stage3",
+        "sweep --N 8,16 --d 1 --out {root}/sweep.csv",
+    ], ids=["build-sqrt", "build-depth", "build-bits", "build-regression", "verify-exact",
+            "verify-float64", "eval", "audit", "oracle-stage3", "sweep"])
+    def test_command_makes_no_reference_cycles(self, files, argv):
+        argv = [arg.format(**files) for arg in argv.split()]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert run(argv) == 0  # warm-up: imports and first-use caches
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            with contextlib.redirect_stdout(sink):
+                cli.build_parser().parse_args(argv)
+            parser_only = gc.collect()
+            with contextlib.redirect_stdout(sink):
+                assert run(argv) == 0
+            command = gc.collect()
+        finally:
+            if was:
+                gc.enable()
+        assert parser_only > 0  # argparse's own cycles: the probe sees cycles
+        assert command <= parser_only
 
 
 class TestEvalAuditOracle:

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from memnet import gadgets
+from memnet import gadgets, variants
 from memnet.datagen import (random_dataset, random_regression_labels,
                             random_separated_points)
-from memnet.netir import net_to_json_bytes
+from memnet.exactnum import DyadicRational
+from memnet.netir import AffineLayer, compose_serial, net_to_json_bytes, stack_parallel
 from memnet.pipeline import (MemorizationError, assemble_sqrt,
                              regression_wrap)
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
@@ -54,6 +55,48 @@ def _build(mode):
 def test_build_bytes_are_pinned(mode):
     net, report = _build(mode)
     assert _digest(net, report.info.to_json()) == BUILD_DIGESTS[mode]
+
+
+def _stacked():
+    """Members 9, 3 and 6 layers deep: the shorter two are padded."""
+    gate = gadgets.build_distance_gate()
+    return stack_parallel([gadgets.build_bit_extractor(4, 2, 4), gate,
+                           compose_serial(gate, gadgets.build_indicator(0, 1))])
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_DIGESTS) + ["stacked"])
+def test_built_layers_equal_the_checking_constructor(name):
+    """TapeBuilder, stack_parallel, the ReLU seams, identity padding and the
+    bits chain's zero outputs skip AffineLayer.__init__; the checking
+    constructor, given the same tuples, must change nothing."""
+    net = _stacked() if name == "stacked" else _build(name)[0]
+    for layer in net.layers:
+        again = AffineLayer(layer.in_dim, layer.out_dim, layer.rows, layer.biases, layer.relu)
+        assert (layer.rows, layer.biases, layer.relu) == (again.rows, again.biases, again.relu)
+        assert type(layer.rows) is type(layer.biases) is tuple and type(layer.relu) is bool
+        assert all(type(row) is tuple for row in layer.rows)
+        assert all(type(i) is int and type(w) is DyadicRational
+                   for row in layer.rows for i, w in row)
+        assert all(type(b) is DyadicRational for b in layer.biases)
+
+
+@pytest.mark.parametrize("mode", ["depth", "bits"])
+def test_one_matcher_per_distinct_key(mode, monkeypatch):
+    """The depth and bits builds call build_stage3 once per distinct
+    (bucket_size, rho, c) and share that net among the subsets with the key."""
+    calls = []
+    real = variants.build_stage3
+
+    def counted(*args, carry=False):
+        calls.append((args, carry))
+        return real(*args, carry=carry)
+
+    monkeypatch.setattr(variants, "build_stage3", counted)
+    net, report = _build(mode)
+    assert _digest(net, report.info.to_json()) == BUILD_DIGESTS[mode]
+    # six subsets, three distinct keys
+    assert report.info.subnet_count == 6
+    assert calls == [((2, rho, 3), mode == "bits") for rho in (8, 9, 10)]
 
 
 def test_gadget_bytes_are_pinned():

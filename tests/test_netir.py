@@ -194,6 +194,39 @@ class TestStack:
             stack_parallel([deep, identity_net()])
 
 
+class TestTapeBuilder:
+    """layer() skips the checking constructor, so it checks its own rows."""
+
+    def test_unknown_source_is_refused(self):
+        t = TapeBuilder(["x"])
+        with pytest.raises(KeyError, match="unknown source channel 'z'"):
+            t.layer([("y", 0, {"x": 1, "z": 0})])
+        assert t.layers == [] and t.names == ["x"]
+
+    def test_duplicate_output_name_is_refused(self):
+        t = TapeBuilder(["x"])
+        with pytest.raises(ValueError, match="duplicate output channel names"):
+            t.layer([("y", 0, {"x": 1}), ("y", 0, {"x": 2})])
+        assert t.layers == [] and t.names == ["x"]
+
+    @pytest.mark.parametrize("row", [("y", 0, {"x": 0.5}), ("y", 0.5, {"x": 1})],
+                             ids=["coefficient", "bias"])
+    def test_float_is_refused(self, row):
+        t = TapeBuilder(["x"])
+        with pytest.raises(TypeError, match="int or DyadicRational"):
+            t.layer([row])
+        assert t.layers == [] and t.names == ["x"]
+
+    def test_rows_are_stored_as_the_checking_constructor_stores_them(self):
+        t = TapeBuilder(["x", "v"])
+        t.layer([("a", 3, {"v": 2, "x": 0}),
+                 ("b", DyadicRational(0), {"x": DyadicRational(1, -2)})], relu=1)
+        (layer,) = t.layers
+        assert layer.rows == (((1, DyadicRational(2)),), ((0, DyadicRational(1, -2)),))
+        assert layer.biases == (DyadicRational(3), DyadicRational(0))
+        assert layer.relu is True and t.names == ["a", "b"]
+
+
 class TestMetricsAndSerialization:
     def test_zero_weights_unstored(self):
         layer = AffineLayer(2, 1, [((0, 1), (1, DyadicRational(0)))], [0], False)
