@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 
 from .exactnum import bin_range, pack_blocks
-from .netir import LayeredNet, TapeBuilder, compose_serial, eval_exact_batch
+from .netir import LayeredNet, TapeBuilder, _eval_lanes, compose_serial
 
 __all__ = [
     "ParameterError",
@@ -239,7 +239,7 @@ def oracle_triangle(max_iter: int = 6, grid_halving: int = 6) -> dict:
     witnesses = []
     net = build_triangle()
     for k in range(1, max_iter + 1):
-        for z, (got,) in zip(grid, eval_exact_batch(net, [[t] for t in grid])):
+        for z, (got,) in zip(grid, _eval_lanes(net, [[t] for t in grid])):
             want = triangle_iterate(z, k)
             if got != want:
                 witnesses.append({"suite": "triangle", "k": k, "z": str(z),
@@ -263,7 +263,7 @@ def oracle_indicator(pairs=((2, 5), (0, 1), (7, 19)), step=Fraction(1, 4)) -> di
     for a, b in pairs:
         xs = list(_grid(Fraction(a - 3), Fraction(b + 3), step))
         checks += len(xs)
-        for x, (got,) in zip(xs, eval_exact_batch(build_indicator(a, b), [[t] for t in xs])):
+        for x, (got,) in zip(xs, _eval_lanes(build_indicator(a, b), [[t] for t in xs])):
             want = indicator_value(a, b, x)
             if not _window_ok(got, want, x, a, b):
                 witnesses.append({"suite": "indicator", "a": a, "b": b, "x": str(x),
@@ -274,7 +274,7 @@ def oracle_indicator(pairs=((2, 5), (0, 1), (7, 19)), step=Fraction(1, 4)) -> di
 def oracle_distance(y_values=(0, 3, 10), step=Fraction(1, 4)) -> dict:
     """Distance gate vs formula and contract on 2-D grids around each y."""
     cases = [(x, y) for y in y_values for x in _grid(Fraction(y - 3), Fraction(y + 4), step)]
-    outs = eval_exact_batch(build_distance_gate(), [[x, Fraction(y)] for x, y in cases])
+    outs = _eval_lanes(build_distance_gate(), [[x, Fraction(y)] for x, y in cases])
     witnesses = []
     for (x, y), (got,) in zip(cases, outs):
         want = distance_value(x, Fraction(y))
@@ -310,7 +310,7 @@ def oracle_bits(n_max: int = 10) -> dict:
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 net = build_bit_extractor(n, i, j)
-                outs = eval_exact_batch(net, [tracks[x][i - 1] for x in range(1 << n)])
+                outs = _eval_lanes(net, [tracks[x][i - 1] for x in range(1 << n)])
                 for x, out in enumerate(outs):
                     want_tracks = tracks[x][j]
                     want_bits = bin_range(x, i, j, n)
@@ -359,8 +359,8 @@ def oracle_stage3(seed: int = 0, trials: int = 12) -> dict:
         far = max(blocks) + 2
         cases += [(x, 0) for x in (Fraction(far), Fraction(4 * far + 7, 4))
                   if all(abs(x - blk) >= Fraction(3, 2) for blk in blocks)]
-        outs = eval_exact_batch(build_stage3(n, rho, c),
-                                [[x, Fraction(w), Fraction(u)] for x, _ in cases])
+        outs = _eval_lanes(build_stage3(n, rho, c),
+                           [[x, Fraction(w), Fraction(u)] for x, _ in cases])
         for (x, want), (got, *_) in zip(cases, outs):
             checks += 1
             if got != want:

@@ -29,7 +29,6 @@ __all__ = [
     "metrics",
     "effective_bits",
     "eval_exact",
-    "eval_exact_batch",
     "check_outputs",
     "eval_float",
     "compose_serial",
@@ -400,28 +399,13 @@ def _scaled(x) -> tuple[int, int, int]:
     return n, -twos, den >> twos
 
 
-def eval_exact(net: LayeredNet, xs: Sequence) -> list:
-    """Exact forward pass; no rounding anywhere: eval_exact_batch on a
-    batch of one.
-
-    Inputs are int or Fraction; outputs are Fraction.
-    """
-    return eval_exact_batch(net, [xs])[0]
-
-
 def _value(v: int, e: int, den: int) -> Fraction:
     """v * 2**e / den."""
     return Fraction(v << e, den) if e >= 0 else Fraction(v, den << -e)
 
 
-# Bits held in one lane-packed register: eval_exact_batch cuts a group of
-# points into chunks of _REGISTER_BITS // W lanes, so a pass holds about
-# one layer of registers of at most this size, however many points it has.
-_REGISTER_BITS = 1 << 16
-
-
-def _lane_groups(net: LayeredNet, points) -> tuple:
-    """(program, {den: (point indices, their input registers)}).
+def _scaled_points(net: LayeredNet, points) -> list:
+    """[(den, input registers)] of each point, in order.
 
     The one place inputs are checked and scaled: each point is written as
     integers over its runtime denominator den = D << -e0, with D the odd
@@ -433,8 +417,8 @@ def _lane_groups(net: LayeredNet, points) -> tuple:
         if len(xs) != net.input_dim:
             raise DimensionError(f"expected {net.input_dim} inputs, got {len(xs)}")
         parts.append([_scaled(x) for x in xs])
-    prog, groups, e0 = _compile(net), {}, min([0, *[e for p in parts for _, e, _ in p]])
-    for k, p in enumerate(parts):
+    e0, scaled = min([0, *[e for p in parts for _, e, _ in p]]), []
+    for p in parts:
         den = 1
         for _, _, d in p:
             if d != 1:
@@ -443,10 +427,51 @@ def _lane_groups(net: LayeredNet, points) -> tuple:
             regs = [n << (e - e0) for n, e, _ in p]
         else:
             regs = [n * (den // d) << (e - e0) for n, e, d in p]
-        members, inputs = groups.setdefault(den << -e0, ([], []))
+        scaled.append((den << -e0, regs))
+    return scaled
+
+
+def eval_exact(net: LayeredNet, xs: Sequence) -> list:
+    """Exact forward pass; no rounding anywhere.
+
+    Inputs are int or Fraction; outputs are Fraction.  The scaled point
+    runs the integer program cut at its seams (_Seams, built once per net
+    from the _seams analysis that eval_float shares): a segment's static
+    ops, those that do not depend on its dynamic register, run once per key
+    (den and the values of the seam registers they read, over their
+    greatest common divisor), and later points with that key run only the
+    dynamic ops.  Every point of a bucket reaches the block matcher with
+    the same payload registers, so the matcher's static work runs once per
+    bucket.  The bucket selector reads only the projection z and is affine
+    in z on each bucket's plateau: it is a region segment, whose exports a
+    point on a piece met before computes from that piece's forms (_Pieces),
+    at any scale.
+    """
+    [(den, regs)] = _scaled_points(net, [xs])
+    seams = net._seams
+    if seams is None:
+        seams = _Seams(_cuts(net), _compile(net))
+        object.__setattr__(net, "_seams", seams)
+    _, size, outputs = net._prog
+    regs += [0] * (size - len(regs))
+    seams.run(regs, den)
+    return [_value(regs[r], e, den) for r, e in outputs]
+
+
+# Bits held in one lane-packed register: _eval_lanes runs a group of points
+# in chunks of max(1, _REGISTER_BITS // W) lanes, so a pass holds about one
+# layer of registers of at most this size, or of one lane wider than that.
+_REGISTER_BITS = 1 << 16
+
+
+def _lane_groups(net: LayeredNet, points) -> dict:
+    """{den: (point indices, their input registers)} of _scaled_points."""
+    groups = {}
+    for k, (den, regs) in enumerate(_scaled_points(net, points)):
+        members, inputs = groups.setdefault(den, ([], []))
         members.append(k)
         inputs.append(regs)
-    return prog, groups
+    return groups
 
 
 def _lane_bounds(prog: tuple, den: int, lows, highs) -> tuple[int, list]:
@@ -797,9 +822,6 @@ class _Pieces:
         self.ops, self.v, self.consts, self.exports = ops, v, tuple(consts), exports
         self.lows, self.highs, self.forms = [], [], []
 
-    def __len__(self) -> int:
-        return len(self.forms)
-
     def find(self, v: int, den: int) -> int:
         """The index of the piece holding v/den, or ~i when none does and a
         piece holding it belongs at index i."""
@@ -1057,57 +1079,33 @@ class _FloatSeams:
                 self.bits += cost
 
 
-def eval_exact_batch(net: LayeredNet, points) -> list:
+def _eval_lanes(net: LayeredNet, points) -> list:
     """[eval_exact(net, p) for p in points]: the same values, types and
-    errors, with each register one Python int for a whole group of points.
+    errors, with each register one Python int for a chunk of points.  The
+    oracles run it; commands run eval_exact, whose seam memo beats packed
+    lanes on a sqrt build at N = 1024 (README, "Exact evaluation").
 
-    Points are grouped by their runtime denominator den (_compile), and
-    point k of a group sits in bits [kW, (k+1)W) of every register (SIMD
-    within a register: Fisher & Dietz, LCPC 1998).  The layout is linear,
-    so an affine row is bias*den*ONES + sum(c*R) for all lanes at once,
-    where ONES has a 1 in every lane.  A ReLU that can clip runs on Q = R + 2**(W-1)*ONES:
-    s = (Q >> (W-1)) & ONES marks the lanes >= 0, and
-    (Q & ((s << W) - s)) - (s << (W-1)) keeps them.  The lane width W
+    Points are grouped by their runtime denominator den (_scaled_points),
+    and point k of a chunk sits in bits [kW, (k+1)W) of every register
+    (SIMD within a register: Fisher & Dietz, LCPC 1998).  The layout is
+    linear, so an affine row is bias*den*ONES + sum(c*R) for all lanes at
+    once, where ONES has a 1 in every lane.  A ReLU that can clip runs on
+    Q = R + 2**(W-1)*ONES: s = (Q >> (W-1)) & ONES marks the lanes >= 0,
+    and (Q & ((s << W) - s)) - (s << (W-1)) keeps them.  The lane width W
     comes from an interval pass over the program (_lane_bounds), which
-    proves that no lane carries into its neighbour and marks the ReLUs
-    that cannot clip, which skip the mask.  A register holds at most
-    _REGISTER_BITS bits; a group of one point, or one whose lanes are too
-    wide for two to fit, runs point by point on its scaled registers.
-    That loop runs the program cut at its seams (_Seams, built once per
-    net from the _seams analysis that eval_float shares): a segment's
-    static ops, those that do not depend on its dynamic register, run once
-    per key (den and the values of the seam registers they read, over
-    their greatest common divisor), and later points with that key run
-    only the dynamic ops.  Every point of a bucket reaches the block
-    matcher with the same payload registers, so the matcher's static work
-    runs once per bucket.  The bucket selector reads only
-    the projection z and is affine in z on each bucket's plateau: it is a
-    region segment, whose exports a point on a piece met before computes
-    from that piece's forms (_Pieces), at any scale.  eval_exact is a
-    batch of one; check_outputs stays per point, which with the memos
-    beats packed lanes on a sqrt build at N = 1024 (README, "Exact
-    evaluation").
+    proves that no lane carries into its neighbour, whatever the lane
+    count, and marks the ReLUs that cannot clip, which skip the mask.  A
+    chunk holds max(1, _REGISTER_BITS // W) lanes, so a group of one point,
+    or a lane wider than the cap, is one packed lane.
     """
-    prog, groups = _lane_groups(net, points)
-    ops, size, outputs = prog
+    groups = _lane_groups(net, points)
+    ops, size, outputs = prog = _compile(net)
     results = [None] * len(points)
     for den, (members, inputs) in groups.items():
-        lanes = 0
-        if len(members) > 1:
-            cols = list(zip(*inputs))
-            width, clips = _lane_bounds(prog, den, [min(c) for c in cols],
-                                        [max(c) for c in cols])
-            lanes = _REGISTER_BITS // width
-        if lanes < 2:
-            seams = net._seams
-            if seams is None:
-                seams = _Seams(_cuts(net), prog)
-                object.__setattr__(net, "_seams", seams)
-            for k, regs in zip(members, inputs):
-                regs += [0] * (size - len(regs))
-                seams.run(regs, den)
-                results[k] = [_value(regs[r], e, den) for r, e in outputs]
-            continue
+        cols = list(zip(*inputs))
+        width, clips = _lane_bounds(prog, den, [min(c) for c in cols],
+                                    [max(c) for c in cols])
+        lanes = max(1, _REGISTER_BITS // width)
         shift = width - 1
         for start in range(0, len(members), lanes):
             chunk = inputs[start:start + lanes]

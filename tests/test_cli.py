@@ -211,7 +211,7 @@ class TestEvalAuditOracle:
         capsys.readouterr()
         points, labels, _ = read_dataset(dataset_csv)
         rows = [[x + Fraction(1, 2 ** (k + 1)) for x in p] for k, p in enumerate(points)]
-        want = netir.eval_exact_batch(load_net(net_path)[0], rows)
+        want = netir._eval_lanes(load_net(net_path)[0], rows)
         compiles, analyses = [], []
         real_compile, real_seams = netir._compile, netir._seams
         monkeypatch.setattr(netir, "_compile", lambda net: compiles.append(

@@ -1,5 +1,5 @@
-"""Differential test: eval_exact and eval_exact_batch against a plain-Fraction
-forward pass.
+"""Differential test: eval_exact and the oracles' lane-packed evaluator
+(netir._eval_lanes) against a plain-Fraction forward pass.
 
 `reference_eval` below is the reference: it walks the layers with Fraction
 arithmetic only, with no exponent bookkeeping, aliasing, register reuse or
@@ -11,6 +11,7 @@ natural, forced and wrong choices of where to cut and what to share.
 """
 
 import functools
+import json
 import operator
 import random
 import time
@@ -19,11 +20,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memnet import gadgets, netir
-from memnet.datagen import random_dataset, random_separated_points
+from memnet import cli, gadgets, netir
+from memnet.datagen import random_dataset, random_separated_points, write_csv
 from memnet.exactnum import DyadicRational
 from memnet.netir import (AffineLayer, DimensionError, LayeredNet, check_outputs,
-                          compose_serial, eval_exact, eval_exact_batch, stack_parallel)
+                          compose_serial, eval_exact, stack_parallel)
 from memnet.pipeline import assemble_sqrt, load_and_validate, regression_wrap
 from memnet.variants import assemble_bounded_bits, assemble_bounded_depth
 from test_acceptance import _corpus_specs
@@ -53,8 +54,8 @@ def assert_outputs(net, xs, got) -> None:
 
 
 def assert_batch_agrees(net: LayeredNet, points) -> None:
-    """One eval_exact_batch call against the reference, point by point."""
-    got = eval_exact_batch(net, points)
+    """One _eval_lanes call against the reference, point by point."""
+    got = netir._eval_lanes(net, points)
     assert len(got) == len(points)
     for xs, out in zip(points, got):
         assert_outputs(net, xs, out)
@@ -64,9 +65,9 @@ def assert_lanes_hold(net: LayeredNet, points) -> None:
     """The lane proof, checked: for each group of the batch, every register
     value a point realizes (inputs, and each row before its ReLU) fits in
     W - 2 bits, and every ReLU that clips a value is marked as one that can."""
-    prog, groups = netir._lane_groups(net, points)
+    prog = netir._compile(net)
     ops, size, _ = prog
-    for den, (_, inputs) in groups.items():
+    for den, (_, inputs) in netir._lane_groups(net, points).items():
         cols = list(zip(*inputs))
         width, clips = netir._lane_bounds(prog, den, [min(c) for c in cols],
                                           [max(c) for c in cols])
@@ -195,10 +196,12 @@ def test_oracle_bit_nets_hold_their_lanes():
 
 @pytest.mark.parametrize("register_bits", [1, 40, 100, 1 << 16])
 def test_batch_chunks_and_one_lane_fallback(monkeypatch, register_bits):
-    """A smaller register cap cuts each group into more chunks; below two
-    lanes no register is packed and the batch runs point by point."""
+    """A smaller register cap cuts each group into more chunks; a lane wider
+    than the cap, or a batch of one point, is one packed lane.  The packed
+    path never builds the net's seam memo."""
     name = CORPUS_NAMES[0]
     net, ds = corpus(name)
+    net = _fresh(net)
     rng = random.Random(name)
     points = [v for p in ds.points for v in _input_variants(p, rng)[:3]]
     packed = []
@@ -211,9 +214,12 @@ def test_batch_chunks_and_one_lane_fallback(monkeypatch, register_bits):
     monkeypatch.setattr(netir, "_REGISTER_BITS", register_bits)
     monkeypatch.setattr(netir, "_pack", counted)
     assert_batch_agrees(net, points)
-    assert bool(packed) == (register_bits > 1)
+    assert packed
+    packed.clear()
+    assert_batch_agrees(net, points[:1])
+    assert packed and net._seams is None
     with pytest.raises(DimensionError):
-        eval_exact_batch(net, points[:2] + [[1] * (net.input_dim + 1)])
+        netir._eval_lanes(net, points[:2] + [[1] * (net.input_dim + 1)])
 
 
 def _cancellation_chain(layers: int) -> LayeredNet:
@@ -233,11 +239,12 @@ def test_cancellation_chain_stays_bounded():
     """A hostile net whose lane width is thousands of bits while its values
     are 0: the batch is exact and its time stays bounded.  3,000 layers and
     48 points give 13 lanes of 4,763 bits per register; the batch took
-    1.4 s on a 2-core Xeon with Python 3.11, against 0.09 s point by point."""
+    0.25-0.27 s on a 2-core Xeon with Python 3.11, against 0.053-0.055 s
+    point by point."""
     net = _cancellation_chain(3000)
     points = [[x] for x in range(1, 49)]
     start = time.perf_counter()
-    got = eval_exact_batch(net, points)
+    got = netir._eval_lanes(net, points)
     assert time.perf_counter() - start < 30
     assert got == [eval_exact(net, xs) for xs in points] == [[0]] * len(points)
     width, _ = netir._lane_bounds(net._prog, 1, [1], [48])
@@ -288,7 +295,7 @@ def test_negative_first_layer_inputs_under_debug():
 @pytest.mark.parametrize("register_bits", [1, 1 << 16], ids=["one-lane", "packed"])
 def test_negative_first_layer_lanes_under_debug(monkeypatch, register_bits):
     """The guarded first layer on batches whose dyadic group and odd-D group
-    each have several negative lanes, point by point or packed."""
+    each have several negative lanes, one lane per register or packed."""
     name = CORPUS_NAMES[-2]
     net, ds = corpus(name)
     guarded = _guarded(net)
@@ -343,6 +350,30 @@ def test_check_outputs_on_negative_first_layer_inputs():
     points = [list(ds.points[0]), [Fraction(-1, 3)] + list(ds.points[1][1:])]
     labels = ds.labels[:2]
     assert check_outputs(guarded, points, labels) == plain_check(guarded, points, labels)
+
+
+def test_point_path_never_packs(monkeypatch, tmp_path, capsys):
+    """Builds, check_outputs and the exact CLI commands run eval_exact, which
+    never reaches the lane-packing front end or its interval pass."""
+    def packed(*args):
+        raise AssertionError("eval_exact reached the lane-packed path")
+
+    monkeypatch.setattr(netir, "_lane_groups", packed)
+    monkeypatch.setattr(netir, "_lane_bounds", packed)
+    ds = _mixed_dataset()
+    for net in (assemble_sqrt(ds, seed=3)[0], assemble_bounded_depth(ds, 2)[0]):
+        assert check_outputs(net, ds.points, ds.labels) == ([], 0)
+    data = str(tmp_path / "data.csv")
+    write_csv(data, ds.points, ds.labels)
+    for mode in (["sqrt"], ["depth", "--L", "2"]):
+        out = str(tmp_path / f"{mode[0]}.net.json")
+        assert cli.main(["build", "--mode", *mode, "--in", data, "--out", out]) == 0
+        for command in (["verify", "--precision", "exact"], ["eval", "--precision", "exact"],
+                        ["audit"]):
+            assert cli.main([*command, "--net", out, "--in", data]) == 0, command
+    events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    outputs = [e["output"] for e in events if e["event"] == "eval"]
+    assert outputs == [str(y) for y in ds.labels] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +473,15 @@ def plain_loop(net: LayeredNet, points) -> list:
     """Per-point evaluation without the seam memo: every op of the integer
     program, in order, for each point; compiled for a copy of the net, so
     the net's own program and memo are left as they are."""
-    prog, groups = netir._lane_groups(_fresh(net), points)
-    ops, size, outputs = prog
-    results = [None] * len(points)
-    for den, (members, inputs) in groups.items():
-        for k, xs in zip(members, inputs):
-            regs = list(xs) + [0] * (size - len(xs))
-            for bias, terms, relu, dest in ops:
-                acc = bias * den + sum(c * regs[r] for r, c in terms)
-                regs[dest] = max(acc, 0) if relu else acc
-            results[k] = [netir._value(regs[r], e, den) for r, e in outputs]
+    fresh = _fresh(net)
+    ops, size, outputs = netir._compile(fresh)
+    results = []
+    for den, xs in netir._scaled_points(fresh, points):
+        regs = xs + [0] * (size - len(xs))
+        for bias, terms, relu, dest in ops:
+            acc = bias * den + sum(c * regs[r] for r, c in terms)
+            regs[dest] = max(acc, 0) if relu else acc
+        results.append([netir._value(regs[r], e, den) for r, e in outputs])
     return results
 
 
@@ -472,7 +502,8 @@ def assert_memo_agrees(net: LayeredNet, points) -> None:
 def _memo_entries(net: LayeredNet) -> int:
     """The entries of every memo of the net's per-point program, the pieces
     of its region segments included."""
-    return sum(len(memo) for keys, _, _, _, memo in net._seams.segments if keys is not None)
+    return sum(len(memo if dyn is not None else memo.forms)
+               for keys, _, dyn, _, memo in net._seams.segments if keys is not None)
 
 
 def _pieces(net: LayeredNet) -> list:
@@ -533,7 +564,7 @@ def test_seam_memo_shares_each_bucket():
         assert {key[0] for key in memo} == {1}
         assert len(memo) <= report.info.bucket_count < ds.n
     (pieces,) = _pieces(net)
-    assert len(pieces) == len(memos(net)[0])
+    assert len(pieces.forms) == len(memos(net)[0])
     prog, seams, bits = net._prog, net._seams, net._seams.bits
     before = [dict(memo) for memo in memos(net)]
     forms = list(pieces.forms)
@@ -542,7 +573,7 @@ def test_seam_memo_shares_each_bucket():
     for old, memo in zip(before, memos(net)):
         assert len(memo) == len(old) and {key[0] for key in memo} == {1}
         assert all(memo[key] is entry for key, entry in old.items())
-    assert all(new is old for new, old in zip(pieces.forms, forms)) and len(pieces) == len(forms)
+    assert all(new is old for new, old in zip(pieces.forms, forms)) and len(pieces.forms) == len(forms)
     falling = _fresh(built)
     assert_memo_agrees(falling, [[c + Fraction(1, 2 ** (k + 8)) for c in p]
                                  for k, p in enumerate(ds.points)])
@@ -639,18 +670,18 @@ def test_seam_memo_stops_at_its_cap(monkeypatch):
     net = _fresh(net)
     assert_memo_agrees(net, [list(p) for p in ds.points])
     (pieces,) = _pieces(net)
-    assert 0 < len(pieces) and 0 < _memo_entries(net) - len(pieces)
+    assert 0 < len(pieces.forms) and 0 < _memo_entries(net) - len(pieces.forms)
     assert 3000 < net._seams.bits <= 4000
     monkeypatch.setattr(netir, "_MIN_STATIC", 1 << 30)
     net = _piece_per_point_net()
     assert_memo_agrees(net, [[Fraction(2 * k + 1, 2)] for k in range(40)])
     (pieces,) = _pieces(net)
-    stored, bits = len(pieces), net._seams.bits
+    stored, bits = len(pieces.forms), net._seams.bits
     assert 0 < stored < 40 and 0 < bits <= 4000
     assert_memo_agrees(net, [[Fraction(6 * k + 1, 6)] for k in range(40, -3, -1)])
-    assert len(pieces) == stored and net._seams.bits == bits
+    assert len(pieces.forms) == stored and net._seams.bits == bits
     assert_memo_agrees(net, [[Fraction(2 * k + 1, 2)] for k in range(stored)])  # all hits
-    assert len(pieces) == stored and net._seams.bits == bits
+    assert len(pieces.forms) == stored and net._seams.bits == bits
 
 
 def _read(supports) -> int:
