@@ -9,6 +9,7 @@ file formats are frozen in docs/FORMATS.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -271,6 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: a parser is about 300 objects
+    in reference cycles, and parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; the one place that turns an exception into an exit code.
 
@@ -282,7 +290,7 @@ def main(argv=None) -> int:
     back as it was found.  memnet makes no reference cycles, so a collection
     would free nothing: it would only rescan every live net, layer and cell.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()
     try:

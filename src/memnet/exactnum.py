@@ -145,12 +145,15 @@ class DyadicRational:
         return Fraction(n, 1 << -self.exponent)
 
     def to_float(self) -> float:
-        import math
-
+        """The nearest float64, ties to even, as float() of the Fraction: one
+        rounding, so a mantissa wider than 53 bits and a subnormal result
+        are not rounded twice.  Past the float range it is +-inf, and a
+        negative value too small for a subnormal is -0.0."""
+        n = self.sign * self.mantissa
         try:
-            return math.ldexp(self.sign * float(self.mantissa), self.exponent)
+            return float(n << self.exponent) if self.exponent >= 0 else n / (1 << -self.exponent)
         except OverflowError:
-            return self.sign * math.inf
+            return self.sign * float("inf")
 
     def __eq__(self, other):
         if isinstance(other, DyadicRational):

@@ -13,9 +13,10 @@ import functools
 import gc
 import json
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import copysign, gcd, inf, isfinite, lcm, nextafter
 from typing import Iterable, Sequence
 
 from .exactnum import ZERO, DyadicRational
@@ -551,9 +552,17 @@ _MIN_STATIC = 8
 # 6.7 as a region at 4 ops, and 7.3 against 5.9 at 10 (2-core Xeon, Python
 # 3.11).
 _MIN_REGION = 8
+# A miss of a float64 region segment runs at most this many times its op
+# count plus 64 chain ops to find the boundaries of its interval
+# (_FloatIntervals._bound), so a point costs a few plain runs at most.  Past
+# that budget it stores the part of its interval it has shown; the
+# boundaries found stay.  A boundary takes two runs of its chain on every
+# net built here, and a bisection over 2^64 keys about 64.
+_FLIP_RUNS = 4
 # The memos of one runner stop inserting once they would hold more than this
 # many bits, each stored integer counted as its bit length plus 64 and each
-# stored float as 128.  The exact and the float64 runner count their own.
+# stored float as 128.  The exact and the float64 runner count their own;
+# a region segment's pieces or intervals count with its runner's memos.
 _MEMO_BITS = 1 << 24
 
 
@@ -648,8 +657,9 @@ def _seams(plan: tuple) -> tuple:
     slot that depends on an input (v's), and otherwise constants or slots
     the run wrote.  A region run does not cross a track's start or end.
     With _MIN_REGION ops or more it is a region segment, which the exact
-    runner replaces by a lookup of its affine piece (_Pieces): the bucket
-    selector from the projection z to the (x, w, u) seam, in a sqrt,
+    runner replaces by a lookup of its affine piece (_Pieces), and the
+    float64 runner by a lookup of its float interval (_FloatIntervals): the
+    bucket selector from the projection z to the (x, w, u) seam, in a sqrt,
     regression or bits net and in each track of a depth net.  Plain runs
     that remain adjacent merge into one.
 
@@ -970,9 +980,286 @@ class _Seams:
                 self.bits += cost
 
 
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+
+
+def _key(x: float) -> int:
+    """The place of a non-NaN float in the order of floats: adjacent floats
+    have adjacent keys, and -0.0 and +0.0 share key 0."""
+    (i,) = _INT64.unpack(_DOUBLE.pack(x))
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _unkey(k: int) -> float:
+    """The float of key k (_key): +0.0 for 0."""
+    (x,) = _DOUBLE.unpack(_INT64.pack(abs(k)))
+    return -x if k < 0 else x
+
+
+
+def _chain_kept(path, t: float) -> bool:
+    """Whether the last chain op of path keeps its value (its pre-activation
+    is positive) when v holds t.  path holds the chain forms (_FloatIntervals)
+    from the op that reads v to that op, each run as the plain loop runs it."""
+    s = t
+    for pre, w, post, relu, _, _, _ in path:
+        acc = pre + w * s
+        for c in post:
+            acc += c
+        s = acc if not relu or acc > 0.0 else 0.0
+    return acc > 0.0
+
+
+def _flip(path, kept: bool, inner: float, outer: float, runs: int) -> tuple:
+    """(i, o, runs left): the floats on each side of the one place where the
+    state of path's last chain op flips, from `kept`, which it has at
+    inner, to the other state, which it has at outer.  A bisection over
+    the keys between, of at most `runs` runs of path, brings them together:
+    i and o are adjacent floats unless the runs ran out, and the state is
+    `kept` from inner to i either way."""
+    inner, outer = _key(inner), _key(outer)
+    while runs and abs(outer - inner) > 1:
+        runs -= 1
+        mid = (inner + outer) // 2
+        if _chain_kept(path, _unkey(mid)) == kept:
+            inner = mid
+        else:
+            outer = mid
+    return _unkey(inner), _unkey(outer), runs
+
+
+class _FloatIntervals:
+    """The float64 intervals of v met so far for one region segment of
+    _FloatSeams: closed intervals [lows[i], highs[i]], sorted, which meet at
+    most in an end, each with the export values it copies and the chain ops
+    it reruns.
+
+    The segment's ops read v's slot and slots that hold constants: the same
+    bits for every point.  A chain op is an op with exactly one term that
+    can depend on v, which reads v itself or a chain op's output, with a
+    finite nonzero weight, and with a finite partial sum of its bias and
+    the terms before it and finite constant terms after it.  Correctly
+    rounded addition and multiplication are monotone in each argument
+    (IEEE 754-2019, 4.3), and so is the ReLU on non-NaN values, so for any
+    v that is not NaN a chain op's pre-activation is a monotone function
+    of v, ±inf included, and never NaN: its ReLU state (kept, or clipped
+    to +0.0) flips at most once along v.
+
+    A point whose v is not NaN, ±inf or ±0.0 and lies in a stored interval
+    reruns that interval's chain ops, writes its copied exports and skips
+    the other ops.  Any other point runs the ops as the plain loop does,
+    recording each pre-activation.  A dependency pass then marks each value
+    as depending on v unless it is a chain op that clipped or an op whose
+    inputs are all independent; an op with two or more terms that can
+    depend on v is never taken as monotone.  The live ops are the chain ops
+    that read a value depending on v.  If every export is independent, or
+    computed by chain ops from v, the point's interval is the set of v on
+    which every live op keeps the state it had at v.  On it each
+    independent value keeps its bits, by induction over the ops, so the
+    interval copies them and reruns the chain ops that compute the other
+    exports.  Each live op's state flips at one boundary, a pair of
+    adjacent floats found by bisection on first need and kept (_bound): the
+    boundaries nearest v on each side are the interval's ends.  Intervals
+    stored with all their boundaries meet nowhere, since a point in two
+    would give their live ops one state; a miss that runs out of budget
+    stores the part around v it could show, cut off where it touches a
+    stored neighbour.
+
+    chain holds each op's chain form (pre, w, post, relu, j, src, dest), or
+    None: pre is the partial sum before its dynamic term w * regs[src], post
+    the constant terms after it, each a product, and j the chain op that
+    wrote src, -1 for v.  slopes holds each chain op's product of weights
+    from v, which guesses where its state flips; a guess only saves runs.
+    The chain forms come from the first point with an eligible v, whose run
+    also finds them, and their floats count as stored.
+    """
+
+    __slots__ = ("ops", "v", "exports", "chain", "flow", "writers", "slopes", "bounds",
+                 "lows", "highs", "entries")
+
+    def __init__(self, ops, v: int, exports: tuple):
+        self.ops, self.v, self.exports = ops, v, exports
+        self.chain = self.flow = self.writers = self.slopes = self.bounds = None
+        self.lows, self.highs, self.entries = [], [], []
+
+    def add(self, regs: list, room: int) -> int:
+        """Run the ops on one point's registers, as the plain loop does, and
+        store the interval of its v if it has one whose floats fit in room;
+        returns the bits stored."""
+        v, cost = regs[self.v], 0
+        eligible = 0.0 < abs(v) < inf
+        if eligible and self.chain is None:
+            pres, cost = self._setup(regs, room)
+        else:
+            pres = []
+            for acc, terms, relu, dest in self.ops:
+                for r, w in terms:
+                    acc += w * regs[r]
+                pres.append(acc)
+                if relu and not acc > 0.0:
+                    acc = 0.0 if acc == acc else acc
+                regs[dest] = acc
+        if eligible and self.chain:
+            cost += self._store(v, pres, regs, room - cost)
+        return cost
+
+    def _setup(self, regs: list, room: int) -> tuple:
+        """(pre-activations, bits stored) of a run of the ops on regs that also
+        finds the chain ops; chain is False if their floats exceed room."""
+        chain, slopes, flow, writer, pres = [], [], [], {}, []
+        src = {self.v: -1}  # slot -> the op whose v-dependent value it holds; -1: v
+        for k, (acc, terms, relu, dest) in enumerate(self.ops):
+            dyn = [(i, src[r]) for i, (r, _) in enumerate(terms) if r in src]
+            form = slope = None
+            if len(dyn) == 1:
+                ((i, j),) = dyn
+                pre, w = acc, terms[i][1]
+                for r, c in terms[:i]:
+                    pre += c * regs[r]
+                post = tuple([c * regs[r] for r, c in terms[i + 1:]])
+                if ((j < 0 or chain[j] is not None) and w and isfinite(w) and isfinite(pre)
+                        and all(map(isfinite, post))):
+                    form = (pre, w, post, relu, j, terms[i][0], dest)
+                    slope = w * (slopes[j] if j >= 0 else 1.0)
+            for r, c in terms:
+                acc += c * regs[r]
+            pres.append(acc)
+            if relu and not acc > 0.0:
+                acc = 0.0 if acc == acc else acc
+            regs[dest] = acc
+            chain.append(form)
+            slopes.append(slope)
+            if dyn:
+                src[dest] = k
+                flow.append((k, None if form is None else form[4], relu,
+                             tuple([j for _, j in dyn])))
+            else:
+                src.pop(dest, None)
+            writer[dest] = k
+        cost = 128 * sum([2 + len(form[2]) for form in chain if form is not None])
+        if cost > room:
+            self.chain = False
+            return pres, 0
+        self.chain, self.slopes, self.flow = chain, slopes, flow
+        self.writers = tuple([writer[s] for s in self.exports])
+        # an op without a ReLU has no state to flip
+        self.bounds = [() if form is not None and not form[3] else None for form in chain]
+        return pres, cost
+
+    def _store(self, v: float, pres: list, regs: list, room: int) -> int:
+        """Store the interval of v after a run that left pre-activations pres
+        and registers regs; returns the bits stored, found bounds included."""
+        chain, bounds = self.chain, self.bounds
+        dep = [False] * len(chain) + [True]  # dep[-1]: v
+        live = []
+        for k, j, relu, srcs in self.flow:
+            if j is None:
+                for d in srcs:
+                    if dep[d]:
+                        dep[k] = True
+                        break
+            elif dep[j]:
+                live.append(k)
+                dep[k] = not relu or pres[k] > 0.0
+        copied, rerun = [], set()
+        for s, k in zip(self.exports, self.writers):
+            if not dep[k]:
+                copied.append(s)
+            elif chain[k] is None:
+                return 0
+            else:
+                while k >= 0 and k not in rerun:  # the chain ops from v to the export
+                    rerun.add(k)
+                    k = chain[k][4]
+        low, high, cost, budget = -inf, inf, 0, _FLIP_RUNS * (len(chain) + 64)
+        for k in live:
+            bound = bounds[k]
+            if bound is None:
+                bound, held, spent = self._bound(k, v, pres[k], budget)
+                budget -= spent
+                if bound is None:  # not found within budget
+                    if held[0] > low:
+                        low = held[0]
+                    if held[1] < high:
+                        high = held[1]
+                    continue
+                if cost + 128 * len(bound) <= room:
+                    bounds[k] = bound
+                    cost += 128 * len(bound)
+            if bound:
+                if v <= bound[0]:
+                    if bound[0] < high:
+                        high = bound[0]
+                elif bound[1] > low:
+                    low = bound[1]
+        size = 128 * (2 + len(copied))
+        if cost + size > room:
+            return cost
+        i = bisect_right(self.lows, v)
+        if i and self.highs[i - 1] > low:  # a partial neighbour: touch it, do not overlap it
+            low = self.highs[i - 1]
+        if i < len(self.lows) and self.lows[i] < high:
+            high = self.lows[i]
+        self.lows.insert(i, low)
+        self.highs.insert(i, high)
+        self.entries.insert(i, (tuple([chain[k][:3] + chain[k][5:] for k in sorted(rerun)]),
+                                tuple(copied), [regs[s] for s in copied]))
+        return cost + size
+
+    def _bound(self, k: int, v: float, p: float, budget: int) -> tuple:
+        """(bound, held, chain ops run) for the ReLU chain op k, whose
+        pre-activation is p at v.  bound is the floats (a, b) of its flip,
+        so that its state is one for every v <= a and the other for every
+        v >= b, or () if it never flips.  If finding it would run more than
+        budget ops, bound is None, and the op keeps its state at v on the
+        interval held.
+
+        The state flips below v if it is kept and the op's pre-activation
+        rises with v, or clipped and it falls, and above v otherwise.  The
+        slope at v guesses the place; the guess and the float next to it
+        toward the flip settle most searches in two runs, and a bisection
+        over the keys between the floats known on each side does the rest.
+        """
+        path, j = [], k
+        while j >= 0:
+            path.append(self.chain[j])
+            j = self.chain[j][4]
+        path.reverse()
+        kept, slope, size = p > 0.0, self.slopes[k], len(path)
+        runs = budget // size
+        below = kept == (copysign(1.0, slope) > 0)
+        inner, outer, known = v, -inf if below else inf, False
+        guess = v - p / slope if slope else v
+        if runs >= 2 and ((outer < guess < v) if below else (v < guess < outer)):
+            runs -= 2
+            if _chain_kept(path, guess) == kept:
+                inner, probe = guess, nextafter(guess, outer)
+            else:
+                outer, known, probe = guess, True, nextafter(guess, v)
+            if probe != inner and probe != outer:  # strictly between them
+                if _chain_kept(path, probe) == kept:
+                    inner = probe
+                else:
+                    outer, known = probe, True
+        if not known:
+            if not runs:
+                held = (inner, inf) if below else (-inf, inner)
+                return None, held, (budget // size - runs) * size
+            runs -= 1
+            if _chain_kept(path, outer) == kept:
+                return (), None, (budget // size - runs) * size
+        inner, outer, runs = _flip(path, kept, inner, outer, runs)
+        spent = (budget // size - runs) * size
+        if nextafter(inner, outer) != outer:
+            return None, (inner, inf) if below else (-inf, inner), spent
+        return (outer, inner) if below else (inner, outer), None, spent
+
+
 class _FloatSeams:
     """The register plan under float64 rounding, cut at the same seams as
-    the exact program (_seams), each memoized segment with its own memo.
+    the exact program (_seams), each memoized segment with its own memo and
+    each region segment with its own intervals.
 
     segments are (keys, ops, dyn, exports, memo, pack).  A plain run has
     keys None and ops (bias, terms, relu, dest) with float weights.  A
@@ -989,8 +1276,10 @@ class _FloatSeams:
     tail terms in dyn read instead, so every dynamic op adds the same
     values in the same order as the plain loop and the bits are the same.
     A tail term that reads a start register reads it in place: the register
-    stays in its slot until its last reader.  bits counts what the memos
-    hold, apart from the exact runner's count.
+    stays in its slot until its last reader.  A region segment has keys
+    (v's slot,), the plain run's ops, dyn None and its _FloatIntervals in
+    place of the memo.  bits counts what the memos and the intervals hold,
+    apart from the exact runner's count.
     """
 
     __slots__ = ("segments", "bits", "size")
@@ -1008,11 +1297,13 @@ class _FloatSeams:
             ops.append((row[0], tuple(zip(slots, row[1:])), relu, dest))
         segments = []
         for lo, hi, keys, flags, exports in cuts:
-            if flags is None:  # a plain run, or a region segment, which runs plain
-                if segments and segments[-1][0] is None:  # since rounding is not affine
-                    segments[-1] = (None, segments[-1][1] + ops[lo:hi], (), (), None, None)
-                else:
-                    segments.append((None, ops[lo:hi], (), (), None, None))
+            if keys is None:
+                segments.append((None, ops[lo:hi], (), (), None, None))
+                continue
+            if flags is None:
+                run = ops[lo:hi]
+                segments.append((keys, run, None, exports,
+                                 _FloatIntervals(run, keys[0], exports), None))
                 continue
             split, dyn, written, stashed = [], [], set(), 0
             for (bias, terms, relu, dest), flag in zip(ops[lo:hi], flags):
@@ -1045,6 +1336,22 @@ class _FloatSeams:
                     if relu and not acc > 0.0:
                         acc = 0.0 if acc == acc else acc  # keep NaN
                     regs[dest] = acc
+                continue
+            if dyn is None:  # a region segment: memo is its _FloatIntervals
+                v = regs[keys[0]]
+                if 0.0 < abs(v) < inf:
+                    i = bisect_right(memo.lows, v) - 1
+                    if i >= 0 and v <= memo.highs[i]:
+                        rerun, slots, values = memo.entries[i]
+                        for pre, w, post, src, dest in rerun:  # kept on the whole interval
+                            acc = pre + w * regs[src]
+                            for c in post:
+                                acc += c
+                            regs[dest] = acc
+                        for s, x in zip(slots, values):
+                            regs[s] = x
+                        continue
+                self.bits += memo.add(regs, _MEMO_BITS - self.bits)
                 continue
             key = pack(*[regs[s] for s in keys])
             hit = memo.get(key)
@@ -1158,7 +1465,10 @@ def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
     Runs the register plan with float weights, cut at the seams the exact
     evaluator uses (_FloatSeams, built once per net from the same _seams
     analysis): a memoized segment's static ops run once per bit pattern of
-    its key registers.  A row adds its bias, then its terms in stored
+    its key registers, and a point whose v lies in a stored float interval
+    of a region segment copies the exports that cannot depend on v there
+    and reruns the few chain ops that compute the others
+    (_FloatIntervals).  A row adds its bias, then its terms in stored
     order, left to right (sum() and math.fsum round differently), on a hit
     as on a miss, so the bits equal a walk over every row of every layer.
     Inputs are taken as float(x): only identity rows on ReLU outputs, which

@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,36 @@ class TestDyadicRational:
             assert a.as_fraction() == want and a == want
             assert DyadicRational.from_fraction(want) == a
             assert a.to_float() == float(want)
+
+    @staticmethod
+    def _nearest_float(q: Fraction) -> float:
+        """float(q), +-inf past the float range."""
+        try:
+            return float(q)
+        except OverflowError:
+            return float("inf") if q > 0 else float("-inf")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2100).flatmap(lambda b: st.integers(-(1 << b), 1 << b)),
+           st.integers(-1200, 1200))
+    def test_to_float_rounds_once(self, n, e):
+        """Mantissas of up to about 2,100 bits and exponents up to +-1,200,
+        past the float range and into the subnormals on either side: the
+        nearest float, rounded once, as float() of the Fraction."""
+        got = DyadicRational(n, e).to_float()
+        want = self._nearest_float(DyadicRational(n, e).as_fraction())
+        assert struct.pack("<d", got) == struct.pack("<d", want), (n, e, got, want)
+
+    def test_to_float_examples(self):
+        """A wide mantissa inside the load caps, and a subnormal that
+        rounding first to 53 bits and then to the subnormal grid gets one
+        ulp wrong; a negative value below the subnormals is -0.0."""
+        assert DyadicRational((1 << 1100) + 1, -1100).to_float() == 1.0
+        assert DyadicRational(0x1064C649FB695FFB, -1088).to_float().hex() == \
+            "0x0.041931927eda5p-1022"
+        assert struct.pack("<d", DyadicRational(-1, -1100).to_float()) == \
+            struct.pack("<d", -0.0)
+        assert DyadicRational(-3, MAX_EXPONENT).to_float() == float("-inf")
 
     @settings(max_examples=300, deadline=None)
     @given(_dyadics, st.one_of(_dyadics, _numerators))

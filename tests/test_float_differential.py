@@ -9,6 +9,7 @@ eval_float is also checked against `plain_float`, the register plan run op
 by op with no memo, down to the NaN payloads.
 """
 
+import math
 import random
 import struct
 
@@ -21,8 +22,8 @@ from memnet.exactnum import DyadicRational
 from memnet.netir import AffineLayer, LayeredNet, eval_exact, eval_float
 from memnet.pipeline import assemble_sqrt
 from test_eval_differential import (CORPUS_NAMES, WRONG_SPLITS, _dyadics, _fresh,
-                                    _key_per_point_net, _mutated, _nets, _stacked_nets,
-                                    corpus)
+                                    _key_per_point_net, _mutated, _nets, _relu_chains,
+                                    _stacked_nets, corpus)
 
 SPECIALS = (0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
             -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308, 1e16, -1e16)
@@ -166,31 +167,53 @@ def assert_float_memo_agrees(net: LayeredNet, points) -> None:
 
 
 def _memos(runner) -> list:
-    """The memos of a runner's memoized segments, in program order."""
-    return [seg[4] for seg in runner.segments if seg[0] is not None]
+    """The memos of a runner's memoized segments, in program order; a region
+    segment, whose dyn is None, keeps intervals instead (_intervals)."""
+    return [seg[4] for seg in runner.segments if seg[0] is not None and seg[2] is not None]
+
+
+def _intervals(runner) -> list:
+    """The interval stores of a runner's region segments, each checked: its
+    intervals sorted, each nonempty and free of NaN, and two neighbours
+    meeting at most in an end."""
+    stores = [seg[4] for seg in runner.segments if seg[0] is not None and seg[2] is None]
+    for store in stores:
+        assert len(store.lows) == len(store.highs) == len(store.entries)
+        ends = [end for pair in zip(store.lows, store.highs) for end in pair]
+        assert all(a <= b for a, b in zip(ends, ends[1:])), ends
+    return stores
+
+
+def _stored(runner) -> tuple:
+    """(memo entries, intervals, bits) of a float runner."""
+    return (sum(map(len, _memos(runner))), sum(len(s.lows) for s in _intervals(runner)),
+            runner.bits)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_float_memo_matches_plain_loop(name):
     """The training points and hostile points through one net object, twice:
-    the second pass finds every key the first stored and stores nothing."""
+    the second pass finds every key and interval the first stored and
+    stores nothing."""
     built, ds = corpus(name)
     net = _fresh(built)
     rng = random.Random(name)
     points = [[float(c) for c in p] for p in ds.points] + _hostile_points(net.input_dim, rng)
     assert_float_memo_agrees(net, points)
-    entries, bits = sum(map(len, _memos(net._flt))), net._flt.bits
+    stored = _stored(net._flt)
     assert_float_memo_agrees(net, points)
-    assert (sum(map(len, _memos(net._flt))), net._flt.bits) == (entries, bits)
+    assert _stored(net._flt) == stored
+    entries, intervals, _ = stored
     if _memos(net._flt):  # the training points share keys: some of them hit
         assert 0 < entries < len(points)
+    assert 0 < intervals < len(points)  # so do the selector's intervals
 
 
 def test_one_seam_analysis_serves_both_arithmetics(monkeypatch):
     """Exact and float64 evaluation of one net run the seam analysis once
-    and memoize the same segments with the same key slots; the float64
-    runner runs each region segment of the exact one as part of a plain
-    run."""
+    and cut the plan into the same segments: the same op ranges, the same
+    kinds, key slots and export slots, so the float64 runner's region
+    segments are the exact runner's, with the same v slot."""
     built, ds = corpus(CORPUS_NAMES[0])
     net = _fresh(built)
     calls = []
@@ -201,18 +224,13 @@ def test_one_seam_analysis_serves_both_arithmetics(monkeypatch):
         eval_exact(net, list(p))
     assert len(calls) == 1 and calls[0] is netir._plan(net)
     exact, floats = net._seams.segments, net._flt.segments
-    assert any(seg[2] is None for seg in exact)  # a region segment
-    kinds = []  # each exact segment's keys, None for a plain run or a region segment
-    for keys, _, dyn, _, _ in exact:
-        keys = None if dyn is None else keys
-        if keys is not None or not kinds or kinds[-1] is not None:
-            kinds.append(keys)
-    assert kinds == [seg[0] for seg in floats]
-    assert any(seg[0] for seg in floats)
-    memos = [seg for seg in exact if seg[0] is not None and seg[2] is not None]
-    for seg, fseg in zip(memos, [fseg for fseg in floats if fseg[0] is not None]):
-        assert len(seg[1]) == len(fseg[1]) and seg[3] == fseg[3]
-    assert sum(len(seg[1]) for seg in exact) == sum(len(seg[1]) for seg in floats)
+
+    def shape(segments):  # each segment's keys, op count, kind and exports, in order
+        return [(seg[0], len(seg[1]), seg[2] is None, seg[3]) for seg in segments]
+
+    assert shape(floats) == shape(exact)
+    assert any(keys is not None and region for keys, _, region, _ in shape(exact))
+    assert any(keys is not None and not region for keys, _, region, _ in shape(exact))
 
 
 def _nan(payload: int) -> float:
@@ -315,3 +333,223 @@ def test_random_nets_float_memo(data, kind):
         if split:
             mp.setattr(netir, "_dynamic_bit", WRONG_SPLITS[split])
         assert_float_memo_agrees(_fresh(net), points)
+
+
+# ---------------------------------------------------------------------------
+# the float64 intervals of region segments against the plan run without them
+
+
+def _region_net(layers: list, provenance: str) -> LayeredNet:
+    """A 1-D net of the given hidden ReLU layers, each a list of (bias,
+    ((source, weight), ...)) rows, and one affine output row summing the
+    last layer: with _MIN_REGION 0, every op after the input is one region
+    segment on v = x."""
+    net_layers, width = [], 1
+    for rows in layers:
+        net_layers.append(AffineLayer(width, len(rows), [terms for _, terms in rows],
+                                      [bias for bias, _ in rows], relu=True))
+        width = len(rows)
+    net_layers.append(AffineLayer(width, 1, [tuple((i, 1) for i in range(width))], [0],
+                                  relu=False))
+    return LayeredNet(1, net_layers, provenance)
+
+
+def _staircase_net(steps: int) -> LayeredNet:
+    """x -> the number of k in 0..steps-1 with x >= k, as a sum of windows
+    g_k = ReLU(1 - ReLU(2^20 (k - x))): between two steps every g_k is 0 or
+    1 and depends on no input, so each step is one interval.  (At
+    _SEAM_WIDTH 1 the net is one region segment; at 4 its first three ops
+    are one, cut at the seam after them.)"""
+    h = [(DyadicRational(k, 20), ((0, DyadicRational(-1, 20)),)) for k in range(steps)]
+    g = [(1, ((k, -1),)) for k in range(steps)]
+    return _region_net([h, g], "staircase")
+
+
+def _specials_only(net: LayeredNet) -> None:
+    """NaN, +-inf and +-0.0 run plain and store no interval."""
+    assert_float_memo_agrees(net, [[x] for x in SPECIALS[:5]] + [[_nan(3)]])
+    assert sum(len(s.lows) for s in _intervals(net._flt)) == 0
+
+
+def test_float_intervals_share_each_step(monkeypatch):
+    """One interval per step of a staircase, whose exports depend on no
+    input there: later points on a step hit it in either order, points on
+    the steep ramps and special values run plain, and a repeat pass stores
+    nothing."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    monkeypatch.setattr(netir, "_SEAM_WIDTH", 1)
+    net = _staircase_net(12)
+    _specials_only(net)
+    points = [[k + f] for k in range(-1, 13) for f in (0.5, 0.25, 0.75, 0.0)]
+    points += [[k - 2.0 ** -22] for k in range(12)]  # on the ramps
+    assert_float_memo_agrees(net, points + points[::-1])
+    (store,) = _intervals(net._flt)
+    assert len(store.lows) == 13  # below the first step, then one per step
+    stored = _stored(net._flt)
+    assert_float_memo_agrees(net, points)
+    assert _stored(net._flt) == stored
+
+
+def test_float_intervals_follow_rounding(monkeypatch):
+    """y = ReLU(x + 2^53), q = ReLU(y - (2^53 + 2)): y rounds to a multiple
+    of 2, so q clips up to x = 3 (the tie at 3 rounds to 2^53 + 4), not up
+    to the x = 2 that the slope guesses.  An interval stored at 0.5 must
+    end below 3, and one stored at 2.7 must too."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    net = _region_net([[(DyadicRational(1, 53), ((0, 1),))],
+                       [(DyadicRational(-(1 << 53) - 2, 0), ((0, 1),))]], "rounding")
+    points = [[0.5], [2.7], [3.5], [2.9999999999999996], [3.0], [1e6], [1e300]]
+    for order in (points, points[::-1]):
+        fresh = _fresh(net)
+        assert_float_memo_agrees(fresh, order)
+        assert eval_float(fresh, [2.9999999999999996]) == [0.0]
+        assert eval_float(fresh, [3.0]) == [2.0]
+    (store,) = _intervals(fresh._flt)
+    assert 2.9999999999999996 in store.highs and 3.0 in store.lows
+
+
+def test_two_dynamic_terms_are_not_a_chain(monkeypatch):
+    """q = ReLU(ReLU(x) - 2 ReLU(x - 1) - 1/2), a tent that is positive on
+    (1/2, 3/2) only: q reads two values that depend on x, so its state is
+    not monotone in x, and no interval may copy it."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    net = _region_net([[(0, ((0, 1),)), (-1, ((0, 1),))],
+                       [(DyadicRational(-1, -1), ((0, 1), (1, -2)))]], "tent")
+    points = [[x] for x in (0.75, 1.75, 0.25, 1.25, 2.5, 1.0, 0.6, 1.4, 3.0, -1.0)]
+    for order in (points, points[::-1]):
+        fresh = _fresh(net)
+        assert_float_memo_agrees(fresh, order + order)
+        assert [eval_float(fresh, p)[0] for p in points] == [
+            0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.09999999999999998, 0.10000000000000009, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("split", [None, *WRONG_SPLITS], ids=["natural", *WRONG_SPLITS])
+@pytest.mark.parametrize("seam_width", [1, 2, 4, 1 << 30])
+def test_float_intervals_under_forced_cuts(monkeypatch, seam_width, split):
+    """Corpus nets with every run that qualifies a region segment, whatever
+    its length, a cut at the seams of every width up to every boundary, and
+    the memos' dynamic register chosen well or wrongly: float64 bits equal
+    the plain loop in both point orders, intervals stored in one order are
+    found in the other, and a repeat pass stores nothing."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    monkeypatch.setattr(netir, "_SEAM_WIDTH", seam_width)
+    if split:
+        monkeypatch.setattr(netir, "_dynamic_bit", WRONG_SPLITS[split])
+    for name in ("sqrt-102", "sqrt-112", "depth", "bits", "regression"):
+        net, ds = corpus(name)
+        net = _fresh(net)
+        points = [[float(c) for c in p] for p in ds.points[:10]]
+        points += [[(a + b) / 2 for a, b in zip(p, q)] for p, q in zip(points, points[1:])]
+        assert_float_memo_agrees(net, points + points[::-1])
+        assert _intervals(net._flt), name
+        stored = _stored(net._flt)
+        assert_float_memo_agrees(net, points[::-1])
+        assert _stored(net._flt) == stored, name
+
+
+def test_float_intervals_share_each_bucket():
+    """One pass over the training points of a sqrt build stores at most one
+    interval per bucket in its selector, whose exports other than x depend
+    on no input on each bucket's plateau, and a point in the middle of two
+    buckets' plateaus finds the interval of its bucket."""
+    ds = random_dataset(64, 2, 4, seed=5)
+    built, report = assemble_sqrt(ds, seed=5)
+    net = _fresh(built)
+    points = [[float(c) for c in p] for p in ds.points]
+    assert_float_memo_agrees(net, points)
+    (store,) = _intervals(net._flt)
+    assert 0 < len(store.lows) <= report.info.bucket_count
+    stored = _stored(net._flt)
+    assert_float_memo_agrees(net, points[::-1])
+    assert _stored(net._flt) == stored
+    assert all(len(rerun) == 1 for rerun, _, _ in store.entries)  # x = ReLU(c z) reruns
+
+
+def test_float_intervals_stop_at_the_cap(monkeypatch):
+    """Intervals, their boundaries and their chain forms count against the
+    float memo's cap: a staircase fills it, later steps run plain with the
+    same bits, and the count never passes the cap."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    monkeypatch.setattr(netir, "_SEAM_WIDTH", 1)
+    monkeypatch.setattr(netir, "_MEMO_BITS", 48000)
+    net = _staircase_net(40)
+    assert_float_memo_agrees(net, [[k + 0.5] for k in range(40)])
+    (store,) = _intervals(net._flt)
+    assert 0 < len(store.lows) < 40 and 40000 < net._flt.bits <= 48000
+    stored = _stored(net._flt)
+    assert_float_memo_agrees(net, [[k + 0.25] for k in range(40, -2, -1)])
+    assert _stored(net._flt) == stored
+    monkeypatch.setattr(netir, "_MEMO_BITS", 1000)  # no room for the chain forms
+    net = _staircase_net(40)
+    assert_float_memo_agrees(net, [[k + 0.5] for k in range(40)])
+    assert _stored(net._flt) == (0, 0, 0)
+
+
+_chain_weights = st.sampled_from([-2, -1, DyadicRational(1, -1), 1, 2, 3, DyadicRational(1, 30),
+                                  DyadicRational(-1, 30), DyadicRational(1, -30),
+                                  DyadicRational(3, 1000), DyadicRational(1, -1060)])
+_chain_biases = st.sampled_from([0, 1, -1, DyadicRational(-3, -1), DyadicRational(1, 53),
+                                 DyadicRational(-1, 53), DyadicRational((1 << 53) + 1, 0),
+                                 DyadicRational(1, 1000), DyadicRational(-1, -1100)])
+
+
+@st.composite
+def _float_chains(draw):
+    """1-D nets of 1-5 ReLU layers of 1-3 rows, each row reading 1-2
+    channels of the layer before, with weights and biases that round:
+    2^53 and 2^53 + 1 biases, 2^+-30, 3 * 2^1000, which overflows to inf
+    on large inputs, and the subnormal 2^-1060."""
+    width, layers = 1, []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = []
+        for _ in range(draw(st.integers(1, 3))):
+            cols = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2, unique=True))
+            rows.append((draw(_chain_biases), tuple((i, draw(_chain_weights)) for i in cols)))
+        layers.append(rows)
+        width = len(rows)
+    return _region_net(layers, "float-chain")
+
+
+def _boundary_points(runner) -> list:
+    """Every boundary and interval end the runner's intervals found, and
+    the floats next to each."""
+    ends = set()
+    for store in _intervals(runner):
+        for bound in store.bounds or ():
+            ends.update(bound or ())
+        ends.update(store.lows + store.highs)
+    ends = {x for x in ends if x == x and abs(x) < float("inf")}
+    return sorted({y for x in ends for y in (math.nextafter(x, -math.inf), x,
+                                             math.nextafter(x, math.inf))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_float_chains_intervals(data):
+    """1-D ReLU chains, exact-style and rounding, as region segments of any
+    length at any seam width and with any search budget: a first pass finds
+    the boundaries, and a fresh net then evaluates points at each boundary
+    and one float either side, subnormals, signed zeros, NaN, +-inf and
+    points that overflow, in both orders.  Bits equal the plain loop, and a
+    repeat pass stores nothing."""
+    net = data.draw(st.one_of(_relu_chains(), _float_chains()))
+    xs = data.draw(st.lists(st.one_of(_floats, st.floats(-8, 8), st.sampled_from(
+        [-2.0, -1.0, -0.5, 0.25, 1.0, 3.0])), min_size=1, max_size=8))
+    if net.input_dim == 2:  # z = x + y
+        def point(x):
+            return [x, 0.0]
+    else:
+        def point(x):
+            return [x]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netir, "_MIN_REGION", data.draw(st.sampled_from([0, 8])))
+        mp.setattr(netir, "_SEAM_WIDTH", data.draw(st.sampled_from([1, 2, 4, 1 << 30])))
+        mp.setattr(netir, "_FLIP_RUNS", data.draw(st.sampled_from([0, 1, 4])))
+        first = _fresh(net)
+        assert_float_memo_agrees(first, [point(x) for x in xs])
+        points = [point(x) for x in xs + _boundary_points(first._flt) + list(SPECIALS)]
+        fresh = _fresh(net)
+        assert_float_memo_agrees(fresh, points + points[::-1])
+        stored = _stored(fresh._flt)
+        assert_float_memo_agrees(fresh, points)
+        assert _stored(fresh._flt) == stored
