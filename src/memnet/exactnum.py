@@ -61,22 +61,13 @@ def pack_blocks(values: list[int], block_width: int) -> int:
     return out
 
 
-def ceil_log2(x) -> int:
-    """Smallest k with 2**k >= x, for a positive int or Fraction."""
-    if isinstance(x, int):
-        if x < 1:
-            raise ValueError("ceil_log2 needs a positive argument")
-        return (x - 1).bit_length()
-    num, den = x.numerator, x.denominator
-    if num <= 0:
+def ceil_log2(x: int) -> int:
+    """Smallest k with 2**k >= x, for a positive int."""
+    if not isinstance(x, int):
+        raise TypeError("ceil_log2 needs an int")
+    if x < 1:
         raise ValueError("ceil_log2 needs a positive argument")
-    k = num.bit_length() - den.bit_length()
-    # adjust so that 2**k >= num/den > 2**(k-1)
-    while (den << k if k >= 0 else den) >= (num if k >= 0 else num << -k):
-        k -= 1
-    while (den << k if k >= 0 else den) < (num if k >= 0 else num << -k):
-        k += 1
-    return k
+    return (x - 1).bit_length()
 
 
 def ceil_sqrt(n: int) -> int:

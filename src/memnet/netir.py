@@ -697,12 +697,12 @@ def _seams(plan: tuple) -> tuple:
     edges = {bound for span in spans for bound in span}
     const, runs = [False] * size, []
     for a, b in zip(bounds, bounds[1:]):
-        before = const[:]  # _segment brings const up to b
+        reads = _dynamic_reads(ops[a:b], const)  # before _segment brings const up to b
         cut = _segment(ops[a:b], inside.get(a, seams.get(a)), outside[b], const)
         if cut is not None:
             runs.append((a, b, *cut))
             continue
-        reads, wrote = _dynamic_reads(ops[a:b], before), {op[4] for op in ops[a:b]}
+        wrote = {op[4] for op in ops[a:b]}
         last = runs[-1] if runs else None  # a region run carries the slots it wrote
         if (last and last[2] is not None and last[3] is None and a not in edges
                 and reads <= last[4] | set(last[2])):  # the region run goes on
@@ -997,16 +997,13 @@ def _unkey(k: int) -> float:
     return -x if k < 0 else x
 
 
-
 def _chain_kept(path, t: float) -> bool:
     """Whether the last chain op of path keeps its value (its pre-activation
     is positive) when v holds t.  path holds the chain forms (_FloatIntervals)
     from the op that reads v to that op, each run as the plain loop runs it."""
     s = t
-    for pre, w, post, relu, _, _, _ in path:
-        acc = pre + w * s
-        for c in post:
-            acc += c
+    for bias, w, relu, _, _, _ in path:
+        acc = bias + w * s
         s = acc if not relu or acc > 0.0 else 0.0
     return acc > 0.0
 
@@ -1036,26 +1033,25 @@ class _FloatIntervals:
     it reruns.
 
     The segment's ops read v's slot and slots that hold constants: the same
-    bits for every point.  A chain op is an op with exactly one term that
-    can depend on v, which reads v itself or a chain op's output, with a
-    finite nonzero weight, and with a finite partial sum of its bias and
-    the terms before it and finite constant terms after it.  Correctly
-    rounded addition and multiplication are monotone in each argument
-    (IEEE 754-2019, 4.3), and so is the ReLU on non-NaN values, so for any
-    v that is not NaN a chain op's pre-activation is a monotone function
-    of v, ±inf included, and never NaN: its ReLU state (kept, or clipped
-    to +0.0) flips at most once along v.
+    bits for every point.  A chain op is an op with one term, which reads v
+    itself or a chain op's output, with a finite nonzero weight and a
+    finite bias.  Correctly rounded addition and multiplication are
+    monotone in each argument (IEEE 754-2019, 4.3), and so is the ReLU on
+    non-NaN values, so for any v that is not NaN a chain op's
+    pre-activation is a monotone function of v, ±inf included, and never
+    NaN: its ReLU state (kept, or clipped to +0.0) flips at most once
+    along v.  The chain ops come from the segment's structure alone, once.
 
-    A point whose v is not NaN, ±inf or ±0.0 and lies in a stored interval
-    reruns that interval's chain ops, writes its copied exports and skips
-    the other ops.  Any other point runs the ops as the plain loop does,
-    recording each pre-activation.  A dependency pass then marks each value
-    as depending on v unless it is a chain op that clipped or an op whose
-    inputs are all independent; an op with two or more terms that can
-    depend on v is never taken as monotone.  The live ops are the chain ops
-    that read a value depending on v.  If every export is independent, or
-    computed by chain ops from v, the point's interval is the set of v on
-    which every live op keeps the state it had at v.  On it each
+    A point whose v is not NaN, ±inf or ±0.0 and lies in a stored
+    interval reruns that interval's chain ops, writes its copied exports
+    and skips the other ops.  Any other point runs the ops as the plain
+    loop does, recording each pre-activation.  A dependency pass then marks
+    each value as depending on v unless it is a chain op that clipped or an
+    op whose inputs are all independent; any other op that reads a value
+    depending on v is never taken as monotone.  The live ops are the chain
+    ops that read a value depending on v.  If every export is independent,
+    or computed by chain ops from v, the point's interval is the set of v
+    on which every live op keeps the state it had at v.  On it each
     independent value keeps its bits, by induction over the ops, so the
     interval copies them and reruns the chain ops that compute the other
     exports.  Each live op's state flips at one boundary, a pair of
@@ -1066,86 +1062,52 @@ class _FloatIntervals:
     stores the part around v it could show, cut off where it touches a
     stored neighbour.
 
-    chain holds each op's chain form (pre, w, post, relu, j, src, dest), or
-    None: pre is the partial sum before its dynamic term w * regs[src], post
-    the constant terms after it, each a product, and j the chain op that
-    wrote src, -1 for v.  slopes holds each chain op's product of weights
-    from v, which guesses where its state flips; a guess only saves runs.
-    The chain forms come from the first point with an eligible v, whose run
-    also finds them, and their floats count as stored.
+    chain holds each op's chain form (bias, w, relu, j, src, dest), or
+    None, with j the chain op that wrote src, -1 for v.  flow holds (k, j,
+    relu, ops read) for each op k that reads a value depending on v, with j
+    None unless k is a chain op.  bounds holds each chain op's boundary
+    once found, () for one without a ReLU, and None otherwise.
     """
 
-    __slots__ = ("ops", "v", "exports", "chain", "flow", "writers", "slopes", "bounds",
+    __slots__ = ("ops", "v", "exports", "chain", "flow", "writers", "bounds",
                  "lows", "highs", "entries")
 
     def __init__(self, ops, v: int, exports: tuple):
-        self.ops, self.v, self.exports = ops, v, exports
-        self.chain = self.flow = self.writers = self.slopes = self.bounds = None
+        chain, flow, writer = [], [], {}
+        src = {v: -1}  # slot -> the op whose v-dependent value it holds; -1: v
+        for k, (bias, terms, relu, dest) in enumerate(ops):
+            dyn = tuple([src[r] for r, _ in terms if r in src])
+            form = None
+            if len(terms) == 1 and dyn:
+                ((r, w),), (j,) = terms, dyn
+                if (j < 0 or chain[j] is not None) and w and isfinite(w) and isfinite(bias):
+                    form = (bias, w, relu, j, r, dest)
+            chain.append(form)
+            if dyn:
+                src[dest] = k
+                flow.append((k, None if form is None else j, relu, dyn))
+            else:
+                src.pop(dest, None)
+            writer[dest] = k
+        self.ops, self.v, self.exports, self.chain, self.flow = ops, v, exports, chain, flow
+        self.writers = tuple([writer[s] for s in exports])
+        # an op without a ReLU has no state to flip
+        self.bounds = [() if form is not None and not form[2] else None for form in chain]
         self.lows, self.highs, self.entries = [], [], []
 
     def add(self, regs: list, room: int) -> int:
         """Run the ops on one point's registers, as the plain loop does, and
         store the interval of its v if it has one whose floats fit in room;
         returns the bits stored."""
-        v, cost = regs[self.v], 0
-        eligible = 0.0 < abs(v) < inf
-        if eligible and self.chain is None:
-            pres, cost = self._setup(regs, room)
-        else:
-            pres = []
-            for acc, terms, relu, dest in self.ops:
-                for r, w in terms:
-                    acc += w * regs[r]
-                pres.append(acc)
-                if relu and not acc > 0.0:
-                    acc = 0.0 if acc == acc else acc
-                regs[dest] = acc
-        if eligible and self.chain:
-            cost += self._store(v, pres, regs, room - cost)
-        return cost
-
-    def _setup(self, regs: list, room: int) -> tuple:
-        """(pre-activations, bits stored) of a run of the ops on regs that also
-        finds the chain ops; chain is False if their floats exceed room."""
-        chain, slopes, flow, writer, pres = [], [], [], {}, []
-        src = {self.v: -1}  # slot -> the op whose v-dependent value it holds; -1: v
-        for k, (acc, terms, relu, dest) in enumerate(self.ops):
-            dyn = [(i, src[r]) for i, (r, _) in enumerate(terms) if r in src]
-            form = slope = None
-            if len(dyn) == 1:
-                ((i, j),) = dyn
-                pre, w = acc, terms[i][1]
-                for r, c in terms[:i]:
-                    pre += c * regs[r]
-                post = tuple([c * regs[r] for r, c in terms[i + 1:]])
-                if ((j < 0 or chain[j] is not None) and w and isfinite(w) and isfinite(pre)
-                        and all(map(isfinite, post))):
-                    form = (pre, w, post, relu, j, terms[i][0], dest)
-                    slope = w * (slopes[j] if j >= 0 else 1.0)
-            for r, c in terms:
-                acc += c * regs[r]
+        v, pres = regs[self.v], []
+        for acc, terms, relu, dest in self.ops:
+            for r, w in terms:
+                acc += w * regs[r]
             pres.append(acc)
             if relu and not acc > 0.0:
                 acc = 0.0 if acc == acc else acc
             regs[dest] = acc
-            chain.append(form)
-            slopes.append(slope)
-            if dyn:
-                src[dest] = k
-                flow.append((k, None if form is None else form[4], relu,
-                             tuple([j for _, j in dyn])))
-            else:
-                src.pop(dest, None)
-            writer[dest] = k
-        cost = 128 * sum([2 + len(form[2]) for form in chain if form is not None])
-        if cost > room:
-            self.chain = False
-            return pres, 0
-        self.chain, self.slopes, self.flow = chain, slopes, flow
-        self.writers = tuple([writer[s] for s in self.exports])
-        # an op without a ReLU has no state to flip
-        self.bounds = [() if form is not None and not form[3] else None for form in chain]
-        return pres, cost
+        return self._store(v, pres, regs, room) if 0.0 < abs(v) < inf else 0
 
     def _store(self, v: float, pres: list, regs: list, room: int) -> int:
         """Store the interval of v after a run that left pre-activations pres
@@ -1171,7 +1133,7 @@ class _FloatIntervals:
             else:
                 while k >= 0 and k not in rerun:  # the chain ops from v to the export
                     rerun.add(k)
-                    k = chain[k][4]
+                    k = chain[k][3]
         low, high, cost, budget = -inf, inf, 0, _FLIP_RUNS * (len(chain) + 64)
         for k in live:
             bound = bounds[k]
@@ -1203,7 +1165,7 @@ class _FloatIntervals:
             high = self.lows[i]
         self.lows.insert(i, low)
         self.highs.insert(i, high)
-        self.entries.insert(i, (tuple([chain[k][:3] + chain[k][5:] for k in sorted(rerun)]),
+        self.entries.insert(i, (tuple([chain[k][:2] + chain[k][4:] for k in sorted(rerun)]),
                                 tuple(copied), [regs[s] for s in copied]))
         return cost + size
 
@@ -1217,16 +1179,20 @@ class _FloatIntervals:
 
         The state flips below v if it is kept and the op's pre-activation
         rises with v, or clipped and it falls, and above v otherwise.  The
-        slope at v guesses the place; the guess and the float next to it
-        toward the flip settle most searches in two runs, and a bisection
-        over the keys between the floats known on each side does the rest.
+        product of the weights from v (the slope) guesses the place; the
+        guess and the float next to it toward the flip settle most searches
+        in two runs, and a bisection over the keys between the floats known
+        on each side does the rest.
         """
         path, j = [], k
         while j >= 0:
             path.append(self.chain[j])
-            j = self.chain[j][4]
+            j = self.chain[j][3]
         path.reverse()
-        kept, slope, size = p > 0.0, self.slopes[k], len(path)
+        slope = 1.0
+        for form in path:
+            slope = form[1] * slope
+        kept, size = p > 0.0, len(path)
         runs = budget // size
         below = kept == (copysign(1.0, slope) > 0)
         inner, outer, known = v, -inf if below else inf, False
@@ -1277,9 +1243,10 @@ class _FloatSeams:
     values in the same order as the plain loop and the bits are the same.
     A tail term that reads a start register reads it in place: the register
     stays in its slot until its last reader.  A region segment has keys
-    (v's slot,), the plain run's ops, dyn None and its _FloatIntervals in
-    place of the memo.  bits counts what the memos and the intervals hold,
-    apart from the exact runner's count.
+    (v's slot,), the plain run's ops, dyn None and, in place of the memo,
+    its _FloatIntervals, whose chain ops come from the run's structure when
+    the runner is built.  bits counts what the memos and the intervals
+    hold, apart from the exact runner's count.
     """
 
     __slots__ = ("segments", "bits", "size")
@@ -1343,11 +1310,8 @@ class _FloatSeams:
                     i = bisect_right(memo.lows, v) - 1
                     if i >= 0 and v <= memo.highs[i]:
                         rerun, slots, values = memo.entries[i]
-                        for pre, w, post, src, dest in rerun:  # kept on the whole interval
-                            acc = pre + w * regs[src]
-                            for c in post:
-                                acc += c
-                            regs[dest] = acc
+                        for bias, w, src, dest in rerun:  # kept on the whole interval
+                            regs[dest] = bias + w * regs[src]
                         for s, x in zip(slots, values):
                             regs[s] = x
                         continue
@@ -1467,8 +1431,8 @@ def eval_float(net: LayeredNet, xs: Sequence[float]) -> list[float]:
     analysis): a memoized segment's static ops run once per bit pattern of
     its key registers, and a point whose v lies in a stored float interval
     of a region segment copies the exports that cannot depend on v there
-    and reruns the few chain ops that compute the others
-    (_FloatIntervals).  A row adds its bias, then its terms in stored
+    and reruns the few chain ops, one-term ops from v, that compute the
+    others (_FloatIntervals).  A row adds its bias, then its terms in stored
     order, left to right (sum() and math.fsum round differently), on a hit
     as on a miss, so the bits equal a walk over every row of every layer.
     Inputs are taken as float(x): only identity rows on ReLU outputs, which

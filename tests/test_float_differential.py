@@ -24,6 +24,7 @@ from memnet.pipeline import assemble_sqrt
 from test_eval_differential import (CORPUS_NAMES, WRONG_SPLITS, _dyadics, _fresh,
                                     _key_per_point_net, _mutated, _nets, _relu_chains,
                                     _stacked_nets, corpus)
+from test_golden import BUILD_DIGESTS, _build
 
 SPECIALS = (0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
             -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308, 1e16, -1e16)
@@ -423,6 +424,62 @@ def test_two_dynamic_terms_are_not_a_chain(monkeypatch):
             0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.09999999999999998, 0.10000000000000009, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, *(f"golden-{mode}" for mode in sorted(BUILD_DIGESTS))])
+def test_region_ops_reading_v_once_have_one_term(name):
+    """In every float64 region segment of the corpus nets and the golden
+    builds, an op with exactly one term that reads a value depending on v
+    has no other term, so the one-term chain ops cover every op that reads
+    v once.  A construction that adds a constant term to such an op keeps
+    its bits and loses intervals, and fails here."""
+    net = _fresh(_build(name[7:])[0] if name.startswith("golden-") else corpus(name)[0])
+    eval_float(net, [0.0] * net.input_dim)
+    regions = [seg for seg in net._flt.segments if seg[0] is not None and seg[2] is None]
+    assert regions
+    for (v,), ops, *_ in regions:
+        dependent = {v}
+        for _, terms, _, dest in ops:
+            reads = [r for r, _ in terms if r in dependent]
+            assert len(reads) != 1 or len(terms) == 1, (name, terms)
+            if reads:
+                dependent.add(dest)
+            else:
+                dependent.discard(dest)
+
+
+def test_a_constant_term_is_not_a_chain(monkeypatch):
+    """q = ReLU(c - 2 ReLU(x)), with c = 3 a constant channel: q reads one
+    value that depends on x and one that does not, so it is not a chain
+    op, and no interval may copy or rerun it where it depends on x.  For
+    x <= 0, ReLU(x) clips and q is the constant 3."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    net = _region_net([[(0, ((0, 1),)), (3, ())],
+                       [(0, ((0, -2), (1, 1)))]], "constant-term")
+    points = [[x] for x in (0.5, 0.25, 1.0, 1.25, 1.5, 2.0, 0.75, -1.0, -3.0, 1e300, 5e-324)]
+    for order in (points, points[::-1]):
+        fresh = _fresh(net)
+        assert_float_memo_agrees(fresh, order + order)
+        (store,) = _intervals(fresh._flt)
+        assert store.lows and all(high <= 0.0 for high in store.highs)
+    assert [eval_float(fresh, p)[0] for p in points[:6]] == [2.0, 2.5, 1.0, 0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("bias, weight", [(DyadicRational(-1, 1100), DyadicRational(1, 100)),
+                                          (DyadicRational(1, 1100), DyadicRational(-1, 100))],
+                         ids=["minus-inf", "plus-inf"])
+def test_an_infinite_bias_is_not_a_chain(monkeypatch, bias, weight):
+    """a = ReLU(b + w x) with |b| = 2^1100, which is +-inf in float64, and
+    w x overflowing to the other infinity for x past about 2^924: there a
+    is NaN, and b + w x is not monotone in x.  With b = -inf, a clips for
+    every other x, and an interval that took a for a chain op would copy
+    ReLU(1 - a) = 1 onto the points where it is NaN."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    net = _region_net([[(bias, ((0, weight),))], [(1, ((0, -1),))]], "infinite-bias")
+    points = [[x] for x in (1.0, 0.5, 1e300, 2.0, 1e278, 2e278, -1e300, 1e200, 5e-324, -2.0)]
+    for order in (points, points[::-1]):
+        assert_float_memo_agrees(_fresh(net), order + order)
+    assert math.isnan(eval_float(net, [1e300])[0])
+
+
 @pytest.mark.parametrize("split", [None, *WRONG_SPLITS], ids=["natural", *WRONG_SPLITS])
 @pytest.mark.parametrize("seam_width", [1, 2, 4, 1 << 30])
 def test_float_intervals_under_forced_cuts(monkeypatch, seam_width, split):
@@ -466,23 +523,26 @@ def test_float_intervals_share_each_bucket():
 
 
 def test_float_intervals_stop_at_the_cap(monkeypatch):
-    """Intervals, their boundaries and their chain forms count against the
-    float memo's cap: a staircase fills it, later steps run plain with the
-    same bits, and the count never passes the cap."""
+    """Intervals and their boundaries count against the float memo's cap: a
+    staircase fills it, later steps run plain with the same bits, and the
+    count never passes the cap.  Each step costs 384 bits (two ends and one
+    copied export) and each found boundary 256: at 30,000 bits 25 of the 40
+    steps fit, and at 1,000 bits the flips found by the first misses fill
+    the room before any interval."""
     monkeypatch.setattr(netir, "_MIN_REGION", 0)
     monkeypatch.setattr(netir, "_SEAM_WIDTH", 1)
-    monkeypatch.setattr(netir, "_MEMO_BITS", 48000)
+    monkeypatch.setattr(netir, "_MEMO_BITS", 30000)
     net = _staircase_net(40)
     assert_float_memo_agrees(net, [[k + 0.5] for k in range(40)])
     (store,) = _intervals(net._flt)
-    assert 0 < len(store.lows) < 40 and 40000 < net._flt.bits <= 48000
+    assert len(store.lows) == 25 and net._flt.bits == 29824
     stored = _stored(net._flt)
     assert_float_memo_agrees(net, [[k + 0.25] for k in range(40, -2, -1)])
     assert _stored(net._flt) == stored
-    monkeypatch.setattr(netir, "_MEMO_BITS", 1000)  # no room for the chain forms
+    monkeypatch.setattr(netir, "_MEMO_BITS", 1000)
     net = _staircase_net(40)
     assert_float_memo_agrees(net, [[k + 0.5] for k in range(40)])
-    assert _stored(net._flt) == (0, 0, 0)
+    assert _stored(net._flt) == (0, 0, 768)  # three boundaries, no interval
 
 
 _chain_weights = st.sampled_from([-2, -1, DyadicRational(1, -1), 1, 2, 3, DyadicRational(1, 30),
@@ -490,7 +550,8 @@ _chain_weights = st.sampled_from([-2, -1, DyadicRational(1, -1), 1, 2, 3, Dyadic
                                   DyadicRational(3, 1000), DyadicRational(1, -1060)])
 _chain_biases = st.sampled_from([0, 1, -1, DyadicRational(-3, -1), DyadicRational(1, 53),
                                  DyadicRational(-1, 53), DyadicRational((1 << 53) + 1, 0),
-                                 DyadicRational(1, 1000), DyadicRational(-1, -1100)])
+                                 DyadicRational(1, 1000), DyadicRational(-1, -1100),
+                                 DyadicRational(1, 1100), DyadicRational(-1, 1100)])
 
 
 @st.composite
@@ -498,7 +559,8 @@ def _float_chains(draw):
     """1-D nets of 1-5 ReLU layers of 1-3 rows, each row reading 1-2
     channels of the layer before, with weights and biases that round:
     2^53 and 2^53 + 1 biases, 2^+-30, 3 * 2^1000, which overflows to inf
-    on large inputs, and the subnormal 2^-1060."""
+    on large inputs, the subnormal 2^-1060, and biases +-2^1100, which are
+    +-inf."""
     width, layers = 1, []
     for _ in range(draw(st.integers(1, 5))):
         rows = []
