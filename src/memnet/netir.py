@@ -554,10 +554,9 @@ _MIN_STATIC = 8
 _MIN_REGION = 8
 # A miss of a float64 region segment runs at most this many times its op
 # count plus 64 chain ops to find the boundaries of its interval
-# (_FloatIntervals._bound), so a point costs a few plain runs at most.  Past
-# that budget it stores the part of its interval it has shown; the
-# boundaries found stay.  A boundary takes two runs of its chain on every
-# net built here, and a bisection over 2^64 keys about 64.
+# (_FloatIntervals._bound), so a point costs a few plain runs at most.  A
+# boundary takes at most two runs of its chain; past the budget the point
+# stores no interval, and the boundaries found stay.
 _FLIP_RUNS = 4
 # The memos of one runner stop inserting once they would hold more than this
 # many bits, each stored integer counted as its bit length plus 64 and each
@@ -980,23 +979,6 @@ class _Seams:
                 self.bits += cost
 
 
-_DOUBLE = struct.Struct("<d")
-_INT64 = struct.Struct("<q")
-
-
-def _key(x: float) -> int:
-    """The place of a non-NaN float in the order of floats: adjacent floats
-    have adjacent keys, and -0.0 and +0.0 share key 0."""
-    (i,) = _INT64.unpack(_DOUBLE.pack(x))
-    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
-
-
-def _unkey(k: int) -> float:
-    """The float of key k (_key): +0.0 for 0."""
-    (x,) = _DOUBLE.unpack(_INT64.pack(abs(k)))
-    return -x if k < 0 else x
-
-
 def _chain_kept(path, t: float) -> bool:
     """Whether the last chain op of path keeps its value (its pre-activation
     is positive) when v holds t.  path holds the chain forms (_FloatIntervals)
@@ -1008,29 +990,11 @@ def _chain_kept(path, t: float) -> bool:
     return acc > 0.0
 
 
-def _flip(path, kept: bool, inner: float, outer: float, runs: int) -> tuple:
-    """(i, o, runs left): the floats on each side of the one place where the
-    state of path's last chain op flips, from `kept`, which it has at
-    inner, to the other state, which it has at outer.  A bisection over
-    the keys between, of at most `runs` runs of path, brings them together:
-    i and o are adjacent floats unless the runs ran out, and the state is
-    `kept` from inner to i either way."""
-    inner, outer = _key(inner), _key(outer)
-    while runs and abs(outer - inner) > 1:
-        runs -= 1
-        mid = (inner + outer) // 2
-        if _chain_kept(path, _unkey(mid)) == kept:
-            inner = mid
-        else:
-            outer = mid
-    return _unkey(inner), _unkey(outer), runs
-
-
 class _FloatIntervals:
     """The float64 intervals of v met so far for one region segment of
-    _FloatSeams: closed intervals [lows[i], highs[i]], sorted, which meet at
-    most in an end, each with the export values it copies and the chain ops
-    it reruns.
+    _FloatSeams: closed intervals [lows[i], highs[i]], sorted, which never
+    meet, each with the export values it copies and the chain ops it
+    reruns.
 
     The segment's ops read v's slot and slots that hold constants: the same
     bits for every point.  A chain op is an op with one term, which reads v
@@ -1055,12 +1019,11 @@ class _FloatIntervals:
     independent value keeps its bits, by induction over the ops, so the
     interval copies them and reruns the chain ops that compute the other
     exports.  Each live op's state flips at one boundary, a pair of
-    adjacent floats found by bisection on first need and kept (_bound): the
-    boundaries nearest v on each side are the interval's ends.  Intervals
-    stored with all their boundaries meet nowhere, since a point in two
-    would give their live ops one state; a miss that runs out of budget
-    stores the part around v it could show, cut off where it touches a
-    stored neighbour.
+    adjacent floats that its slope guess pins on first need and kept
+    (_bound): the boundaries nearest v on each side are the interval's
+    ends.  A point with a live op whose guess misses stores no interval
+    and runs plain, so every interval ends at exact flips, and two never
+    meet, since a point in both would give their live ops one state.
 
     chain holds each op's chain form (bias, w, relu, j, src, dest), or
     None, with j the chain op that wrote src, -1 for v.  flow holds (k, j,
@@ -1138,17 +1101,13 @@ class _FloatIntervals:
         for k in live:
             bound = bounds[k]
             if bound is None:
-                bound, held, spent = self._bound(k, v, pres[k], budget)
+                bound, spent = self._bound(k, v, pres[k], budget)
+                if bound is None:  # not pinned: the point runs plain
+                    return cost
                 budget -= spent
-                if bound is None:  # not found within budget
-                    if held[0] > low:
-                        low = held[0]
-                    if held[1] < high:
-                        high = held[1]
-                    continue
-                if cost + 128 * len(bound) <= room:
+                if cost + 256 <= room:
                     bounds[k] = bound
-                    cost += 128 * len(bound)
+                    cost += 256
             if bound:
                 if v <= bound[0]:
                     if bound[0] < high:
@@ -1159,10 +1118,6 @@ class _FloatIntervals:
         if cost + size > room:
             return cost
         i = bisect_right(self.lows, v)
-        if i and self.highs[i - 1] > low:  # a partial neighbour: touch it, do not overlap it
-            low = self.highs[i - 1]
-        if i < len(self.lows) and self.lows[i] < high:
-            high = self.lows[i]
         self.lows.insert(i, low)
         self.highs.insert(i, high)
         self.entries.insert(i, (tuple([chain[k][:2] + chain[k][4:] for k in sorted(rerun)]),
@@ -1170,56 +1125,47 @@ class _FloatIntervals:
         return cost + size
 
     def _bound(self, k: int, v: float, p: float, budget: int) -> tuple:
-        """(bound, held, chain ops run) for the ReLU chain op k, whose
-        pre-activation is p at v.  bound is the floats (a, b) of its flip,
-        so that its state is one for every v <= a and the other for every
-        v >= b, or () if it never flips.  If finding it would run more than
-        budget ops, bound is None, and the op keeps its state at v on the
-        interval held.
+        """(bound, chain ops run) for the ReLU chain op k, whose
+        pre-activation is p at v.  bound is the adjacent floats (a, b) of its
+        flip, so that its state is one for every v <= a and the other for
+        every v >= b, or None if the guess does not pin it or budget is
+        short of two runs of its chain.
 
-        The state flips below v if it is kept and the op's pre-activation
-        rises with v, or clipped and it falls, and above v otherwise.  The
-        product of the weights from v (the slope) guesses the place; the
-        guess and the float next to it toward the flip settle most searches
-        in two runs, and a bisection over the keys between the floats known
-        on each side does the rest.
+        The product of the weights from v (the slope) guesses the flip at
+        g = v - p / slope, which is v itself when p is 0, or at v if the
+        slope underflows.  A run at g, none if g is v, tells on which side
+        of g the flip lies; a run at the float next to g on that side, none
+        if it is v, whose state is known, shows whether the flip lies
+        between the two.  Seen from v, the flip lies below if the op is kept
+        and its pre-activation rises with v, or clipped and it falls, and
+        above otherwise.  By monotone rounding a state that differs on two
+        adjacent floats pins the flip exactly; nothing searches further.
         """
         path, j = [], k
         while j >= 0:
             path.append(self.chain[j])
             j = self.chain[j][3]
         path.reverse()
+        if budget < 2 * len(path):
+            return None, 0
         slope = 1.0
         for form in path:
             slope = form[1] * slope
-        kept, size = p > 0.0, len(path)
-        runs = budget // size
-        below = kept == (copysign(1.0, slope) > 0)
-        inner, outer, known = v, -inf if below else inf, False
+        kept, runs = p > 0.0, 0
         guess = v - p / slope if slope else v
-        if runs >= 2 and ((outer < guess < v) if below else (v < guess < outer)):
-            runs -= 2
-            if _chain_kept(path, guess) == kept:
-                inner, probe = guess, nextafter(guess, outer)
-            else:
-                outer, known, probe = guess, True, nextafter(guess, v)
-            if probe != inner and probe != outer:  # strictly between them
-                if _chain_kept(path, probe) == kept:
-                    inner = probe
-                else:
-                    outer, known = probe, True
-        if not known:
-            if not runs:
-                held = (inner, inf) if below else (-inf, inner)
-                return None, held, (budget // size - runs) * size
-            runs -= 1
-            if _chain_kept(path, outer) == kept:
-                return (), None, (budget // size - runs) * size
-        inner, outer, runs = _flip(path, kept, inner, outer, runs)
-        spent = (budget // size - runs) * size
-        if nextafter(inner, outer) != outer:
-            return None, (inner, inf) if below else (-inf, inner), spent
-        return (outer, inner) if below else (inner, outer), None, spent
+        at = kept
+        if guess != v:
+            runs, at = 1, _chain_kept(path, guess)
+        if at != kept:  # the flip lies between v and the guess
+            near = nextafter(guess, v)
+        else:
+            near = nextafter(guess, -inf if kept == (copysign(1.0, slope) > 0) else inf)
+        near_at = kept
+        if near != v:
+            runs, near_at = runs + 1, _chain_kept(path, near)
+        if near_at == at:  # a NaN guess lands here too
+            return None, runs * len(path)
+        return (guess, near) if guess < near else (near, guess), runs * len(path)
 
 
 class _FloatSeams:
@@ -1567,10 +1513,6 @@ _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 _ZERO_CELL = '{"e":0,"m":"0","s":0}'
 _ZERO_LITERAL = _ZERO_CELL.encode()
 _LITERAL_SHRINK = len(_ZERO_LITERAL) - len(b"null")  # bytes saved per copy read as null
-# The dense-row skip takes a cell only when s and e are this object: the
-# parser's int 0 is the interpreter's one cached small int, never False or
-# 0.0.  Any other zero cell is read by `capped`, which checks its types.
-_INT_ZERO = 0
 
 
 def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
@@ -1698,8 +1640,6 @@ def deserialize_net(obj: dict, null_cells: int | None = None) -> LayeredNet:
                     if null_cells is not None:
                         nulls += row.count(None)
                     rows.append(tuple([(i, d) for i, wt in enumerate(row) if wt is not null
-                                       and not (wt["m"] == "0" and wt["s"] is _INT_ZERO
-                                                and wt["e"] is _INT_ZERO)
                                        and (d := capped(wt)).sign]))
             # older writers listed a layer's identity units: checked, then dropped
             marks = [_typed(u, int, "a passthrough unit") for u in spec.get("passthrough", ())]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memnet import netir
-from memnet.datagen import random_dataset
+from memnet.datagen import random_dataset, random_separated_points
 from memnet.exactnum import DyadicRational
 from memnet.netir import AffineLayer, LayeredNet, eval_exact, eval_float
 from memnet.pipeline import assemble_sqrt
@@ -175,13 +175,14 @@ def _memos(runner) -> list:
 
 def _intervals(runner) -> list:
     """The interval stores of a runner's region segments, each checked: its
-    intervals sorted, each nonempty and free of NaN, and two neighbours
-    meeting at most in an end."""
+    intervals sorted, each nonempty and free of NaN, and no two neighbours
+    meeting, since each interval ends at exact flips."""
     stores = [seg[4] for seg in runner.segments if seg[0] is not None and seg[2] is None]
     for store in stores:
-        assert len(store.lows) == len(store.highs) == len(store.entries)
-        ends = [end for pair in zip(store.lows, store.highs) for end in pair]
-        assert all(a <= b for a, b in zip(ends, ends[1:])), ends
+        lows, highs = store.lows, store.highs
+        assert len(lows) == len(highs) == len(store.entries)
+        assert all(low <= high for low, high in zip(lows, highs)), (lows, highs)
+        assert all(high < low for high, low in zip(highs, lows[1:])), (lows, highs)
     return stores
 
 
@@ -394,8 +395,12 @@ def test_float_intervals_share_each_step(monkeypatch):
 def test_float_intervals_follow_rounding(monkeypatch):
     """y = ReLU(x + 2^53), q = ReLU(y - (2^53 + 2)): y rounds to a multiple
     of 2, so q clips up to x = 3 (the tie at 3 rounds to 2^53 + 4), not up
-    to the x = 2 that the slope guesses.  An interval stored at 0.5 must
-    end below 3, and one stored at 2.7 must too."""
+    to the x = 2 near which the slope guesses from 0.5, 2.7 or 3.5: there
+    neither the guess nor the float next to it shows the flip, and the
+    point runs plain.  At 2.9999999999999996, where q's pre-activation is
+    0, the guess is the point itself and the float next to it, 3.0, pins
+    the flip, so in either order intervals end there and no interval holds
+    a point on the wrong side of it."""
     monkeypatch.setattr(netir, "_MIN_REGION", 0)
     net = _region_net([[(DyadicRational(1, 53), ((0, 1),))],
                        [(DyadicRational(-(1 << 53) - 2, 0), ((0, 1),))]], "rounding")
@@ -405,8 +410,8 @@ def test_float_intervals_follow_rounding(monkeypatch):
         assert_float_memo_agrees(fresh, order)
         assert eval_float(fresh, [2.9999999999999996]) == [0.0]
         assert eval_float(fresh, [3.0]) == [2.0]
-    (store,) = _intervals(fresh._flt)
-    assert 2.9999999999999996 in store.highs and 3.0 in store.lows
+        (store,) = _intervals(fresh._flt)
+        assert 2.9999999999999996 in store.highs and 3.0 in store.lows
 
 
 def test_two_dynamic_terms_are_not_a_chain(monkeypatch):
@@ -505,7 +510,7 @@ def test_float_intervals_under_forced_cuts(monkeypatch, seam_width, split):
 
 
 def test_float_intervals_share_each_bucket():
-    """One pass over the training points of a sqrt build stores at most one
+    """One pass over the training points of a sqrt build stores one
     interval per bucket in its selector, whose exports other than x depend
     on no input on each bucket's plateau, and a point in the middle of two
     buckets' plateaus finds the interval of its bucket."""
@@ -515,11 +520,77 @@ def test_float_intervals_share_each_bucket():
     points = [[float(c) for c in p] for p in ds.points]
     assert_float_memo_agrees(net, points)
     (store,) = _intervals(net._flt)
-    assert 0 < len(store.lows) <= report.info.bucket_count
+    assert len(store.lows) == report.info.bucket_count
     stored = _stored(net._flt)
     assert_float_memo_agrees(net, points[::-1])
     assert _stored(net._flt) == stored
     assert all(len(rerun) == 1 for rerun, _, _ in store.entries)  # x = ReLU(c z) reruns
+
+
+def _with_points(name: str) -> tuple:
+    """(a fresh net, its training points as floats) for a corpus net or a
+    golden build, whose datasets are those of test_golden._build."""
+    if name.startswith("golden-"):
+        mode = name[7:]
+        points = (random_separated_points(24, 2, seed=5) if mode == "regression"
+                  else random_dataset(24, 2, 4, seed=5).points)
+        net = _build(mode)[0]
+    else:
+        net, ds = corpus(name)
+        points = ds.points
+    return _fresh(net), [[float(c) for c in p] for p in points]
+
+
+@pytest.mark.parametrize("name", [*(f"golden-{mode}" for mode in sorted(BUILD_DIGESTS)),
+                                  "depth", "bits", "regression"])
+def test_slope_guesses_pin_every_flip(monkeypatch, name):
+    """On the golden builds and the corpus depth, bits and regression nets,
+    the slope guess and the float next to it pin every flip that the
+    training points and the midpoints between them meet.  A construction
+    change whose flips the guess misses keeps its bits but loses its
+    intervals, and fails here."""
+    net, points = _with_points(name)
+    points += [[(a + b) / 2 for a, b in zip(p, q)] for p, q in zip(points, points[1:])]
+    found, real = [], netir._FloatIntervals._bound
+
+    def bound(self, k, v, p, budget):
+        found.append(real(self, k, v, p, budget))
+        return found[-1]
+
+    monkeypatch.setattr(netir._FloatIntervals, "_bound", bound)
+    assert_float_memo_agrees(net, points)
+    assert found and all(flip is not None for flip, _ in found), name
+    assert _intervals(net._flt)
+
+
+def test_a_missed_guess_runs_plain(monkeypatch):
+    """The chain of the corpus net sqrt-112: a = ReLU(1 + x), b = ReLU(8a),
+    q = ReLU(48 - 2b).  In exact arithmetic q flips at x = 2; in float64 it
+    flips between 1.9999999999999996 and 1.9999999999999998, and from the
+    points with x > -1 below the slope guess and the float next to it have
+    one state.  Those points run plain and store nothing, in either order
+    and on a repeat pass; only points with x < -1, where a clips and q is
+    the constant 48, store an interval.  At 1.9999999999999998, where q's
+    pre-activation is 0, the guess is the point itself and pins the flip:
+    from then on the points store intervals that end at it."""
+    monkeypatch.setattr(netir, "_MIN_REGION", 0)
+    net = _region_net([[(1, ((0, 1),))], [(0, ((0, 8),))], [(48, ((0, -2),))]], "sqrt-112-chain")
+    missed = [61.85, 1.0, 3.0, 10.0, 0.5, 1.5, 2.5, 100.0, -0.5, 1.9999999999999996, 2.0]
+    points = [[x] for x in missed + [-2.0, -3.5, -1.5]]
+    flip = [[1.9999999999999998]]
+    for order in (points, points[::-1]):
+        fresh = _fresh(net)
+        assert_float_memo_agrees(fresh, order)
+        (store,) = _intervals(fresh._flt)
+        assert (store.lows, store.highs) == ([-math.inf], [-1.0])
+        stored = _stored(fresh._flt)
+        assert_float_memo_agrees(fresh, order)
+        assert _stored(fresh._flt) == stored
+        assert_float_memo_agrees(fresh, flip + order)
+        assert store.lows == [-math.inf, -0.9999999999999999, 1.9999999999999998]
+        assert store.highs == [-1.0, 1.9999999999999996, math.inf]
+    assert eval_float(net, [1.9999999999999996])[0] > 0.0
+    assert eval_float(net, flip[0]) == [0.0]
 
 
 def test_float_intervals_stop_at_the_cap(monkeypatch):
