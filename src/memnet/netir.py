@@ -1515,18 +1515,31 @@ _ZERO_LITERAL = _ZERO_CELL.encode()
 _LITERAL_SHRINK = len(_ZERO_LITERAL) - len(b"null")  # bytes saved per copy read as null
 
 
-def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
-    """The network file: dense weight rows up to width 16, sparse beyond.
+def _net_text(net: LayeredNet, builder: dict | None = None) -> tuple:
+    """The network file as (head, layer texts, tail), whose join is its text.
 
-    Writes the sorted-key, compact JSON of docs/FORMATS.md straight to
-    text; each distinct dyadic is encoded once per call.  ValueError if a
-    weight or bias is past the caps load_net enforces.
+    Dense weight rows up to width 16, sparse beyond, in the sorted-key,
+    compact JSON of docs/FORMATS.md; each distinct dyadic is encoded once
+    per call.  Every check runs before this returns: ValueError if a weight
+    or bias is past the caps load_net enforces, and whatever _dumps raises
+    on the builder record.  The layer texts are made lazily.
     """
     real = metrics(net)
     if real.exponent_range > MAX_EXPONENT or real.bits > MAX_MANTISSA_BITS:
         raise ValueError(f"the network exceeds the load caps |e| <= {MAX_EXPONENT}, "
                          f"mantissa <= {MAX_MANTISSA_BITS} bits (it has |e| <= "
                          f"{real.exponent_range}, mantissa <= {real.bits} bits)")
+    record = "" if builder is None else f'"builder":{_dumps(builder)},'
+    head = (f'{{{record}"format_version":{FORMAT_VERSION},'
+            f'"input_dim":{_dumps(net.input_dim)},"layers":[')
+    tail = (f'],"metrics":{_dumps(real.to_json())},'
+            f'"output_nonneg":{_dumps(net.output_nonneg)},'
+            f'"provenance":{_dumps(net.provenance)}}}')
+    return head, _layer_texts(net), tail
+
+
+def _layer_texts(net: LayeredNet):
+    """One text per layer of net, each after the first with its leading comma."""
     memo = {(0, 0, 0): _ZERO_CELL}
 
     def cell(d: DyadicRational) -> str:
@@ -1536,7 +1549,7 @@ def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
             text = memo[key] = f'{{"e":{d.exponent},"m":"{d.mantissa:x}","s":{d.sign}}}'
         return text
 
-    layers = []
+    comma = ""
     for layer in net.layers:
         if max(layer.in_dim, layer.out_dim) <= _DENSE_WIDTH_LIMIT:
             rows = []
@@ -1550,13 +1563,18 @@ def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
             rows = ["[" + ",".join([f"[{i},{cell(w)}]" for i, w in row]) + "]"
                     for row in layer.rows]
             w = f'{{"in_dim":{_dumps(layer.in_dim)},"sparse":[' + ",".join(rows) + "]}"
-        layers.append(f'{{"b":[{",".join([cell(b) for b in layer.biases])}],'
-                      f'"relu":{_dumps(layer.relu)},"w":{w}}}')
-    head = "" if builder is None else f'"builder":{_dumps(builder)},'
-    return (f'{{{head}"format_version":{FORMAT_VERSION},"input_dim":{_dumps(net.input_dim)},'
-            f'"layers":[{",".join(layers)}],"metrics":{_dumps(real.to_json())},'
-            f'"output_nonneg":{_dumps(net.output_nonneg)},'
-            f'"provenance":{_dumps(net.provenance)}}}').encode()
+        yield (f'{comma}{{"b":[{",".join([cell(b) for b in layer.biases])}],'
+               f'"relu":{_dumps(layer.relu)},"w":{w}}}')
+        comma = ","
+
+
+def net_to_json_bytes(net: LayeredNet, builder: dict | None = None) -> bytes:
+    """The network file's bytes: the join of _net_text's parts, which
+    save_net writes one at a time.  ValueError if a weight or bias is past
+    the caps load_net enforces.
+    """
+    head, layers, tail = _net_text(net, builder)
+    return "".join([head, *layers, tail]).encode()
 
 
 def _capped(obj) -> DyadicRational:
@@ -1659,9 +1677,20 @@ def deserialize_net(obj: dict, null_cells: int | None = None) -> LayeredNet:
 
 
 def save_net(net: LayeredNet, path, builder: dict | None = None) -> None:
-    data = net_to_json_bytes(net, builder)  # raises before the file is opened
+    """Write net_to_json_bytes(net, builder) and a newline to path.
+
+    The parts of _net_text are written as they are made, so the file is
+    never held whole.  Every check runs before the file is opened: a net
+    past the load caps, or a builder record _dumps refuses, leaves no file.
+    The layer texts format only capped exponents, column indexes, signs and
+    hex mantissas, so they cannot raise once the file is open.
+    """
+    head, layers, tail = _net_text(net, builder)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(head.encode())
+        for text in layers:
+            fh.write(text.encode())
+        fh.write(tail.encode())
         fh.write(b"\n")
 
 
@@ -1692,7 +1721,13 @@ def load_net(path) -> tuple[LayeredNet, dict | None]:
 
     On a count mismatch or any ValueError of this first read the file is
     read again as it is, the strict path, which gives the net or the
-    refusal of that file: it is parsed at most twice.
+    refusal of that file: it is read once and parsed at most twice.
+
+    Only one copy of the bytes is held: once the literal is replaced and
+    counted, the file's bytes are dropped, and the strict read rebuilds
+    them by replacing each `null` with the literal.  That is exact: the
+    file held no `null`, and none forms across a replacement, so the
+    `null`s are the replaced copies.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -1703,10 +1738,14 @@ def load_net(path) -> tuple[LayeredNet, dict | None]:
     try:
         if b"null" not in text and json.detect_encoding(text) == "utf-8":
             fast = text.replace(_ZERO_LITERAL, b"null")
+            null_cells = (len(text) - len(fast)) // _LITERAL_SHRINK
+            del text
             try:
-                return _parse_net(fast, (len(text) - len(fast)) // _LITERAL_SHRINK)
+                return _parse_net(fast, null_cells)
             except (ValueError, RecursionError):
                 pass
+            text = fast.replace(b"null", _ZERO_LITERAL)
+            del fast
         return _parse_net(text, None)
     except RecursionError:
         raise ValueError("network file nests too deeply to parse") from None

@@ -13,20 +13,24 @@ zero cells replaced by null, must give on the file's bytes what
 
 import copy
 import functools
+import gc
 import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memnet import netir
 from memnet.datagen import random_dataset
 from memnet.exactnum import DyadicRational
 from memnet.netir import (MAX_EXPONENT, MAX_MANTISSA_BITS, AffineLayer,
                           LayeredNet, deserialize_net, eval_exact, eval_float,
-                          load_net, net_to_json_bytes)
+                          load_net, net_to_json_bytes, save_net)
 from memnet.pipeline import assemble_sqrt
+from memnet.variants import assemble_bounded_bits
 from netfile_reference import reference_bytes, reference_deserialize
 from test_cli import _edit_dense_row, _split_sparse_term
 from test_eval_differential import CORPUS_NAMES, _nets, corpus
@@ -459,16 +463,98 @@ def test_hand_made_files(monkeypatch, case):
     assert _counted_load(monkeypatch, data) == (want, parses)
 
 
-@pytest.mark.parametrize("name", [*CORPUS_NAMES, *(f"golden-{m}" for m in sorted(BUILD_DIGESTS))])
+@pytest.mark.parametrize("case", sorted(c for c, (_, parses, _) in HAND_MADE.items()
+                                         if parses == 2))
+def test_strict_read_gets_the_file(monkeypatch, case):
+    """load_net drops the file's bytes after the zero-cell substitution; when
+    the first read fails, the strict read must get them back exactly."""
+    data = HAND_MADE[case][0]()
+    seen = []
+    parse = netir._parse_net
+    monkeypatch.setattr(netir, "_parse_net",
+                        lambda text, null_cells: seen.append((text, null_cells))
+                        or parse(text, null_cells))
+    try:
+        _load_bytes(data)
+    except ValueError:
+        pass
+    assert [null_cells is None for _, null_cells in seen] == [False, True]
+    assert seen[1][0] == data
+
+
+_PIECES = [b"n", b"u", b"l", b"nul", *(_ZERO[:k] for k in range(1, len(_ZERO) + 1))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES)).map(b"".join).filter(lambda b: b"null" not in b))
+def test_null_substitution_is_undone_exactly(data):
+    """No null forms across a replacement, so the strict read's bytes,
+    rebuilt from the substituted ones, are the file's."""
+    assert data.replace(_ZERO, b"null").replace(b"null", _ZERO) == data
+
+
+SAVED_FILES = [*CORPUS_NAMES, *(f"golden-{m}" for m in sorted(BUILD_DIGESTS))]
+
+
+def _named(name):
+    """(net, builder record) of a corpus net or a golden build."""
+    if name.startswith("golden-"):
+        net, report = _build(name.removeprefix("golden-"))
+        return net, report.info.to_json()
+    net, ds = corpus(name)
+    return net, {"theorem": name, "N": ds.n}
+
+
+@pytest.mark.parametrize("with_builder", [True, False], ids=["builder", "no-builder"])
+@pytest.mark.parametrize("name", SAVED_FILES)
+def test_save_net_writes_the_file_bytes(tmp_path, name, with_builder):
+    """save_net writes the parts of the one writer as they are made: the
+    file is net_to_json_bytes and a newline, dense and sparse layers alike."""
+    net, builder = _named(name)
+    builder = builder if with_builder else None
+    path = tmp_path / "net.json"
+    save_net(net, path, builder)
+    assert path.read_bytes() == net_to_json_bytes(net, builder) + b"\n"
+
+
+def _traced_peak(call) -> int:
+    """Bytes tracemalloc sees allocated at the peak of call(), past what
+    was allocated before it."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_save_and_load_hold_one_copy_of_the_file(tmp_path):
+    """An int-mix-shaped bits build (N = 96, B = 4; about 1.4 MB): save_net
+    holds no whole copy of the file, and load_net one copy of its bytes
+    beside the parse tree and the net.  Whole-file copies made save_net
+    peak at 3.1 and load_net at 4.1 times the file size."""
+    net, report = assemble_bounded_bits(random_dataset(96, 2, 4, seed=3), 4, seed=3)
+    path = tmp_path / "bits.net.json"
+    save = _traced_peak(lambda: save_net(net, path, report.info.to_json()))
+    size = path.stat().st_size
+    assert size > 1_000_000
+    del net
+    load = _traced_peak(lambda: load_net(path))
+    assert save < 0.5 * size, (save, size)
+    assert load < 3.6 * size, (load, size)
+
+
+@pytest.mark.parametrize("name", SAVED_FILES)
 def test_saved_nets_parse_once(monkeypatch, name):
     """Every zero cell of a file the writer made is read as null on the first
     parse: a fallback to the strict read would parse twice."""
-    if name.startswith("golden-"):
-        net, report = _build(name.removeprefix("golden-"))
-        builder = report.info.to_json()
-    else:
-        net, ds = corpus(name)
-        builder = {"theorem": name, "N": ds.n}
+    net, builder = _named(name)
     data = net_to_json_bytes(net, builder)
     assert _ZERO in data and b"null" not in data
     assert _counted_load(monkeypatch, data) == (_strict_load(data), 1)
